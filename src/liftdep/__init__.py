@@ -9,6 +9,7 @@ distributions of two real random variables.
 from .distributions import (
     BivariateNormal,
     CircularCauchy,
+    ContinuousFamily,
     ContinuousJoint,
     CurveBranch,
     CurveSingularJoint,
@@ -83,7 +84,6 @@ from .lift import (
 from .scaling import (
     WEIERSTRASS_DIMENSION,
     BallDensityProfile,
-    GridBucketIndex,
     ScalingEstimate,
     WeierstrassCurve,
     ball_density,

@@ -1,16 +1,24 @@
 """Joint-distribution classes and their densities, marginals, and samplers.
 
-Three joint classes are supported, plus named parametric families:
+Three joint classes are supported:
 
 * :class:`DiscreteJoint` -- a finite pmf table over labeled supports.
-* :class:`ContinuousJoint` -- joint and marginal density evaluators with an
-  explicit integration box.
+* Absolutely continuous joints -- :class:`ContinuousJoint` (density
+  evaluators with an explicit integration box) and the named families
+  :class:`BivariateNormal`, :class:`CircularCauchy` and
+  :class:`IndependentProduct`. All four share one interface:
+  ``joint_density(x, y)``, ``marginal_x``, ``marginal_y``,
+  ``integration_box``, an elementwise ``lift(x, y)``,
+  ``quantile_x``/``quantile_y`` and ``sample(n, rng)``. The defaults sit on
+  :class:`ContinuousFamily` (density-ratio lift, quantiles tabulated over the
+  box, no sampler); each family overrides what it has in closed form, so its
+  formulas live in one place.
 * :class:`CurveSingularJoint` -- mass concentrated on the graphs of smooth
   branches ``y = phi_n(x)`` with absolutely continuous marginals. It has no
   density w.r.t. area measure; its Y-marginal can be derived by the
-  pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over preimages).
-* Named families: :class:`BivariateNormal`, :class:`CircularCauchy`,
-  :class:`IndependentProduct`.
+  pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over preimages),
+  whose preimages are found for many y at once by an elementwise bisection
+  on the monotone pieces of each branch.
 
 Density and marginal evaluators must be pure, vectorized functions: they take
 scalars or ndarrays and return values of the same shape. All distribution
@@ -29,12 +37,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     CurveSingularHasNoDensity,
@@ -47,6 +54,7 @@ from .errors import (
 
 __all__ = [
     "DiscreteJoint",
+    "ContinuousFamily",
     "ContinuousJoint",
     "BivariateNormal",
     "CircularCauchy",
@@ -55,10 +63,12 @@ __all__ = [
     "CurveSingularJoint",
     "JointDistribution",
     "NamedFamily",
+    "DENSITY_FLOOR",
     "bvn_density",
     "circular_cauchy_density",
     "density_at",
     "as_continuous",
+    "bisect_roots",
     "derive_pushforward_density",
     "pushforward_density_fn",
     "monotone_pieces",
@@ -79,12 +89,63 @@ Evaluator = Callable[[np.ndarray], np.ndarray]
 
 PMF_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
-ROOT_XTOL = 1e-10
 DERIVATIVE_FLOOR = 1e-12
+DENSITY_FLOOR = 1e-300
 INVERSE_CDF_RESOLUTION = 4096
 PROBE_GRID_SIZE = 1024
 
 CAUCHY_BOX_HALF_WIDTH = 1e5
+
+
+# ---------------------------------------------------------------------------
+# Densities
+# ---------------------------------------------------------------------------
+
+
+def standard_normal_pdf(x):
+    x = np.asarray(x, dtype=float)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def uniform_pdf(lo: float = 0.0, hi: float = 1.0) -> Evaluator:
+    """Density of the uniform law on [lo, hi] as a vectorized evaluator."""
+    height = 1.0 / (hi - lo)
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= lo) & (x <= hi), height, 0.0)
+
+    return pdf
+
+
+def bvn_density(r: float, point) -> float | np.ndarray:
+    """Standard bivariate normal density with correlation r at a point.
+
+    Accepts scalar or ndarray coordinates; raises DegenerateCorrelation for
+    |r| >= 1.
+    """
+    if not abs(r) < 1:
+        raise DegenerateCorrelation(f"|r| must be < 1, got r={r}")
+    x, y = point
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    one_minus = 1.0 - r * r
+    q = (x * x + y * y - 2.0 * r * x * y) / (2.0 * one_minus)
+    out = np.exp(-q) / (2.0 * math.pi * math.sqrt(one_minus))
+    return float(out) if out.ndim == 0 else out
+
+
+def circular_cauchy_density(point) -> float | np.ndarray:
+    x, y = point
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = 1.0 / (2.0 * math.pi * (1.0 + x * x + y * y) ** 1.5)
+    return float(out) if out.ndim == 0 else out
+
+
+def _cauchy_pdf(x):
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (math.pi * (1.0 + x * x))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +158,7 @@ class DiscreteJoint:
     """Finite joint pmf over sorted real labels.
 
     ``pmf[i, j]`` is P(X = x_support[i], Y = y_support[j]). Entries must be
-    nonnegative and sum to one within 1e-12.
+    finite, nonnegative and sum to one within 1e-12; labels must be finite.
     """
 
     x_support: np.ndarray
@@ -110,6 +171,8 @@ class DiscreteJoint:
         object.__setattr__(self, "pmf", np.asarray(self.pmf, dtype=float))
         if self.pmf.shape != (self.x_support.size, self.y_support.size):
             raise ValueError("pmf shape must be (len(x_support), len(y_support))")
+        if not all(np.all(np.isfinite(a)) for a in (self.x_support, self.y_support, self.pmf)):
+            raise ValueError("pmf entries and support labels must be finite")
         if np.any(np.diff(self.x_support) <= 0) or np.any(np.diff(self.y_support) <= 0):
             raise ValueError("supports must be strictly increasing")
         if np.any(self.pmf < 0):
@@ -125,13 +188,60 @@ class DiscreteJoint:
     def p_y(self) -> np.ndarray:
         return self.pmf.sum(axis=0)
 
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Inverse CDF on the flattened pmf."""
+        cum = np.cumsum(self.pmf.ravel())
+        cum /= cum[-1]
+        idx = np.searchsorted(cum, rng.random(n), side="right")
+        idx = np.minimum(idx, cum.size - 1)
+        ix, iy = np.unravel_index(idx, self.pmf.shape)
+        return np.column_stack([self.x_support[ix], self.y_support[iy]])
+
+
+class ContinuousFamily:
+    """Defaults shared by the absolutely continuous joints.
+
+    A family provides ``joint_density(x, y)``, the evaluators ``marginal_x``
+    and ``marginal_y``, and ``integration_box = (x_lo, x_hi, y_lo, y_hi)``,
+    which must capture essentially all of the mass; every quadrature in the
+    package integrates over it. It overrides ``lift``, the quantiles or
+    ``sample`` where it has them in closed form.
+    """
+
+    def lift(self, x, y):
+        """Elementwise density ratio ``rho / (rho_X rho_Y)``; NaN where the
+        product of the marginals is below DENSITY_FLOOR."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        joint = np.asarray(self.joint_density(x, y), dtype=float)
+        denom = np.asarray(self.marginal_x(x), dtype=float) * np.asarray(
+            self.marginal_y(y), dtype=float
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(denom >= DENSITY_FLOOR, joint / denom, np.nan)
+
+    def quantile_x(self, u):
+        """X quantiles from the marginal CDF tabulated over the box."""
+        x_lo, x_hi, _, _ = self.integration_box
+        return tabulated_inverse_cdf(self.marginal_x, (x_lo, x_hi))(u)
+
+    def quantile_y(self, u):
+        """Y quantiles from the marginal CDF tabulated over the box."""
+        _, _, y_lo, y_hi = self.integration_box
+        return tabulated_inverse_cdf(self.marginal_y, (y_lo, y_hi))(u)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise NotSampleable(
+            f"{type(self).__name__} has no sampler; use a named family or "
+            "provide samples directly"
+        )
+
 
 @dataclass(frozen=True, eq=False)
-class ContinuousJoint:
+class ContinuousJoint(ContinuousFamily):
     """Absolutely continuous joint law given by density evaluators.
 
     ``integration_box = (x_lo, x_hi, y_lo, y_hi)`` must capture essentially
-    all of the mass; every quadrature in the package integrates over it.
+    all of the mass. It has no sampler.
     """
 
     joint_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -141,29 +251,96 @@ class ContinuousJoint:
 
 
 @dataclass(frozen=True)
-class BivariateNormal:
+class BivariateNormal(ContinuousFamily):
     """Standard bivariate normal with unit variances and correlation r."""
 
     r: float
+
+    integration_box = (-8.0, 8.0, -8.0, 8.0)
+    marginal_x = marginal_y = staticmethod(standard_normal_pdf)
 
     def __post_init__(self):
         if not abs(self.r) < 1:
             raise DegenerateCorrelation(f"|r| must be < 1, got r={self.r}")
 
+    def joint_density(self, x, y):
+        return bvn_density(self.r, (x, y))
+
+    def lift(self, x, y):
+        """Closed form
+        ``(1 - r^2)^(-1/2) exp(-(x^2 + y^2 - 2 r x y)/(2 (1 - r^2)) + (x^2 + y^2)/2)``."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        r = self.r
+        expo = -(x * x + y * y - 2.0 * r * x * y) / (2.0 * (1.0 - r * r)) + (x * x + y * y) / 2.0
+        return np.exp(expo) / math.sqrt(1.0 - r * r)
+
+    def quantile_x(self, u):
+        from scipy.special import ndtri  # deferred: importing scipy slows every command
+
+        return ndtri(u)
+
+    quantile_y = quantile_x
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The two-independent-normals transform."""
+        z = rng.standard_normal((n, 2))
+        x = z[:, 0]
+        y = self.r * z[:, 0] + math.sqrt(1.0 - self.r * self.r) * z[:, 1]
+        return np.column_stack([x, y])
+
 
 @dataclass(frozen=True)
-class CircularCauchy:
-    """Rotation-invariant bivariate Cauchy, density 1/(2*pi*(1+x^2+y^2)^(3/2))."""
+class CircularCauchy(ContinuousFamily):
+    """Rotation-invariant bivariate Cauchy, density 1/(2*pi*(1+x^2+y^2)^(3/2)).
+
+    Both marginals are standard Cauchy.
+    """
+
+    integration_box = (-CAUCHY_BOX_HALF_WIDTH, CAUCHY_BOX_HALF_WIDTH) * 2
+    marginal_x = marginal_y = staticmethod(_cauchy_pdf)
+
+    def joint_density(self, x, y):
+        return circular_cauchy_density((x, y))
+
+    def quantile_x(self, u):
+        return np.tan(math.pi * (np.asarray(u) - 0.5))
+
+    quantile_y = quantile_x
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Exact marginal-then-conditional inversion."""
+        u1 = rng.random(n)
+        u2 = np.maximum(rng.random(n), 2.0**-53)  # u2 = 0 would map w to -1 exactly
+        x = np.tan(math.pi * (u1 - 0.5))
+        a = np.sqrt(1.0 + x * x)
+        w = 2.0 * u2 - 1.0
+        y = a * w / np.sqrt(1.0 - w * w)
+        return np.column_stack([x, y])
 
 
 @dataclass(frozen=True, eq=False)
-class IndependentProduct:
+class IndependentProduct(ContinuousFamily):
     """Product law of two independent absolutely continuous marginals."""
 
     marginal_x: Evaluator
     marginal_y: Evaluator
     support_x: Interval = (-8.0, 8.0)
     support_y: Interval = (-8.0, 8.0)
+
+    @property
+    def integration_box(self) -> Box:
+        return (*self.support_x, *self.support_y)
+
+    def joint_density(self, x, y):
+        mx, my = self.marginal_x(x), self.marginal_y(y)
+        return np.asarray(mx, dtype=float) * np.asarray(my, dtype=float)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Independent draws from the tabulated marginal quantiles."""
+        x = self.quantile_x(rng.random(n))
+        y = self.quantile_y(rng.random(n))
+        return np.column_stack([x, y])
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,60 +397,25 @@ class CurveSingularJoint:
             return self.marginal_y
         return pushforward_density_fn(self)
 
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """X from a tabulated inverse CDF, a branch by weight, the on-curve y."""
+        inv_x = tabulated_inverse_cdf(self.marginal_x, self.support_x)
+        x = inv_x(rng.random(n))
+        weights = np.array([b.weight for b in self.branches])
+        cum = np.cumsum(weights)
+        cum /= cum[-1]
+        branch_idx = np.searchsorted(cum, rng.random(n), side="right")
+        branch_idx = np.minimum(branch_idx, len(self.branches) - 1)
+        y = np.empty(n)
+        for k, branch in enumerate(self.branches):
+            mask = branch_idx == k
+            if np.any(mask):
+                y[mask] = np.asarray(branch.phi(x[mask]), dtype=float)
+        return np.column_stack([x, y])
+
 
 NamedFamily = Union[BivariateNormal, CircularCauchy, IndependentProduct]
 JointDistribution = Union[DiscreteJoint, ContinuousJoint, NamedFamily, CurveSingularJoint]
-
-
-# ---------------------------------------------------------------------------
-# Densities
-# ---------------------------------------------------------------------------
-
-
-def standard_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def uniform_pdf(lo: float = 0.0, hi: float = 1.0) -> Evaluator:
-    """Density of the uniform law on [lo, hi] as a vectorized evaluator."""
-    height = 1.0 / (hi - lo)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= lo) & (x <= hi), height, 0.0)
-
-    return pdf
-
-
-def bvn_density(r: float, point) -> float | np.ndarray:
-    """Standard bivariate normal density with correlation r at a point.
-
-    Accepts scalar or ndarray coordinates; raises DegenerateCorrelation for
-    |r| >= 1.
-    """
-    if not abs(r) < 1:
-        raise DegenerateCorrelation(f"|r| must be < 1, got r={r}")
-    x, y = point
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    one_minus = 1.0 - r * r
-    q = (x * x + y * y - 2.0 * r * x * y) / (2.0 * one_minus)
-    out = np.exp(-q) / (2.0 * math.pi * math.sqrt(one_minus))
-    return float(out) if out.ndim == 0 else out
-
-
-def circular_cauchy_density(point) -> float | np.ndarray:
-    x, y = point
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = 1.0 / (2.0 * math.pi * (1.0 + x * x + y * y) ** 1.5)
-    return float(out) if out.ndim == 0 else out
-
-
-def _cauchy_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return 1.0 / (math.pi * (1.0 + x * x))
 
 
 def density_at(dist: JointDistribution, point: tuple[float, float]) -> float:
@@ -292,55 +434,70 @@ def density_at(dist: JointDistribution, point: tuple[float, float]) -> float:
         if ix.size == 0 or iy.size == 0:
             raise OutOfSupport(f"label ({x}, {y}) not in the discrete support")
         return float(dist.pmf[ix[0], iy[0]])
-    if isinstance(dist, ContinuousJoint):
-        return float(dist.joint_density(x, y))
-    if isinstance(dist, BivariateNormal):
-        return float(bvn_density(dist.r, (x, y)))
-    if isinstance(dist, CircularCauchy):
-        return float(circular_cauchy_density((x, y)))
-    if isinstance(dist, IndependentProduct):
-        return float(dist.marginal_x(x)) * float(dist.marginal_y(y))
     if isinstance(dist, CurveSingularJoint):
         raise CurveSingularHasNoDensity(
             "curve-singular joints have no density w.r.t. area measure"
         )
-    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+    return float(dist.joint_density(x, y))
 
 
-def as_continuous(dist) -> ContinuousJoint:
-    """View a named family (or pass through a ContinuousJoint) as evaluators."""
-    if isinstance(dist, ContinuousJoint):
-        return dist
-    if isinstance(dist, BivariateNormal):
-        r = dist.r
-        return ContinuousJoint(
-            joint_density=lambda x, y: bvn_density(r, (x, y)),
-            marginal_x=standard_normal_pdf,
-            marginal_y=standard_normal_pdf,
-            integration_box=(-8.0, 8.0, -8.0, 8.0),
-        )
-    if isinstance(dist, CircularCauchy):
-        w = CAUCHY_BOX_HALF_WIDTH
-        return ContinuousJoint(
-            joint_density=lambda x, y: circular_cauchy_density((x, y)),
-            marginal_x=_cauchy_pdf,
-            marginal_y=_cauchy_pdf,
-            integration_box=(-w, w, -w, w),
-        )
-    if isinstance(dist, IndependentProduct):
-        mx, my = dist.marginal_x, dist.marginal_y
+def as_continuous(dist: ContinuousFamily) -> ContinuousJoint:
+    """View an absolutely continuous family as plain evaluators, without its
+    closed-form lift, quantiles or sampler."""
+    return ContinuousJoint(
+        dist.joint_density, dist.marginal_x, dist.marginal_y, dist.integration_box
+    )
 
-        def joint(x, y):
-            return np.asarray(mx(x), dtype=float) * np.asarray(my(y), dtype=float)
 
-        (x_lo, x_hi), (y_lo, y_hi) = dist.support_x, dist.support_y
-        return ContinuousJoint(joint, mx, my, (x_lo, x_hi, y_lo, y_hi))
-    raise TypeError(f"{type(dist).__name__} has no continuous-joint view")
+def sample(dist: JointDistribution, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` pairs from ``dist``, deterministic given ``seed``.
+
+    Each class samples in its ``sample(n, rng)`` method: inverse CDF on the
+    flattened pmf (discrete), the two-independent-normals transform
+    (bivariate normal), marginal-then-conditional inversion (Circular
+    Cauchy), tabulated marginal quantiles (independent product), and
+    on-curve points over a tabulated X (curve-singular). A generic
+    ContinuousJoint raises NotSampleable. Returns an array of shape (n, 2).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return dist.sample(n, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
 # Curve-singular machinery: monotone pieces and the pushforward marginal
 # ---------------------------------------------------------------------------
+
+
+def bisect_roots(g: Evaluator, y, lo, hi) -> np.ndarray:
+    """Elementwise ``x`` in ``[lo, hi]`` with ``g(x) = y``, over the broadcast
+    of the three arguments.
+
+    ``g - y`` may change sign at most once on each bracket. An end where it
+    is exactly zero is the root, and a bracket with one strict sign at both
+    ends gives NaN. Otherwise the bracket is halved until ``g - y`` is
+    exactly zero at the midpoint, which is then the root, or until its ends
+    are adjacent doubles.
+    """
+    y, lo, hi = np.broadcast_arrays(y, lo, hi)
+    shape = y.shape
+    y, lo, hi = (np.array(v, dtype=float).ravel() for v in (y, lo, hi))
+    f_lo = np.asarray(g(lo), dtype=float) - y
+    f_hi = np.asarray(g(hi), dtype=float) - y
+    root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))
+    sign_lo = np.sign(f_lo)
+    active = np.flatnonzero(sign_lo * np.sign(f_hi) < 0)
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        f_mid = np.asarray(g(mid), dtype=float) - y[active]
+        done = (f_mid == 0.0) | (mid <= a) | (mid >= b)
+        root[active[done]] = mid[done]
+        right = np.sign(f_mid) == sign_lo[active]
+        lo[active[right]] = mid[right]
+        hi[active[~right]] = mid[~right]
+        active = active[~done]
+    return root.reshape(shape)
 
 
 def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
@@ -368,105 +525,64 @@ def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
 
     grid = np.linspace(lo, hi, PROBE_GRID_SIZE)
     signs = np.sign(branch.dphi(grid))
-    # Carry the last nonzero sign across isolated zeros of dphi.
-    carried = signs.copy()
-    for i in range(1, carried.size):
-        if carried[i] == 0:
-            carried[i] = carried[i - 1]
-    pieces = []
-    start = lo
-    current = carried[0] if carried[0] != 0 else 1
-    for i in range(1, grid.size):
-        if carried[i] != 0 and carried[i] != current and current != 0:
-            # refine the turning point between grid[i-1] and grid[i]
-            a, b = grid[i - 1], grid[i]
-            try:
-                cut = brentq(lambda t: float(branch.dphi(t)), a, b, xtol=ROOT_XTOL)
-            except ValueError:
-                cut = 0.5 * (a + b)
-            pieces.append((start, cut, int(current)))
-            start, current = cut, carried[i]
-        elif current == 0:
-            current = carried[i]
-    pieces.append((start, hi, int(current) if current != 0 else 1))
-    return pieces
-
-
-def _piece_preimage(branch: CurveBranch, y: float, a: float, b: float) -> float | None:
-    """The x in a monotone piece [a, b] with phi(x) = y, or None."""
-    fa = float(branch.phi(a)) - y
-    fb = float(branch.phi(b)) - y
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb < 0:
-        return brentq(lambda t: float(branch.phi(t)) - y, a, b, xtol=ROOT_XTOL)
-    return None
-
-
-def _branch_preimages(branch: CurveBranch, y: float) -> list[float]:
-    """All x in the branch domain with phi(x) = y, one per monotone piece."""
-    roots: list[float] = []
-    for a, b, _sign in monotone_pieces(branch):
-        root = _piece_preimage(branch, y, a, b)
-        if root is not None and not any(abs(root - r) <= 1e-9 for r in roots):
-            roots.append(root)
-    return roots
-
-
-def derive_pushforward_density(dist: CurveSingularJoint, y: float) -> float:
-    """Density of Y at ``y`` for a curve-singular joint.
-
-    Sums ``a_n * rho_X(x*) / |phi_n'(x*)|`` over all preimages x* of y on
-    every branch, located by bracketed root-finding on monotone pieces.
-    """
-    y = float(y)
-    total = 0.0
-    for branch in dist.branches:
-        for root in _branch_preimages(branch, y):
-            rho = float(dist.marginal_x(root))
-            if rho == 0.0:
-                continue
-            slope = abs(float(branch.dphi(root)))
-            if slope < DERIVATIVE_FLOOR:
-                raise DerivativeVanishes(
-                    f"|phi'({root:.6g})| < {DERIVATIVE_FLOOR:g} at a preimage of y={y:.6g}"
-                )
-            total += branch.weight * rho / slope
-    return total
+    # Carry the last nonzero sign across zeros of dphi; leading zeros count
+    # as increasing.
+    last = np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))
+    carried = np.where(signs[last] != 0, signs[last], 1.0)
+    turns = np.flatnonzero(carried[1:] != carried[:-1])
+    cuts = bisect_roots(branch.dphi, 0.0, grid[turns], grid[turns + 1])
+    bounds = [lo, *map(float, cuts), hi]
+    piece_signs = carried[np.concatenate([[0], turns + 1])]
+    return [(a, b, int(s)) for a, b, s in zip(bounds[:-1], bounds[1:], piece_signs)]
 
 
 def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
-    """Vectorized wrapper around :func:`derive_pushforward_density`."""
-    scalar = np.vectorize(lambda yy: derive_pushforward_density(dist, yy), otypes=[float])
+    """Vectorized Y-marginal of a curve-singular joint.
+
+    Sums ``a_n * rho_X(x*) / |phi_n'(x*)|`` over all preimages x* of y on
+    every branch. The monotone pieces of each branch are found once, here;
+    each evaluation then solves for all its ys on a piece with one
+    elementwise bisection. A preimage shared by two adjacent pieces counts
+    once.
+    """
+    branches = [(branch, monotone_pieces(branch)) for branch in dist.branches]
 
     def rho_y(y):
-        out = scalar(np.asarray(y, dtype=float))
-        return float(out) if out.ndim == 0 else out
+        y = np.asarray(y, dtype=float)
+        flat = y.ravel()
+        total = np.zeros(flat.shape)
+        for branch, pieces in branches:
+            roots = []
+            for a, b, _sign in pieces:
+                root = bisect_roots(branch.phi, flat, a, b)
+                for earlier in roots:
+                    root[np.abs(root - earlier) <= 1e-9] = np.nan
+                roots.append(root)
+                idx = np.flatnonzero(~np.isnan(root))
+                rho = np.asarray(dist.marginal_x(root[idx]), dtype=float)
+                idx, rho = idx[rho != 0.0], rho[rho != 0.0]
+                x = root[idx]
+                slope = np.abs(np.asarray(branch.dphi(x), dtype=float))
+                flat_slope = slope < DERIVATIVE_FLOOR
+                if np.any(flat_slope):
+                    k = int(np.argmax(flat_slope))
+                    raise DerivativeVanishes(
+                        f"|phi'({x[k]:.6g})| < {DERIVATIVE_FLOOR:g} at a preimage of "
+                        f"y={flat[idx[k]]:.6g}"
+                    )
+                total[idx] += branch.weight * rho / slope
+        return float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
 
     return rho_y
 
 
-def curve_image_interval(dist: CurveSingularJoint) -> Interval:
-    """Interval covering the image of all branches over the X support."""
-    lo_x, hi_x = dist.support_x
-    lows, highs = [], []
-    for branch in dist.branches:
-        a = max(lo_x, branch.domain[0])
-        b = min(hi_x, branch.domain[1])
-        if a >= b:
-            continue
-        vals = np.asarray(branch.phi(np.linspace(a, b, PROBE_GRID_SIZE)), dtype=float)
-        lows.append(float(vals.min()))
-        highs.append(float(vals.max()))
-    if not lows:
-        raise ValueError("no branch overlaps the X support")
-    return min(lows), max(highs)
+def derive_pushforward_density(dist: CurveSingularJoint, y: float) -> float:
+    """Density of Y at one point ``y``; see :func:`pushforward_density_fn`."""
+    return pushforward_density_fn(dist)(float(y))
 
 
 # ---------------------------------------------------------------------------
-# Tabulated inverse CDFs and sampling
+# Tabulated inverse CDFs
 # ---------------------------------------------------------------------------
 
 
@@ -496,66 +612,6 @@ def tabulated_inverse_cdf(
         raise ValueError("pdf has zero mass on the support")
     cdf /= cdf[-1]
     return TabulatedInverseCdf(grid=grid, cdf=cdf)
-
-
-def sample(dist: JointDistribution, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` pairs from ``dist``, deterministic given ``seed``.
-
-    Discrete joints use inverse-CDF on the flattened pmf; the bivariate
-    normal uses the two-independent-normals transform; the Circular Cauchy
-    uses exact marginal-then-conditional inversion; curve-singular joints
-    sample X from a tabulated inverse CDF, pick a branch by weight, and emit
-    on-curve points. Returns an array of shape (n, 2).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if isinstance(dist, DiscreteJoint):
-        cum = np.cumsum(dist.pmf.ravel())
-        cum /= cum[-1]
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, cum.size - 1)
-        ix, iy = np.unravel_index(idx, dist.pmf.shape)
-        return np.column_stack([dist.x_support[ix], dist.y_support[iy]])
-    if isinstance(dist, BivariateNormal):
-        z = rng.standard_normal((n, 2))
-        x = z[:, 0]
-        y = dist.r * z[:, 0] + math.sqrt(1.0 - dist.r * dist.r) * z[:, 1]
-        return np.column_stack([x, y])
-    if isinstance(dist, CircularCauchy):
-        u1 = rng.random(n)
-        u2 = np.maximum(rng.random(n), 2.0**-53)  # u2 = 0 would map w to -1 exactly
-        x = np.tan(math.pi * (u1 - 0.5))
-        a = np.sqrt(1.0 + x * x)
-        w = 2.0 * u2 - 1.0
-        y = a * w / np.sqrt(1.0 - w * w)
-        return np.column_stack([x, y])
-    if isinstance(dist, IndependentProduct):
-        inv_x = tabulated_inverse_cdf(dist.marginal_x, dist.support_x)
-        inv_y = tabulated_inverse_cdf(dist.marginal_y, dist.support_y)
-        x = inv_x(rng.random(n))
-        y = inv_y(rng.random(n))
-        return np.column_stack([x, y])
-    if isinstance(dist, CurveSingularJoint):
-        inv_x = tabulated_inverse_cdf(dist.marginal_x, dist.support_x)
-        x = inv_x(rng.random(n))
-        weights = np.array([b.weight for b in dist.branches])
-        cum = np.cumsum(weights)
-        cum /= cum[-1]
-        branch_idx = np.searchsorted(cum, rng.random(n), side="right")
-        branch_idx = np.minimum(branch_idx, len(dist.branches) - 1)
-        y = np.empty(n)
-        for k, branch in enumerate(dist.branches):
-            mask = branch_idx == k
-            if np.any(mask):
-                y[mask] = np.asarray(branch.phi(x[mask]), dtype=float)
-        return np.column_stack([x, y])
-    if isinstance(dist, ContinuousJoint):
-        raise NotSampleable(
-            "generic ContinuousJoint has no sampler; use a named family or "
-            "provide samples directly"
-        )
-    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +672,23 @@ def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
 
 
 def read_samples_csv(f: io.TextIOBase) -> np.ndarray:
+    """Parse ``x,y`` sample rows into an (n, 2) array; blank lines are skipped.
+
+    A row without exactly two cells, or with a non-finite value, raises
+    ValueError naming its line.
+    """
     rows = list(csv.reader(f))
     if not rows or [c.strip() for c in rows[0]] != ["x", "y"]:
         raise ValueError("sample csv must start with header 'x,y'")
-    data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
-    return np.array(data, dtype=float).reshape(-1, 2)
+    widths = np.fromiter(map(len, rows), dtype=np.int32, count=len(rows))
+    bad = np.flatnonzero((widths != 2) & (widths != 0))
+    if bad.size:
+        line = bad[0] + 1
+        raise ValueError(f"sample csv line {line}: expected 2 cells, got {widths[line - 1]}")
+    data = np.array([(float(r[0]), float(r[1])) for r in rows[1:] if r], dtype=float)
+    data = data.reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        line = np.flatnonzero(widths)[bad[0] + 1] + 1  # the header is nonblank row 0
+        raise ValueError(f"sample csv line {line}: non-finite value")
+    return data

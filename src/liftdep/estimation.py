@@ -242,23 +242,22 @@ def _continuous_target(dist, target: tuple[float, float], x_grid) -> TargetingRe
     lo, hi = float(target[0]), float(target[1])
     if not lo < hi:
         raise ValueError("target interval must satisfy lo < hi")
-    cont = dm.as_continuous(dist)
-    x_lo, x_hi, y_lo, y_hi = cont.integration_box
+    x_lo, x_hi, y_lo, y_hi = dist.integration_box
     if x_grid is None:
         x_grid = np.linspace(x_lo, x_hi, 201)
     x_grid = np.asarray(x_grid, dtype=float)
     lo_c, hi_c = max(lo, y_lo), min(hi, y_hi)
     baseline = (
-        adaptive_quad_1d(cont.marginal_y, lo_c, hi_c, tol=1e-10).value if lo_c < hi_c else 0.0
+        adaptive_quad_1d(dist.marginal_y, lo_c, hi_c, tol=1e-10).value if lo_c < hi_c else 0.0
     )
     if baseline <= 0.0:
         raise TargetHasZeroMass(f"target interval [{lo}, {hi}] carries no mass")
     best_x, best_rate = None, -np.inf
     for x in x_grid:
-        rho_x = float(cont.marginal_x(x))
+        rho_x = float(dist.marginal_x(x))
         if rho_x <= 0.0:
             continue
-        strip = adaptive_quad_1d(lambda y: cont.joint_density(np.full_like(y, x), y), lo_c, hi_c, tol=1e-10)
+        strip = adaptive_quad_1d(lambda y: dist.joint_density(np.full_like(y, x), y), lo_c, hi_c, tol=1e-10)
         rate = strip.value / rho_x
         if rate > best_rate:
             best_x, best_rate = float(x), float(rate)

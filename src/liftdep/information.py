@@ -108,11 +108,11 @@ def mi_bvn_closed_form(r: float) -> MiReport:
     )
 
 
-def _mi_integrand(cont: dm.ContinuousJoint):
+def _mi_integrand(dist: dm.ContinuousFamily):
     def integrand(x, y):
-        rho = np.asarray(cont.joint_density(x, y), dtype=float)
-        mx = np.asarray(cont.marginal_x(x), dtype=float)
-        my = np.asarray(cont.marginal_y(y), dtype=float)
+        rho = np.asarray(dist.joint_density(x, y), dtype=float)
+        mx = np.asarray(dist.marginal_x(x), dtype=float)
+        my = np.asarray(dist.marginal_y(y), dtype=float)
         out = np.zeros_like(rho)
         ok = (rho > 0) & (mx > 0) & (my > 0)
         out[ok] = rho[ok] * (np.log(rho[ok]) - np.log(mx[ok]) - np.log(my[ok]))
@@ -137,13 +137,12 @@ def mi_continuous(
     Carlo fallback kicks in (when requested and the family is sampleable) or
     QuadratureNotConverged is raised.
     """
-    cont = dm.as_continuous(dist)
     result = adaptive_quad_2d(
-        _mi_integrand(cont), core_tail_cells(cont.integration_box), tol=tol, budget=budget
+        _mi_integrand(dist), core_tail_cells(dist.integration_box), tol=tol, budget=budget
     )
     if result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
-            return _mi_monte_carlo(dist, cont, mc_samples, seed)
+            return _mi_monte_carlo(dist, mc_samples, seed)
         raise QuadratureNotConverged(
             f"error estimate {result.error:.3g} > {CONVERGENCE_FAILURE_TOL:g} "
             f"after {result.n_evals} evaluations"
@@ -156,11 +155,11 @@ def mi_continuous(
     )
 
 
-def _mi_monte_carlo(dist, cont: dm.ContinuousJoint, n: int, seed: int) -> MiReport:
+def _mi_monte_carlo(dist: dm.ContinuousFamily, n: int, seed: int) -> MiReport:
     pts = dm.sample(dist, n, seed)
-    rho = np.asarray(cont.joint_density(pts[:, 0], pts[:, 1]), dtype=float)
-    mx = np.asarray(cont.marginal_x(pts[:, 0]), dtype=float)
-    my = np.asarray(cont.marginal_y(pts[:, 1]), dtype=float)
+    rho = np.asarray(dist.joint_density(pts[:, 0], pts[:, 1]), dtype=float)
+    mx = np.asarray(dist.marginal_x(pts[:, 0]), dtype=float)
+    my = np.asarray(dist.marginal_y(pts[:, 1]), dtype=float)
     ok = (rho > 0) & (mx > 0) & (my > 0)
     log_l = np.log(rho[ok]) - np.log(mx[ok]) - np.log(my[ok])
     stderr = float(np.std(log_l, ddof=1) / math.sqrt(log_l.size))

@@ -5,11 +5,15 @@ values above one mean the coordinates mutually lift each other there, values
 below one mean they inhibit, one means local independence. Each joint class
 gets its own evaluation rule:
 
-* discrete: pmf ratio ``p / (p_X p_Y)``;
-* absolutely continuous: density ratio, with a closed form for the bivariate
-  normal;
+* discrete: pmf ratio ``p / (p_X p_Y)``, read from the :func:`discrete_lift`
+  table;
+* absolutely continuous: the family's elementwise ``lift`` -- the density
+  ratio, or the family's closed form where it has one (bivariate normal);
 * curve-singular: zero off the branches and
   ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))`` on branch n.
+
+:func:`lift_grid` is the one evaluation path: the pointwise lift is a
+one-point grid that raises UndefinedAtPoint where its cell is undefined.
 
 Grid cells where the value is undefined (a vanishing marginal, an off-support
 discrete label) carry the ``Undefined`` label rather than a sentinel value so
@@ -29,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dm
-from .errors import OutOfSupport, UndefinedAtPoint
+from .distributions import DENSITY_FLOOR
+from .errors import UndefinedAtPoint
 from .quadrature import adaptive_quad_1d, adaptive_quad_2d, core_tail_cells
 
 __all__ = [
@@ -52,12 +57,11 @@ __all__ = [
 ANALYTIC_TOL = 1e-9
 ESTIMATED_TOL = 0.05
 ON_CURVE_TOL = 1e-9
-DENSITY_FLOOR = 1e-300
 
 REGION_GRID_N = 1024
 
 
-class RegionLabel(str, enum.Enum):
+class RegionLabel(enum.StrEnum):
     LIFT = "Lift"
     INHIBIT = "Inhibit"
     NEUTRAL = "Neutral"
@@ -142,67 +146,23 @@ def discrete_lift(dist: dm.DiscreteJoint, tol: float = ANALYTIC_TOL) -> LiftFiel
     )
 
 
-def continuous_lift_at(dist, point) -> float:
-    """Density-ratio lift for absolutely continuous joints.
-
-    The bivariate normal uses its closed form
-    ``(1 - r^2)^(-1/2) exp(-(x^2 + y^2 - 2 r x y)/(2 (1 - r^2)) + (x^2 + y^2)/2)``.
-    """
-    x, y = float(point[0]), float(point[1])
-    if isinstance(dist, dm.BivariateNormal):
-        r = dist.r
-        one_minus = 1.0 - r * r
-        expo = -(x * x + y * y - 2.0 * r * x * y) / (2.0 * one_minus) + (x * x + y * y) / 2.0
-        return math.exp(expo) / math.sqrt(one_minus)
-    cont = dm.as_continuous(dist)
-    rho_x = float(cont.marginal_x(x))
-    rho_y = float(cont.marginal_y(y))
-    if rho_x < DENSITY_FLOOR or rho_y < DENSITY_FLOOR:
-        raise UndefinedAtPoint(f"marginal density vanishes at ({x:.6g}, {y:.6g})")
-    return float(cont.joint_density(x, y)) / (rho_x * rho_y)
-
-
-def curve_lift_at(
-    dist: dm.CurveSingularJoint,
-    point,
-    on_curve_tol: float = ON_CURVE_TOL,
-) -> float:
-    """Lift of a curve-singular joint: zero off-curve, branch formula on it.
-
-    A point counts as on branch n when ``|y - phi_n(x)| <= on_curve_tol``;
-    when several branches match, the smallest branch index wins.
-    """
-    x, y = float(point[0]), float(point[1])
-    for branch in dist.branches:
-        lo, hi = branch.domain
-        if not lo <= x <= hi:
-            continue
-        if abs(y - float(branch.phi(x))) <= on_curve_tol:
-            rho_y = float(dist.marginal_y_fn()(float(branch.phi(x))))
-            if rho_y < DENSITY_FLOOR:
-                raise UndefinedAtPoint(
-                    f"Y-marginal vanishes at phi({x:.6g}) = {float(branch.phi(x)):.6g}"
-                )
-            slope = float(branch.dphi(x))
-            return 2.0 * branch.weight / (math.pi * rho_y * math.sqrt(1.0 + slope * slope))
-    return 0.0
-
-
 def lift_at(dist, point) -> float:
-    """Pointwise lift, dispatching on the distribution class."""
+    """Pointwise lift: a one-point :func:`lift_grid`.
+
+    Raises OutOfSupport for a label outside a discrete support, and
+    UndefinedAtPoint where the lift is undefined (a vanishing marginal).
+    """
+    x, y = float(point[0]), float(point[1])
     if isinstance(dist, dm.DiscreteJoint):
-        x, y = float(point[0]), float(point[1])
-        ix = np.nonzero(dist.x_support == x)[0]
-        iy = np.nonzero(dist.y_support == y)[0]
-        if ix.size == 0 or iy.size == 0:
-            raise OutOfSupport(f"label ({x}, {y}) not in the discrete support")
-        denom = dist.p_x[ix[0]] * dist.p_y[iy[0]]
-        if denom == 0.0:
-            raise UndefinedAtPoint(f"product marginal vanishes at ({x}, {y})")
-        return float(dist.pmf[ix[0], iy[0]] / denom)
-    if isinstance(dist, dm.CurveSingularJoint):
-        return curve_lift_at(dist, point)
-    return continuous_lift_at(dist, point)
+        dm.density_at(dist, (x, y))  # raises OutOfSupport off the support
+    value = float(lift_grid(dist, [x], [y]).values[0, 0])
+    if math.isnan(value):
+        raise UndefinedAtPoint(f"lift undefined at ({x:.6g}, {y:.6g})")
+    return value
+
+
+# The per-class pointwise names share the one path.
+continuous_lift_at = curve_lift_at = lift_at
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +187,8 @@ def _sublevel_intervals(branch: dm.CurveBranch, y: float) -> list[tuple[float, f
         if y >= hi_val:
             out.append((a, b))
             continue
-        cut = dm._piece_preimage(branch, y, a, b)
-        if cut is None:
-            continue
-        if sign >= 0:
-            out.append((a, cut))
-        else:
-            out.append((cut, b))
+        cut = float(dm.bisect_roots(branch.phi, y, a, b))
+        out.append((a, cut) if sign >= 0 else (cut, b))
     return out
 
 
@@ -268,16 +223,15 @@ def sibuya_omega_at(dist, point) -> float:
         if g == 0.0 or h == 0.0:
             raise UndefinedAtPoint(f"a marginal CDF is zero at ({x}, {y})")
         return f_joint / (g * h)
-    cont = dm.as_continuous(dist)
-    x_lo, x_hi, y_lo, y_hi = cont.integration_box
-    g = _interval_mass(cont.marginal_x, x_lo, min(x, x_hi))
-    h = _interval_mass(cont.marginal_y, y_lo, min(y, y_hi))
+    x_lo, x_hi, y_lo, y_hi = dist.integration_box
+    g = _interval_mass(dist.marginal_x, x_lo, min(x, x_hi))
+    h = _interval_mass(dist.marginal_y, y_lo, min(y, y_hi))
     if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
         raise UndefinedAtPoint(f"a marginal CDF is zero at ({x:.6g}, {y:.6g})")
     if x <= x_lo or y <= y_lo:
         return 0.0
     quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
-    f_joint = adaptive_quad_2d(cont.joint_density, core_tail_cells(quadrant), tol=1e-8).value
+    f_joint = adaptive_quad_2d(dist.joint_density, core_tail_cells(quadrant), tol=1e-8).value
     return f_joint / (g * h)
 
 
@@ -300,68 +254,42 @@ def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
         raise ValueError("grids must be strictly increasing")
 
     if isinstance(dist, dm.DiscreteJoint):
-        values = np.full((grid_x.size, grid_y.size), np.nan)
-        for i, x in enumerate(grid_x):
-            for j, y in enumerate(grid_y):
-                try:
-                    values[i, j] = lift_at(dist, (x, y))
-                except (OutOfSupport, UndefinedAtPoint):
-                    pass
-        return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
-
-    if isinstance(dist, dm.CurveSingularJoint):
-        values = np.zeros((grid_x.size, grid_y.size))
-        rho_y = dist.marginal_y_fn()
-        for i, x in enumerate(grid_x):
-            for branch in dist.branches:
-                lo, hi = branch.domain
-                if not lo <= x <= hi:
-                    continue
-                phi_x = float(branch.phi(x))
-                on = np.abs(grid_y - phi_x) <= ON_CURVE_TOL
-                if not np.any(on):
-                    continue
-                dens = float(rho_y(phi_x))
-                slope = float(branch.dphi(x))
-                if dens < DENSITY_FLOOR:
-                    val = np.nan
-                else:
-                    val = 2.0 * branch.weight / (math.pi * dens * math.hypot(1.0, slope))
-                row = values[i]
-                row[on & (row == 0.0)] = val
-        return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
-
-    if isinstance(dist, dm.BivariateNormal):
-        r = dist.r
+        table = discrete_lift(dist, tol).values
+        ix = np.minimum(np.searchsorted(dist.x_support, grid_x), dist.x_support.size - 1)
+        iy = np.minimum(np.searchsorted(dist.y_support, grid_y), dist.y_support.size - 1)
+        on = np.outer(dist.x_support[ix] == grid_x, dist.y_support[iy] == grid_y)
+        values = np.where(on, table[np.ix_(ix, iy)], np.nan)
+    elif isinstance(dist, dm.CurveSingularJoint):
+        values = _curve_grid(dist, grid_x, grid_y)
+    else:
         xx, yy = np.meshgrid(grid_x, grid_y, indexing="ij")
-        expo = -(xx * xx + yy * yy - 2.0 * r * xx * yy) / (2.0 * (1.0 - r * r)) + (
-            xx * xx + yy * yy
-        ) / 2.0
-        values = np.exp(expo) / math.sqrt(1.0 - r * r)
-        return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
-
-    cont = dm.as_continuous(dist)
-    mx = np.asarray(cont.marginal_x(grid_x), dtype=float)
-    my = np.asarray(cont.marginal_y(grid_y), dtype=float)
-    xx, yy = np.meshgrid(grid_x, grid_y, indexing="ij")
-    joint = np.asarray(cont.joint_density(xx.ravel(), yy.ravel()), dtype=float).reshape(xx.shape)
-    denom = np.outer(mx, my)
-    values = np.full(xx.shape, np.nan)
-    defined = denom >= DENSITY_FLOOR
-    values[defined] = joint[defined] / denom[defined]
+        values = np.asarray(dist.lift(xx, yy), dtype=float)
     return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
 
 
-def _marginal_quantile_fn(family, pdf, axis_range):
-    """Quantile function of one marginal, closed-form where available."""
-    if isinstance(family, dm.BivariateNormal):
-        from scipy.special import ndtri
+def _curve_grid(dist: dm.CurveSingularJoint, grid_x, grid_y) -> np.ndarray:
+    """Curve-singular lift on a grid; the smallest branch index wins a cell.
 
-        return lambda u: ndtri(u)
-    if isinstance(family, dm.CircularCauchy):
-        return lambda u: np.tan(math.pi * (np.asarray(u) - 0.5))
-    inv = dm.tabulated_inverse_cdf(pdf, axis_range)
-    return inv
+    A cell is on branch n when ``|y - phi_n(x)| <= ON_CURVE_TOL``. The
+    Y-marginal is evaluated once per branch, on every on-curve ``phi_n(x)``.
+    """
+    values = np.zeros((grid_x.size, grid_y.size))
+    rho_y = dist.marginal_y_fn()
+    for branch in dist.branches:
+        lo, hi = branch.domain
+        rows = np.flatnonzero((grid_x >= lo) & (grid_x <= hi))
+        phi_x = np.asarray(branch.phi(grid_x[rows]), dtype=float)
+        on = np.abs(grid_y - phi_x[:, None]) <= ON_CURVE_TOL
+        hit = on.any(axis=1)
+        rows, phi_x, on = rows[hit], phi_x[hit], on[hit]
+        dens = np.asarray(rho_y(phi_x), dtype=float)
+        slope = np.asarray(branch.dphi(grid_x[rows]), dtype=float)
+        with np.errstate(divide="ignore"):
+            val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
+        val[dens < DENSITY_FLOOR] = np.nan
+        block = values[rows]
+        values[rows] = np.where(on & (block == 0.0), val[:, None], block)
+    return values
 
 
 def region_summary(dist, tol: float = ANALYTIC_TOL) -> RegionSummary:
@@ -382,20 +310,11 @@ def region_summary(dist, tol: float = ANALYTIC_TOL) -> RegionSummary:
     if isinstance(dist, dm.CurveSingularJoint):
         raise TypeError("region_summary is not defined for curve-singular joints")
 
-    cont = dm.as_continuous(dist)
-    x_lo, x_hi, y_lo, y_hi = cont.integration_box
-    qx = _marginal_quantile_fn(dist, cont.marginal_x, (x_lo, x_hi))
-    qy = _marginal_quantile_fn(dist, cont.marginal_y, (y_lo, y_hi))
     u = (np.arange(REGION_GRID_N) + 0.5) / REGION_GRID_N
-    gx = np.asarray(qx(u), dtype=float)
-    gy = np.asarray(qy(u), dtype=float)
-    mx = np.asarray(cont.marginal_x(gx), dtype=float)
-    my = np.asarray(cont.marginal_y(gy), dtype=float)
+    gx = np.asarray(dist.quantile_x(u), dtype=float)
+    gy = np.asarray(dist.quantile_y(u), dtype=float)
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    joint = np.asarray(cont.joint_density(xx.ravel(), yy.ravel()), dtype=float).reshape(xx.shape)
-    denom = np.outer(mx, my)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(denom >= DENSITY_FLOOR, joint / denom, np.nan)
+    values = np.asarray(dist.lift(xx, yy), dtype=float)
     cell = 1.0 / (REGION_GRID_N * REGION_GRID_N)
     lift_mass = float(np.count_nonzero(values > 1.0 + tol)) * cell
     inhibit_mass = float(np.count_nonzero(values < 1.0 - tol)) * cell

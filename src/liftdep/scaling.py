@@ -31,7 +31,6 @@ __all__ = [
     "BallDensityProfile",
     "ScalingEstimate",
     "WeierstrassCurve",
-    "GridBucketIndex",
     "ball_density",
     "ball_mass_counts",
     "ball_density_profile",
@@ -48,80 +47,22 @@ WEIERSTRASS_DIMENSION = 2.0 - math.log(2.0) / math.log(3.0)
 
 
 # ---------------------------------------------------------------------------
-# Spatial index and ball counting
+# Ball counting
 # ---------------------------------------------------------------------------
-
-
-class GridBucketIndex:
-    """Exact range counting accelerated by square buckets.
-
-    Points are binned into cells of the given width; a radius query scans
-    only the cells overlapping the query disk and applies the exact distance
-    test to their contents, so results equal brute force by construction.
-    """
-
-    def __init__(self, points: np.ndarray, cell_width: float):
-        if cell_width <= 0:
-            raise ValueError("cell_width must be positive")
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.points = pts
-        self.cell_width = float(cell_width)
-        ix = np.floor(pts[:, 0] / cell_width).astype(np.int64)
-        iy = np.floor(pts[:, 1] / cell_width).astype(np.int64)
-        order = np.lexsort((iy, ix))
-        self._ix = ix[order]
-        self._iy = iy[order]
-        self._sorted = pts[order]
-        # combined key for binary search; iy is offset to stay nonnegative
-        self._iy_off = self._iy.min() if pts.size else 0
-        span = (self._iy.max() - self._iy_off + 1) if pts.size else 1
-        self._span = int(span)
-        self._keys = self._ix * self._span + (self._iy - self._iy_off)
-
-    def _cell_slice(self, cx: int, cy: int) -> slice:
-        cy_rel = cy - self._iy_off
-        if cy_rel < 0 or cy_rel >= self._span:
-            return slice(0, 0)
-        key = cx * self._span + cy_rel
-        lo = np.searchsorted(self._keys, key, side="left")
-        hi = np.searchsorted(self._keys, key, side="right")
-        return slice(lo, hi)
-
-    def count_within(self, center, radius: float) -> int:
-        cx, cy = float(center[0]), float(center[1])
-        w = self.cell_width
-        x_lo = math.floor((cx - radius) / w)
-        x_hi = math.floor((cx + radius) / w)
-        y_lo = math.floor((cy - radius) / w)
-        y_hi = math.floor((cy + radius) / w)
-        r2 = radius * radius
-        total = 0
-        for gx in range(x_lo, x_hi + 1):
-            for gy in range(y_lo, y_hi + 1):
-                sl = self._cell_slice(gx, gy)
-                if sl.stop == sl.start:
-                    continue
-                block = self._sorted[sl]
-                dx = block[:, 0] - cx
-                dy = block[:, 1] - cy
-                total += int(np.count_nonzero(dx * dx + dy * dy <= r2))
-        return total
 
 
 def ball_density(points, center, eps: float) -> float:
     """Empirical ball-mass density: fraction of points within eps of the
     center, divided by the ball area ``pi * eps^2``.
 
-    Counting goes through a grid-bucket index with bucket width eps; the
-    index only accelerates, the distance test is exact.
+    Counting is exact; see :func:`ball_mass_counts`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("points must be nonempty")
-    index = GridBucketIndex(pts, cell_width=eps)
-    frac = index.count_within(center, eps) / pts.shape[0]
+    frac = ball_mass_counts(pts, center, [eps])[0] / pts.shape[0]
     return frac / (math.pi * eps * eps)
 
 

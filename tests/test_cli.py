@@ -1,10 +1,15 @@
 """CLI surface: grammar, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import liftdep
 from liftdep.cli import main
 
 
@@ -201,6 +206,32 @@ class TestOutputs:
         assert code == 0
         first = out.splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(2.0)
+
+
+class TestMalformedInput:
+    def test_short_samples_row_is_domain_error(self, capsys, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n1,2\n3\n")
+        code, out, err = run(
+            capsys, "scaling", "--samples-file", str(samples), "--center-x", "0",
+            "--center-y", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "line 3" in err
+        assert "Traceback" not in err
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(liftdep.__file__).resolve().parents[1])
+        code = "import sys, liftdep; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestDeterminism:

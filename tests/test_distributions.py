@@ -179,6 +179,20 @@ class TestClassInvariants:
         with pytest.raises(ValueError):
             ld.DiscreteJoint([0.0, 1.0], [0.0], [[1.1], [-0.1]])
 
+    @pytest.mark.parametrize(
+        "x_support,y_support,pmf",
+        [
+            ([0.0, 1.0], [0.0], [[np.nan], [1.0]]),
+            ([0.0, 1.0], [0.0], [[np.inf], [0.0]]),
+            ([0.0, np.nan], [0.0], [[0.5], [0.5]]),
+            ([0.0, 1.0], [-np.inf], [[0.5], [0.5]]),
+        ],
+        ids=["nan-pmf", "inf-pmf", "nan-x-label", "inf-y-label"],
+    )
+    def test_non_finite_input_rejected(self, x_support, y_support, pmf):
+        with pytest.raises(ValueError, match="finite"):
+            ld.DiscreteJoint(x_support, y_support, pmf)
+
     def test_branch_weights_sum_to_one(self):
         b1 = ld.CurveBranch(
             phi=lambda x: np.asarray(x, float),
@@ -274,3 +288,17 @@ class TestCsvFormats:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             ld.read_samples_csv(io.StringIO("a,b\n1,2\n"))
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x,y\n1,2\n3\n", "line 3: expected 2 cells, got 1"),
+            ("x,y\n1,2\n\n3,4,5\n", "line 4: expected 2 cells, got 3"),
+            ("x,y\n1,2\n3,nan\n", "line 3: non-finite value"),
+            ("x,y\n\n-inf,2\n", "line 3: non-finite value"),
+        ],
+        ids=["short-row", "long-row-after-blank", "nan", "inf-after-blank"],
+    )
+    def test_malformed_samples_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            ld.read_samples_csv(io.StringIO(text))

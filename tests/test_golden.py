@@ -1,0 +1,84 @@
+"""Golden outputs: every README CLI recipe, byte for byte.
+
+Each recipe runs in-process through ``liftdep.cli.main`` and the sha256 of
+its output (the ``--out`` file, or stdout) must equal the pin. The grid and
+Weierstrass pins equal the ``GOLDEN`` pins of ``bench/checks.py``. The
+``sample`` -> ``scaling`` -> ``estimate-lift`` chain runs at ``--n 10000``
+instead of the README's 1e6 rows to keep the suite short; the benchmark pins
+the 1e6-row outputs.
+
+A refactor must leave every pin unchanged. If a numpy upgrade moves a last
+digit, re-pin all hashes in a change of their own that says so.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from liftdep.cli import main
+
+GRID = ["--xmin", "-4", "--xmax", "4", "--nx", "201", "--ymin", "-4", "--ymax", "4", "--ny", "201"]
+
+# (name, argv, output file or None for stdout, sha256 of the output);
+# "{dir}" in an argv entry is the recipe directory. Order matters: the
+# chain reads line.csv.
+RECIPES = [
+    ("mi-bvn", ["mi", "--dist", "bvn", "--r", "0.6"], None,
+     "aa204526a8abe3c90583e4522ecec808c7a8009efd3d37f5b1bcb44afddbb65b"),
+    ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
+     None, "bf8ebbe60b13db88b3d3b57c21b8def655e4a7f4364d0999a8f061254297c3b4"),
+    ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
+     "f1cc1de282a5f1c2a06c917eb71345e05b9a1529c12b294394a926f34b7f5d2c"),
+    ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
+                         "--out", "{dir}/cauchy_grid.csv"], "cauchy_grid.csv",
+     "95b9f6919d6a0fb3a270662086a01eef004e019091ddcb0269d0fafdca82dfa5"),
+    ("bvn_grid.csv", ["lift-grid", "--dist", "bvn", "--r", "0.6", *GRID,
+                      "--out", "{dir}/bvn_grid.csv"], "bvn_grid.csv",
+     "49c6590136412a15f11fab8f1fb19f39aea6ccbd887236ed29479c75295fe16c"),
+    ("counterexample", ["counterexample", "--r-schedule", "0.9,0.99,0.999"], None,
+     "f4060bb5d61037d4e38bcee88850a8030be9d1740a14d9569936970c4cbc991e"),
+    ("w.csv", ["weierstrass", "--n-points", "10000", "--n-terms", "30",
+               "--out", "{dir}/w.csv"], "w.csv",
+     "073d5957a7811a26cd90d09df128b426e18dc78d06db7e6ab0cb54c18f268cab"),
+    ("line.csv", ["sample", "--dist", "curve-uniform-identity", "--n", "10000", "--seed", "42",
+                  "--out", "{dir}/line.csv"], "line.csv",
+     "ca62e10cca1a487afbc119b6e122a9a45a50721bccb2211c3be2bf3b70361f8f"),
+    ("scaling", ["scaling", "--samples-file", "{dir}/line.csv", "--center-x", "0.5",
+                 "--center-y", "0.5", "--eps-max", "0.1", "--eps-min", "0.01", "--k", "10"],
+     None, "6e1eec79d88d0ee9571b246af3a0ec6c361f04279f7531cbde79ba46fb06c228"),
+    ("regions", ["regions", "--dist", "bvn", "--r", "0.6"], None,
+     "a2e721a07bc8490a98385c8e2a40af6df2e8986b1253221e8de1d5f11f92428a"),
+    ("sibuya", ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0",
+                "--point", "-6", "-6"], None,
+     "c2865638c7fc4ff5cbb7ed08e101d14a2b23c680866140310f68250d6b6a89e0"),
+    ("target", ["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1",
+                "--target-hi", "2"], None,
+     "3a3681ef2352abd921beb18569de25e85b6b138f3d9861ea3779d291fb85f391"),
+    ("lhat.csv", ["estimate-lift", "--samples-file", "{dir}/line.csv", "--estimator", "kernel",
+                  "--xmin", "0", "--xmax", "1", "--nx", "41", "--ymin", "0", "--ymax", "1",
+                  "--ny", "41", "--out", "{dir}/lhat.csv"], "lhat.csv",
+     "c6807d21c5781bf176a17d89c4bfced43edd5146900e9fdad3831b9d4ef4cdc4"),
+]
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """Run every recipe once, in README order; map name -> (exit code, bytes)."""
+    workdir = tmp_path_factory.mktemp("golden")
+    results = {}
+    for name, argv, out_file, _pin in RECIPES:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([arg.replace("{dir}", str(workdir)) for arg in argv])
+        data = (workdir / out_file).read_bytes() if out_file else stdout.getvalue().encode()
+        results[name] = (code, data)
+    return results
+
+
+@pytest.mark.parametrize("name,pin", [(r[0], r[3]) for r in RECIPES], ids=[r[0] for r in RECIPES])
+def test_recipe_output_is_golden(outputs, name, pin):
+    code, data = outputs[name]
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == pin

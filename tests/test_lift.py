@@ -142,6 +142,14 @@ class TestLiftGrid:
         assert field.values[0, -1] < 1 and field.values[-1, 0] < 1
         assert np.mean(np.abs(yy - xx)[lift_cells] < 2) > 0.9
 
+    def test_labels_compare_against_region_label(self):
+        gx = np.linspace(-4, 4, 41)
+        field = ld.lift_grid(ld.BivariateNormal(0.6), gx, gx)
+        lift_cells = field.labels == RegionLabel.LIFT
+        assert lift_cells.any()
+        np.testing.assert_array_equal(lift_cells, field.values > 1 + field.tol)
+        np.testing.assert_array_equal(lift_cells, field.labels == "Lift")
+
     def test_cauchy_corners_lift(self):
         gx = np.linspace(-4, 4, 41)
         field = ld.lift_grid(ld.CircularCauchy(), gx, gx)

@@ -1,4 +1,4 @@
-"""Ball densities, the spatial index, exponent fits, and the Weierstrass curve."""
+"""Ball densities and counts, exponent fits, and the Weierstrass curve."""
 
 import io
 import json
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import liftdep as ld
-from liftdep.scaling import GridBucketIndex, ball_mass_counts, geometric_radii
+from liftdep.scaling import ball_mass_counts, geometric_radii
 
 
 class TestBallDensity:
@@ -35,7 +35,7 @@ class TestBallDensity:
             ld.ball_density(np.empty((0, 2)), (0.0, 0.0), 1.0)
 
 
-class TestGridBucketIndex:
+class TestBallMassCounts:
     def test_counts_match_brute_force(self):
         rng = np.random.default_rng(3)
         pts = np.column_stack([rng.normal(0, 3, 5000), rng.normal(1, 0.2, 5000)])
@@ -47,24 +47,22 @@ class TestGridBucketIndex:
                     (pts[:, 0] - center[0]) ** 2 + (pts[:, 1] - center[1]) ** 2 <= eps * eps
                 )
             )
-            index = GridBucketIndex(pts, cell_width=eps)
-            assert index.count_within(center, eps) == brute
+            assert ball_mass_counts(pts, center, [eps])[0] == brute
 
-    def test_query_radius_larger_than_cell(self):
+    def test_large_radius_matches_brute_force(self):
         rng = np.random.default_rng(4)
         pts = rng.random((2000, 2))
-        index = GridBucketIndex(pts, cell_width=0.05)
         brute = int(np.count_nonzero(np.hypot(pts[:, 0] - 0.5, pts[:, 1] - 0.5) <= 0.3))
-        assert index.count_within((0.5, 0.5), 0.3) == brute
+        assert ball_mass_counts(pts, (0.5, 0.5), [0.3])[0] == brute
 
-    def test_sorted_distance_counts_agree(self):
+    def test_many_radii_match_brute_force(self):
         rng = np.random.default_rng(5)
         pts = rng.random((3000, 2))
         radii = np.array([0.3, 0.1, 0.03])
         counts = ball_mass_counts(pts, (0.4, 0.6), radii)
         for eps, count in zip(radii, counts):
-            index = GridBucketIndex(pts, cell_width=float(eps))
-            assert index.count_within((0.4, 0.6), float(eps)) == count
+            d2 = (pts[:, 0] - 0.4) ** 2 + (pts[:, 1] - 0.6) ** 2
+            assert int(np.count_nonzero(d2 <= eps * eps)) == count
 
 
 class TestScalingExponent:
