@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 import numpy as np
@@ -31,50 +30,22 @@ CURVE_SPECS = (
 DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + CURVE_SPECS
 
 
-def _identity_branch(domain):
-    return dm.CurveBranch(
-        phi=lambda x: np.asarray(x, dtype=float),
-        dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        domain=domain,
-    )
-
-
 def _make_curve(spec: str) -> dm.CurveSingularJoint:
-    if spec == "curve-normal-identity":
-        return dm.CurveSingularJoint(
-            marginal_x=dm.standard_normal_pdf,
-            support_x=(-8.0, 8.0),
-            branches=(_identity_branch((-8.0, 8.0)),),
-        )
-    if spec == "curve-uniform-identity":
-        return dm.CurveSingularJoint(
-            marginal_x=dm.uniform_pdf(0.0, 1.0),
-            support_x=(0.0, 1.0),
-            branches=(_identity_branch((0.0, 1.0)),),
-        )
-    if spec == "curve-normal-double":
-        branch = dm.CurveBranch(
-            phi=lambda x: 2.0 * np.asarray(x, dtype=float),
-            dphi=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
-            domain=(-8.0, 8.0),
-        )
-        return dm.CurveSingularJoint(
-            marginal_x=dm.standard_normal_pdf,
-            support_x=(-8.0, 8.0),
-            branches=(branch,),
-        )
-    if spec == "curve-uniform-square":
-        branch = dm.CurveBranch(
-            phi=lambda x: np.asarray(x, dtype=float) ** 2,
-            dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
-            domain=(0.0, 1.0),
-        )
-        return dm.CurveSingularJoint(
-            marginal_x=dm.uniform_pdf(0.0, 1.0),
-            support_x=(0.0, 1.0),
-            branches=(branch,),
-        )
-    raise ValueError(f"unknown curve spec {spec!r}")
+    """One branch ``y = phi(x)`` over the whole X support."""
+    normal = (dm.standard_normal_pdf, (-8.0, 8.0))
+    uniform = (dm.uniform_pdf(0.0, 1.0), (0.0, 1.0))
+    marginal_x, support, phi, dphi = {
+        "curve-normal-identity": (*normal, lambda x: x, np.ones_like),
+        "curve-uniform-identity": (*uniform, lambda x: x, np.ones_like),
+        "curve-normal-double": (*normal, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
+        "curve-uniform-square": (*uniform, lambda x: x**2, lambda x: 2.0 * x),
+    }[spec]
+    branch = dm.CurveBranch(
+        phi=lambda x: phi(np.asarray(x, dtype=float)),
+        dphi=lambda x: dphi(np.asarray(x, dtype=float)),
+        domain=support,
+    )
+    return dm.CurveSingularJoint(marginal_x=marginal_x, support_x=support, branches=(branch,))
 
 
 def _build_dist(args, parser):
@@ -117,11 +88,6 @@ def _out(path: str):
             yield f
 
 
-def _dump_json(obj: dict, f) -> None:
-    json.dump(obj, f, indent=2)
-    f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -156,16 +122,14 @@ def _cmd_regions(args, f, parser):
     if args.tol <= 0:
         parser.error("--tol must be positive")
     dist = _build_dist(args, parser)
-    _dump_json(lf.region_summary(dist, tol=args.tol).to_dict(), f)
+    dm.write_json(f, lf.region_summary(dist, tol=args.tol).to_dict())
 
 
 def _cmd_sibuya(args, f, parser):
     dist = _build_dist(args, parser)
-    f.write("x,y,omega\n")
-    for x_str, y_str in args.point:
-        x, y = float(x_str), float(y_str)
-        omega = lf.sibuya_omega_at(dist, (x, y))
-        f.write(f"{x:.17g},{y:.17g},{omega:.17g}\n")
+    points = [(float(x), float(y)) for x, y in args.point]
+    omega = [lf.sibuya_omega_at(dist, point) for point in points]
+    dm.write_csv(f, ("x", "y", "omega"), *zip(*points), omega)
 
 
 def _cmd_target(args, f, parser):
@@ -197,9 +161,7 @@ def _cmd_scaling(args, f, parser):
 
 def _cmd_weierstrass(args, f, parser):
     curve = sc.WeierstrassCurve(n_terms=args.n_terms)
-    f.write("x,w\n")
-    for x, w in sc.weierstrass_grid(curve, args.n_points):
-        f.write(f"{x:.17g},{w:.17g}\n")
+    dm.write_csv(f, ("x", "w"), *sc.weierstrass_grid(curve, args.n_points).T)
 
 
 def _cmd_counterexample(args, f, parser):

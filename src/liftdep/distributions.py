@@ -34,11 +34,13 @@ mass and ~0.05 nats.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import io
+import json
 import math
+import warnings
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
@@ -81,6 +83,8 @@ __all__ = [
     "write_pmf_csv",
     "read_samples_csv",
     "write_samples_csv",
+    "write_csv",
+    "write_json",
 ]
 
 Interval = tuple[float, float]
@@ -93,6 +97,7 @@ DERIVATIVE_FLOOR = 1e-12
 DENSITY_FLOOR = 1e-300
 INVERSE_CDF_RESOLUTION = 4096
 PROBE_GRID_SIZE = 1024
+CSV_BLOCK_ROWS = 65536
 
 CAUCHY_BOX_HALF_WIDTH = 1e5
 
@@ -173,7 +178,7 @@ class DiscreteJoint:
             raise ValueError("pmf shape must be (len(x_support), len(y_support))")
         if not all(np.all(np.isfinite(a)) for a in (self.x_support, self.y_support, self.pmf)):
             raise ValueError("pmf entries and support labels must be finite")
-        if np.any(np.diff(self.x_support) <= 0) or np.any(np.diff(self.y_support) <= 0):
+        if any(np.any(s[1:] <= s[:-1]) for s in (self.x_support, self.y_support)):
             raise ValueError("supports must be strictly increasing")
         if np.any(self.pmf < 0):
             raise ValueError("pmf entries must be nonnegative")
@@ -619,76 +624,99 @@ def tabulated_inverse_cdf(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def write_csv(f: io.TextIOBase, header, *columns) -> None:
+    """Write a header line, then one row per index of the equal-length columns.
+
+    Float columns are written ``%.17g``, which reads back to the same double;
+    any other column is written with ``str`` (a StrEnum as its value). Rows
+    are formatted CSV_BLOCK_ROWS at a time, one ``%`` per block, so memory
+    stays bounded however long the columns are.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    f.write(",".join(header) + "\n")
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
+        f.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+
+def write_json(f: io.TextIOBase, obj) -> None:
+    """Write ``obj`` as JSON indented by two spaces, ending with a newline."""
+    json.dump(obj, f, indent=2)
+    f.write("\n")
+
+
+def _csv_float(cell: str, where: str) -> float:
+    """``float(cell)`` under the rules of numpy's parser: ASCII, no underscores."""
+    if cell.isascii() and "_" not in cell:
+        with contextlib.suppress(ValueError):
+            return float(cell)
+    raise ValueError(f"{where}: not a number: {cell.strip()!r}")
+
+
+def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
+    """The header cells and the body of a CSV of floats as wide as its header.
+
+    ``np.loadtxt`` (numpy's C parser, correctly rounded like ``float``) reads
+    the body; blank lines are skipped. Only if it fails, or the body has the
+    wrong width or a non-finite value, does a line scan run to raise
+    ValueError naming the first bad line.
+    """
+    if not f.seekable():  # a pipe: the scan needs to read the body again
+        f = io.StringIO(f.read())
+    header = [c.strip() for c in f.readline().rstrip("\r\n").split(",")]
+    width, start = len(header), f.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        if body.size == 0 or (body.shape[1] == width and np.isfinite(body).all()):
+            return header, body.reshape(-1, width)
+    except ValueError:
+        pass
+    f.seek(start)
+    for line_no, line in enumerate(f, start=2):
+        cells = line.rstrip("\r\n").split(",")
+        where = f"{what} csv line {line_no}"
+        if cells == [""]:
+            continue
+        if len(cells) != width:
+            raise ValueError(f"{where}: expected {width} cells, got {len(cells)}")
+        if not all(math.isfinite(_csv_float(c, where)) for c in cells):
+            raise ValueError(f"{where}: non-finite value")
+    raise ValueError(f"{what} csv: unreadable body")
 
 
 def write_pmf_csv(f: io.TextIOBase, dist: DiscreteJoint) -> None:
     """Write a pmf table: header ``x,y:<label>...``, one row per x label."""
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(["x"] + [f"y:{_fmt(y)}" for y in dist.y_support])
-    for i, x in enumerate(dist.x_support):
-        writer.writerow([_fmt(x)] + [_fmt(p) for p in dist.pmf[i]])
+    write_csv(f, ["x"] + ["y:%.17g" % y for y in dist.y_support], dist.x_support, *dist.pmf.T)
 
 
 def read_pmf_csv(f: io.TextIOBase) -> DiscreteJoint:
     """Parse a pmf table written by :func:`write_pmf_csv`.
 
-    Cells are read as exact decimals before conversion to float, so a file
-    value like ``0.1`` maps to the nearest double of the written literal.
+    Every label and value maps to the double nearest its written literal, so
+    a file value like ``0.1`` reads as the double nearest 0.1.
     """
-    rows = list(csv.reader(f))
-    if not rows or len(rows[0]) < 2:
-        raise ValueError("pmf csv needs a header row with at least one y label")
-    header = rows[0]
-    y_labels = []
-    for cell in header[1:]:
-        if not cell.startswith("y:"):
-            raise ValueError(f"pmf csv header cell {cell!r} must look like 'y:<label>'")
-        y_labels.append(_decimal_float(cell[2:]))
-    x_labels, table = [], []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(y_labels) + 1:
-            raise ValueError("pmf csv row width does not match the header")
-        x_labels.append(_decimal_float(row[0]))
-        table.append([_decimal_float(c) for c in row[1:]])
-    return DiscreteJoint(np.array(x_labels), np.array(y_labels), np.array(table))
-
-
-def _decimal_float(text: str) -> float:
-    try:
-        return float(Decimal(text.strip()))
-    except InvalidOperation as exc:
-        raise ValueError(f"not a decimal number: {text!r}") from exc
+    header, body = _read_csv(f, "pmf")
+    if len(header) < 2 or not all(c.startswith("y:") for c in header[1:]):
+        raise ValueError("pmf csv needs a header 'x,y:<label>,...' with at least one y label")
+    y = [_csv_float(cell[2:], "pmf csv line 1") for cell in header[1:]]
+    return DiscreteJoint(body[:, 0], np.array(y), body[:, 1:])
 
 
 def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
-    writer = csv.writer(f, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for x, y in np.asarray(samples, dtype=float):
-        writer.writerow([_fmt(x), _fmt(y)])
+    samples = np.asarray(samples, dtype=float)
+    write_csv(f, ("x", "y"), samples[:, 0], samples[:, 1])
 
 
 def read_samples_csv(f: io.TextIOBase) -> np.ndarray:
     """Parse ``x,y`` sample rows into an (n, 2) array; blank lines are skipped.
 
-    A row without exactly two cells, or with a non-finite value, raises
-    ValueError naming its line.
+    A row without exactly two cells, a cell that is not a number, or a
+    non-finite value raises ValueError naming its line.
     """
-    rows = list(csv.reader(f))
-    if not rows or [c.strip() for c in rows[0]] != ["x", "y"]:
+    header, body = _read_csv(f, "sample")
+    if header != ["x", "y"]:
         raise ValueError("sample csv must start with header 'x,y'")
-    widths = np.fromiter(map(len, rows), dtype=np.int32, count=len(rows))
-    bad = np.flatnonzero((widths != 2) & (widths != 0))
-    if bad.size:
-        line = bad[0] + 1
-        raise ValueError(f"sample csv line {line}: expected 2 cells, got {widths[line - 1]}")
-    data = np.array([(float(r[0]), float(r[1])) for r in rows[1:] if r], dtype=float)
-    data = data.reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        line = np.flatnonzero(widths)[bad[0] + 1] + 1  # the header is nonblank row 0
-        raise ValueError(f"sample csv line {line}: non-finite value")
-    return data
+    return body

@@ -17,7 +17,6 @@ on the caller.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -211,8 +210,7 @@ class TargetingResult:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        json.dump(self.to_dict(), f, indent=2)
-        f.write("\n")
+        dm.write_json(f, self.to_dict())
 
 
 def _discrete_target(dist: dm.DiscreteJoint, target_y: float) -> TargetingResult:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -79,8 +78,7 @@ class MiReport:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        json.dump(self.to_dict(), f, indent=2)
-        f.write("\n")
+        dm.write_json(f, self.to_dict())
 
 
 def mi_discrete(dist: dm.DiscreteJoint) -> MiReport:
@@ -257,9 +255,9 @@ class ConvergenceReport:
     limit_mi: float
 
     def to_csv(self, f: io.TextIOBase) -> None:
-        f.write("r,mi,limit_mi,exceeds\n")
-        for r, mi, exceeds in self.rows:
-            f.write(f"{r:.17g},{mi:.17g},{self.limit_mi:.17g},{str(exceeds).lower()}\n")
+        r, mi, exceeds = zip(*self.rows) if self.rows else ((), (), ())
+        limit, flags = np.full(len(r), self.limit_mi), [str(e).lower() for e in exceeds]
+        dm.write_csv(f, ("r", "mi", "limit_mi", "exceeds"), r, mi, limit, flags)
 
 
 def convergence_counterexample(r_schedule) -> ConvergenceReport:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import distributions as dm
 from .distributions import DENSITY_FLOOR
-from .errors import UndefinedAtPoint
+from .errors import DerivativeVanishes, UndefinedAtPoint
 from .quadrature import adaptive_quad_1d, adaptive_quad_2d, core_tail_cells
 
 __all__ = [
@@ -85,13 +85,8 @@ class LiftField:
 
     def to_csv(self, f: io.TextIOBase) -> None:
         """Row-major ``x,y,L,label`` rows with 17-significant-digit floats."""
-        f.write("x,y,L,label\n")
-        for i, x in enumerate(self.grid_x):
-            for j, y in enumerate(self.grid_y):
-                f.write(
-                    f"{x:.17g},{y:.17g},{self.values[i, j]:.17g},"
-                    f"{self.labels[i, j].value}\n"
-                )
+        x, y = np.repeat(self.grid_x, self.grid_y.size), np.tile(self.grid_y, self.grid_x.size)
+        dm.write_csv(f, ("x", "y", "L", "label"), x, y, self.values.ravel(), self.labels.ravel())
 
 
 @dataclass(frozen=True)
@@ -243,14 +238,14 @@ def sibuya_omega_at(dist, point) -> float:
 def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
     """Evaluate the lift on a rectangular grid with region labels.
 
-    Pointwise failures (off-support labels, vanishing marginals) become
-    Undefined cells instead of raising.
+    Pointwise failures (off-support labels, vanishing marginals, folds of a
+    curve branch) become Undefined cells instead of raising.
     """
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
     if grid_x.size < 1 or grid_y.size < 1:
         raise ValueError("grids must be nonempty")
-    if np.any(np.diff(grid_x) <= 0) or np.any(np.diff(grid_y) <= 0):
+    if any(np.any(g[1:] <= g[:-1]) for g in (grid_x, grid_y)):
         raise ValueError("grids must be strictly increasing")
 
     if isinstance(dist, dm.DiscreteJoint):
@@ -271,7 +266,9 @@ def _curve_grid(dist: dm.CurveSingularJoint, grid_x, grid_y) -> np.ndarray:
     """Curve-singular lift on a grid; the smallest branch index wins a cell.
 
     A cell is on branch n when ``|y - phi_n(x)| <= ON_CURVE_TOL``. The
-    Y-marginal is evaluated once per branch, on every on-curve ``phi_n(x)``.
+    Y-marginal is evaluated once per branch, on every on-curve ``phi_n(x)``,
+    or point by point if a fold (a preimage with a flat slope) makes the batch
+    raise DerivativeVanishes; cells at a fold become Undefined.
     """
     values = np.zeros((grid_x.size, grid_y.size))
     rho_y = dist.marginal_y_fn()
@@ -282,7 +279,10 @@ def _curve_grid(dist: dm.CurveSingularJoint, grid_x, grid_y) -> np.ndarray:
         on = np.abs(grid_y - phi_x[:, None]) <= ON_CURVE_TOL
         hit = on.any(axis=1)
         rows, phi_x, on = rows[hit], phi_x[hit], on[hit]
-        dens = np.asarray(rho_y(phi_x), dtype=float)
+        try:
+            dens = np.asarray(rho_y(phi_x), dtype=float)
+        except DerivativeVanishes:
+            dens = np.array([_density_or_nan(rho_y, y) for y in phi_x])
         slope = np.asarray(branch.dphi(grid_x[rows]), dtype=float)
         with np.errstate(divide="ignore"):
             val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
@@ -290,6 +290,13 @@ def _curve_grid(dist: dm.CurveSingularJoint, grid_x, grid_y) -> np.ndarray:
         block = values[rows]
         values[rows] = np.where(on & (block == 0.0), val[:, None], block)
     return values
+
+
+def _density_or_nan(rho_y, y: float) -> float:
+    try:
+        return float(rho_y(y))
+    except DerivativeVanishes:
+        return math.nan
 
 
 def region_summary(dist, tol: float = ANALYTIC_TOL) -> RegionSummary:

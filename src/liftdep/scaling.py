@@ -19,12 +19,12 @@ fractal-support test case (reference Hausdorff dimension
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions as dm
 from .errors import InsufficientRadii
 
 __all__ = [
@@ -93,9 +93,7 @@ class BallDensityProfile:
         return (self.counts / self.n) / (math.pi * self.radii**2)
 
     def to_csv(self, f: io.TextIOBase) -> None:
-        f.write("eps,count,rho_eps\n")
-        for eps, count, rho in zip(self.radii, self.counts, self.densities):
-            f.write(f"{eps:.17g},{count:d},{rho:.17g}\n")
+        dm.write_csv(f, ("eps", "count", "rho_eps"), self.radii, self.counts, self.densities)
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,7 @@ class ScalingEstimate:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        json.dump(self.to_dict(), f, indent=2)
-        f.write("\n")
+        dm.write_json(f, self.to_dict())
 
 
 def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:

@@ -100,3 +100,40 @@ def ks_distance(samples_1d, cdf):
     upper = np.max(np.abs(np.arange(1, n + 1) / n - cdf_vals))
     lower = np.max(np.abs(cdf_vals - np.arange(0, n) / n))
     return max(upper, lower)
+
+
+# Reference CSV writers: one f-string per row with 17 significant digits, the
+# bytes the package's writers must produce.
+
+
+def lift_field_csv(grid_x, grid_y, values, labels):
+    rows = ["x,y,L,label\n"]
+    for i, x in enumerate(grid_x):
+        for j, y in enumerate(grid_y):
+            rows.append(f"{x:.17g},{y:.17g},{values[i][j]:.17g},{labels[i][j]}\n")
+    return "".join(rows)
+
+
+def samples_csv(samples):
+    return "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in samples)
+
+
+def pmf_csv(x_support, y_support, pmf):
+    rows = ["x" + "".join(f",y:{y:.17g}" for y in y_support) + "\n"]
+    for i, x in enumerate(x_support):
+        rows.append(f"{x:.17g}" + "".join(f",{p:.17g}" for p in pmf[i]) + "\n")
+    return "".join(rows)
+
+
+def convergence_csv(rows, limit_mi):
+    out = ["r,mi,limit_mi,exceeds\n"]
+    for r, mi, exceeds in rows:
+        out.append(f"{r:.17g},{mi:.17g},{limit_mi:.17g},{str(exceeds).lower()}\n")
+    return "".join(out)
+
+
+def ball_profile_csv(radii, counts, densities):
+    rows = ["eps,count,rho_eps\n"]
+    for eps, count, rho in zip(radii, counts, densities):
+        rows.append(f"{eps:.17g},{count:d},{rho:.17g}\n")
+    return "".join(rows)

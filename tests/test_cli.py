@@ -1,6 +1,7 @@
 """CLI surface: grammar, exit codes, file outputs, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -220,6 +221,37 @@ class TestMalformedInput:
         assert out == ""
         assert "ValueError" in err and "line 3" in err
         assert "Traceback" not in err
+
+    def test_non_numeric_samples_cell_is_domain_error(self, capsys, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n1,2\nabc,3\n")
+        code, out, err = run(
+            capsys, "scaling", "--samples-file", str(samples), "--center-x", "0",
+            "--center-y", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "line 3: not a number: 'abc'" in err
+
+
+    def test_curve_fold_is_undefined_cell(self, capsys):
+        # X ~ U[0,1], Y = X^2: phi' vanishes at x = 0, the rest of the curve
+        # has lift 4x / (pi sqrt(1 + 4x^2)).
+        code, out, _ = run(
+            capsys, "lift-grid", "--dist", "curve-uniform-square", "--xmin", "0", "--xmax",
+            "1", "--ymin", "0", "--ymax", "1", "--nx", "101", "--ny", "101",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 101 * 101
+        on_curve = [r for r in rows if abs(float(r[1]) - float(r[0]) ** 2) <= 1e-9]
+        assert len(on_curve) == 11
+        assert on_curve[0][:2] == ["0", "0"] and on_curve[0][3] == "Undefined"
+        for x, _, value, label in on_curve[1:]:
+            x = float(x)
+            assert float(value) == pytest.approx(4 * x / (math.pi * math.sqrt(1 + 4 * x * x)), rel=1e-9)
+            assert label == "Inhibit"
+        assert all(r[3] == "Zero" for r in rows if r not in on_curve)
 
 
 class TestImport:

@@ -296,8 +296,21 @@ class TestCsvFormats:
             ("x,y\n1,2\n\n3,4,5\n", "line 4: expected 2 cells, got 3"),
             ("x,y\n1,2\n3,nan\n", "line 3: non-finite value"),
             ("x,y\n\n-inf,2\n", "line 3: non-finite value"),
+            ("x,y\n1,2\nabc,3\n", "line 3: not a number: 'abc'"),
+            ('x,y\n"1",2\n', "line 2: not a number"),
+            ("x,y\n1,2\n1_0,2\n", "line 3: not a number: '1_0'"),
+            ("x,y\n1,2\n#3,4\n", "line 3: not a number: '#3'"),
         ],
-        ids=["short-row", "long-row-after-blank", "nan", "inf-after-blank"],
+        ids=[
+            "short-row",
+            "long-row-after-blank",
+            "nan",
+            "inf-after-blank",
+            "not-a-number",
+            "quoted",
+            "underscore-digits",
+            "comment-like",
+        ],
     )
     def test_malformed_samples_name_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
