@@ -510,8 +510,11 @@ def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
 
     Uses declared breakpoints when present (validating that ``dphi`` keeps
     its sign inside every declared piece), otherwise detects sign changes
-    of ``dphi`` on a probe grid and refines each boundary by bisection on
-    ``dphi``.
+    of ``dphi`` on a probe grid of ``PROBE_GRID_SIZE`` points and refines
+    each boundary by bisection on ``dphi``. Two turning points closer
+    together than one probe step, (hi - lo) / (PROBE_GRID_SIZE - 1), can
+    fall between the same two probes; ``dphi`` then has one sign at every
+    probe and both go unseen. Declare breakpoints for such branches.
     """
     lo, hi = branch.domain
     if branch.breakpoints:

@@ -4,17 +4,23 @@ Each cell is integrated with a coarse and a fine tensor rule; the cell error
 is |fine - coarse| and the fine value is kept. Cells live in a max-heap keyed
 by error (ties broken by insertion order, so results do not depend on
 scheduling) and the worst cell is bisected until the summed error drops below
-the tolerance or the evaluation budget runs out.
+the tolerance or the evaluation budget runs out. One heap driver serves 1D and
+2D, and each heap step makes one integrand call: the seed cells at start-up,
+then the children of each popped cell, with the nodes of both rules of every
+cell concatenated. Cell values are reduced cell by cell, so batching changes
+no result.
 
-Integrands must be vectorized: ``f(x, y)`` (2D) or ``f(x)`` (1D) with ndarray
-arguments returning an ndarray of the same shape. Heavy-tailed integrands are
-handled by seeding the heap with a core box plus four tail bands whose rules
-carry doubled node counts; see :func:`core_tail_cells`.
+Integrands must be vectorized and elementwise: ``f(x, y)`` (2D) or ``f(x)``
+(1D) with 1-D ndarray arguments returning an ndarray of the same shape.
+Heavy-tailed integrands are handled by seeding the heap with a core box plus
+four tail bands whose rules carry doubled node counts; see
+:func:`core_tail_cells`.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -43,6 +49,10 @@ class QuadResult:
     value: float
     error: float
     n_evals: int
+    # cells in the final partition
+    n_cells: int
+    # error <= tol; False when the budget stopped the refinement
+    converged: bool
 
 
 @lru_cache(maxsize=None)
@@ -50,25 +60,85 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _eval_cell_2d(f, xa, xb, ya, yb, rule):
-    """Integrate f over a rectangle with the nested rule pair.
+@lru_cache(maxsize=None)
+def _unit_nodes(rule: tuple[int, int], dim: int) -> tuple[np.ndarray, ...]:
+    """Nodes of a rule pair on [-1, 1]^dim, coarse rule then fine rule.
 
-    Returns (fine_value, |fine - coarse|, n_evals).
+    One array per axis; the tensor grid is flattened with the x index
+    outermost, as ``meshgrid(..., indexing="ij").ravel()`` orders it.
     """
-    hx, hy = 0.5 * (xb - xa), 0.5 * (yb - ya)
-    cx, cy = 0.5 * (xa + xb), 0.5 * (ya + yb)
-    vals = []
+    return tuple(
+        np.concatenate(
+            [np.repeat(np.tile(_leggauss(n)[0], n**j), n ** (dim - 1 - j)) for n in rule]
+        )
+        for j in range(dim)
+    )
+
+
+def _eval_cells(f, cells):
+    """Integrate f over each ``(bounds, rule)`` cell with its nested rule pair,
+    all cells in one call of ``f``.
+
+    ``bounds`` is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. Returns
+    ``([(fine_value, |fine - coarse|) per cell], n_evals)``.
+    """
+    dim = len(cells[0][0]) // 2
+    coords: list[list[np.ndarray]] = [[] for _ in range(dim)]
+    scales = []
+    for bounds, rule in cells:
+        scale = 1.0
+        for j, unit in enumerate(_unit_nodes(rule, dim)):
+            lo, hi = bounds[2 * j], bounds[2 * j + 1]
+            h = 0.5 * (hi - lo)
+            coords[j].append(0.5 * (lo + hi) + h * unit)
+            scale *= h
+        scales.append(scale)
+    nodes = [np.concatenate(c) for c in coords]
+    n_evals = nodes[0].size
+    fv = np.asarray(f(*nodes), dtype=float).reshape(n_evals)
+    out = []
+    i = 0
+    for (_, rule), scale in zip(cells, scales):
+        vals = []
+        for n in rule:
+            wn = _leggauss(n)[1]
+            m = n**dim
+            cell = fv[i : i + m]
+            s = wn @ cell if dim == 1 else np.einsum("i,j,ij->", wn, wn, cell.reshape(n, n))
+            vals.append(scale * float(s))
+            i += m
+        coarse, fine = vals
+        out.append((fine, abs(fine - coarse)))
+    return out, n_evals
+
+
+def _adaptive_heap(f, seeds, split, tol: float, budget: int) -> QuadResult:
+    """Refine the worst cell until the summed error is at most ``tol`` or
+    ``budget`` evaluations are spent.
+
+    ``seeds`` are ``(bounds, rule)`` cells; ``split(*bounds)`` gives the
+    bounds of a cell's children, which inherit its rule. Each step is one
+    call of ``f``: the seeds first, then the children of each popped cell.
+    """
+    heap: list = []
+    total = err = 0.0
     n_evals = 0
-    for n in rule:
-        xn, wn = _leggauss(n)
-        gx = cx + hx * xn
-        gy = cy + hy * xn
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        fv = np.asarray(f(xx.ravel(), yy.ravel()), dtype=float).reshape(n, n)
-        vals.append(hx * hy * float(np.einsum("i,j,ij->", wn, wn, fv)))
-        n_evals += n * n
-    coarse, fine = vals
-    return fine, abs(fine - coarse), n_evals
+    tick = itertools.count()
+    batch = seeds
+    while batch:
+        values, ne = _eval_cells(f, batch)
+        n_evals += ne
+        for (bounds, rule), (v, e) in zip(batch, values):
+            total += v
+            err += e
+            heapq.heappush(heap, (-e, next(tick), bounds, rule, v, e))
+        batch = []
+        if err > tol and n_evals < budget:
+            _, _, bounds, rule, v, e = heapq.heappop(heap)
+            total -= v
+            err -= e
+            batch = [(child, rule) for child in split(*bounds)]
+    return QuadResult(total, err, n_evals, len(heap), err <= tol)
 
 
 def _split_2d(xa, xb, ya, yb):
@@ -89,6 +159,11 @@ def _split_2d(xa, xb, ya, yb):
     ]
 
 
+def _split_1d(a, b):
+    mid = 0.5 * (a + b)
+    return [(a, mid), (mid, b)]
+
+
 def adaptive_quad_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     cells: list[tuple[float, float, float, float, tuple[int, int]]],
@@ -100,29 +175,8 @@ def adaptive_quad_2d(
     ``cells`` entries are ``(xa, xb, ya, yb, rule)`` where ``rule`` is the
     (coarse, fine) node-count pair the cell and its descendants use.
     """
-    heap: list = []
-    total = err = 0.0
-    n_evals = 0
-    tick = 0
-    for xa, xb, ya, yb, rule in cells:
-        v, e, ne = _eval_cell_2d(f, xa, xb, ya, yb, rule)
-        total += v
-        err += e
-        n_evals += ne
-        heapq.heappush(heap, (-e, tick, xa, xb, ya, yb, rule, v, e))
-        tick += 1
-    while err > tol and n_evals < budget and heap:
-        _, _, xa, xb, ya, yb, rule, v, e = heapq.heappop(heap)
-        total -= v
-        err -= e
-        for a, b, c, d in _split_2d(xa, xb, ya, yb):
-            v2, e2, ne = _eval_cell_2d(f, a, b, c, d, rule)
-            total += v2
-            err += e2
-            n_evals += ne
-            heapq.heappush(heap, (-e2, tick, a, b, c, d, rule, v2, e2))
-            tick += 1
-    return QuadResult(total, err, n_evals)
+    seeds = [((xa, xb, ya, yb), tuple(rule)) for xa, xb, ya, yb, rule in cells]
+    return _adaptive_heap(f, seeds, _split_2d, tol, budget)
 
 
 def core_tail_cells(
@@ -171,19 +225,6 @@ def core_tail_cells(
     return cells
 
 
-def _eval_cell_1d(f, a, b, rule):
-    h, c = 0.5 * (b - a), 0.5 * (a + b)
-    vals = []
-    n_evals = 0
-    for n in rule:
-        xn, wn = _leggauss(n)
-        fv = np.asarray(f(c + h * xn), dtype=float)
-        vals.append(h * float(wn @ fv))
-        n_evals += n
-    coarse, fine = vals
-    return fine, abs(fine - coarse), n_evals
-
-
 def adaptive_quad_1d(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -192,21 +233,4 @@ def adaptive_quad_1d(
     budget: int = 2**18,
 ) -> QuadResult:
     """Adaptive 1D integral of a vectorized integrand over [a, b]."""
-    heap: list = []
-    v, e, n_evals = _eval_cell_1d(f, a, b, RULE_1D)
-    total, err = v, e
-    heapq.heappush(heap, (-e, 0, a, b, v, e))
-    tick = 1
-    while err > tol and n_evals < budget and heap:
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        total -= v
-        err -= e
-        mid = 0.5 * (lo + hi)
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            v2, e2, ne = _eval_cell_1d(f, lo2, hi2, RULE_1D)
-            total += v2
-            err += e2
-            n_evals += ne
-            heapq.heappush(heap, (-e2, tick, lo2, hi2, v2, e2))
-            tick += 1
-    return QuadResult(total, err, n_evals)
+    return _adaptive_heap(f, [((a, b), RULE_1D)], _split_1d, tol, budget)

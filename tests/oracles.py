@@ -5,6 +5,7 @@ deliberately avoiding the library's own code paths, so that an agreement
 between an oracle and the library is a genuine dual-route check.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -137,3 +138,88 @@ def ball_profile_csv(radii, counts, densities):
     for eps, count, rho in zip(radii, counts, densities):
         rows.append(f"{eps:.17g},{count:d},{rho:.17g}\n")
     return "".join(rows)
+
+
+# Reference adaptive heaps: the nested Gauss-Legendre heap written out one
+# cell at a time, with one integrand call per cell and rule. Each returns
+# ``((value, error, n_evals, n_cells, converged), pops)``, where ``pops`` is
+# the number of cells taken off the heap and split.
+
+
+def _gl_cell_2d(f, xa, xb, ya, yb, rule):
+    hx, hy = 0.5 * (xb - xa), 0.5 * (yb - ya)
+    cx, cy = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    vals = []
+    for n in rule:
+        xn, wn = np.polynomial.legendre.leggauss(n)
+        xx, yy = np.meshgrid(cx + hx * xn, cy + hy * xn, indexing="ij")
+        fv = np.asarray(f(xx.ravel(), yy.ravel()), dtype=float).reshape(n, n)
+        vals.append(hx * hy * float(np.einsum("i,j,ij->", wn, wn, fv)))
+    coarse, fine = vals
+    return fine, abs(fine - coarse), sum(n * n for n in rule)
+
+
+def quad_heap_2d(f, cells, tol, budget):
+    """Worst cell first (ties by age); long cells halve, near-square ones quarter."""
+    heap = []
+    total = err = 0.0
+    n_evals = tick = pops = 0
+
+    def push(xa, xb, ya, yb, rule):
+        nonlocal total, err, n_evals, tick
+        v, e, ne = _gl_cell_2d(f, xa, xb, ya, yb, rule)
+        total += v
+        err += e
+        n_evals += ne
+        heapq.heappush(heap, (-e, tick, xa, xb, ya, yb, rule, v, e))
+        tick += 1
+
+    for xa, xb, ya, yb, rule in cells:
+        push(xa, xb, ya, yb, rule)
+    while err > tol and n_evals < budget and heap:
+        _, _, xa, xb, ya, yb, rule, v, e = heapq.heappop(heap)
+        pops += 1
+        total -= v
+        err -= e
+        xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+        if xb - xa >= 2.0 * (yb - ya):
+            children = [(xa, xm, ya, yb), (xm, xb, ya, yb)]
+        elif yb - ya >= 2.0 * (xb - xa):
+            children = [(xa, xb, ya, ym), (xa, xb, ym, yb)]
+        else:
+            children = [(xa, xm, ya, ym), (xm, xb, ya, ym), (xa, xm, ym, yb), (xm, xb, ym, yb)]
+        for child in children:
+            push(*child, rule)
+    return (total, err, n_evals, len(heap), err <= tol), pops
+
+
+def _gl_cell_1d(f, a, b, rule):
+    h, c = 0.5 * (b - a), 0.5 * (a + b)
+    vals = []
+    for n in rule:
+        xn, wn = np.polynomial.legendre.leggauss(n)
+        vals.append(h * float(wn @ np.asarray(f(c + h * xn), dtype=float)))
+    coarse, fine = vals
+    return fine, abs(fine - coarse), sum(rule)
+
+
+def quad_heap_1d(f, a, b, tol, budget, rule=(7, 15)):
+    """Worst interval first (ties by age), halved at its midpoint."""
+    total, err, n_evals = _gl_cell_1d(f, a, b, rule)
+    heap = [(-err, 0, a, b, total, err)]
+    tick = 1
+    pops = 0
+    while err > tol and n_evals < budget and heap:
+        _, _, lo, hi, v, e = heapq.heappop(heap)
+        pops += 1
+        total -= v
+        err -= e
+        mid = 0.5 * (lo + hi)
+        for lo2, hi2 in ((lo, mid), (mid, hi)):
+            v2, e2, ne = _gl_cell_1d(f, lo2, hi2, rule)
+            total += v2
+            err += e2
+            n_evals += ne
+            heapq.heappush(heap, (-e2, tick, lo2, hi2, v2, e2))
+            tick += 1
+    return (total, err, n_evals, len(heap), err <= tol), pops

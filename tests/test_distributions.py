@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import liftdep as ld
+from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
 from liftdep.quadrature import adaptive_quad_2d, core_tail_cells
 
 import oracles
@@ -117,6 +118,22 @@ class TestPushforwardDensity:
             assert ld.derive_pushforward_density(dist, y) == pytest.approx(
                 0.5 / math.sqrt(y), rel=1e-6
             )
+
+    def test_turning_points_within_one_probe_step_go_unseen(self):
+        # phi' = (x - 1/2)^2 - d^2 turns at 1/2 -+ d, both between the same two
+        # neighbouring probes, so phi' is positive at every probe and the
+        # decreasing stretch between the turning points is not split off.
+        d = 1e-5
+        branch = ld.CurveBranch(
+            phi=lambda x: (np.asarray(x, dtype=float) - 0.5) ** 3 / 3
+            - d * d * (np.asarray(x, dtype=float) - 0.5),
+            dphi=lambda x: (np.asarray(x, dtype=float) - 0.5) ** 2 - d * d,
+            domain=(0.0, 1.0),
+        )
+        step = 1.0 / (PROBE_GRID_SIZE - 1)
+        assert math.floor((0.5 - d) / step) == math.floor((0.5 + d) / step)
+        assert branch.dphi(np.array([0.5]))[0] < 0
+        assert monotone_pieces(branch) == [(0.0, 1.0, 1)]
 
     def test_derivative_vanishes_at_fold(self):
         branch = ld.CurveBranch(

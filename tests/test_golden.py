@@ -5,7 +5,16 @@ its output (the ``--out`` file, or stdout) must equal the pin. The grid and
 Weierstrass pins equal the ``GOLDEN`` pins of ``bench/checks.py``. The
 ``sample`` -> ``scaling`` -> ``estimate-lift`` chain runs at ``--n 10000``
 instead of the README's 1e6 rows to keep the suite short; the benchmark pins
-the 1e6-row outputs.
+the 1e6-row outputs. ``EXTRA`` pins quadrature paths the recipes do not
+reach: the curve-singular MIs (1D heap), the r = 0.99 bivariate-normal MI by
+quadrature and the circular-Cauchy Sibuya ratio.
+
+The ``lhat.csv`` pin depends on the number of BLAS threads: ``kernel_lift``'s
+``kx @ ky.T`` gives different last bits under one and two OpenBLAS threads,
+so with ``OMP_NUM_THREADS=1`` that pin fails. The pin holds for OpenBLAS's
+default thread count on a 2-CPU host (two threads); ``bench/checks.py`` pins
+the benchmark's 1e6-row ``lhat.csv`` under the one thread ``bench/run.py``
+sets.
 
 A refactor must leave every pin unchanged. If a numpy upgrade moves a last
 digit, re-pin all hashes in a change of their own that says so.
@@ -63,6 +72,24 @@ RECIPES = [
 ]
 
 
+# (name, argv, sha256 of stdout)
+EXTRA = [
+    ("mi-curve-normal-identity", ["mi", "--dist", "curve-normal-identity"],
+     "02c5a9052967e663640ed3e10ef8aa30692c1f0b419a8cb5a4483186ccf58eb1"),
+    ("mi-curve-uniform-identity", ["mi", "--dist", "curve-uniform-identity"],
+     "f56a5efaff26fdf4cbff90e993b897fcfacd517676fa22df4e3002c9431db3dd"),
+    ("mi-curve-normal-double", ["mi", "--dist", "curve-normal-double"],
+     "46dde4fe9a6410d918e46a529136abb8652aa47f46675329334b8379c270c0d0"),
+    ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
+     "480245c1a1c9f720a50382fcdde58719b638a60e115d4ccd35d57d95fa08ebaf"),
+    ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
+     "9d682b34a0dc733b430cccbfdeae6ab0102e5ef5e28cfd62e0cb81f64288ae7f"),
+    ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
+                       "--point", "-2", "3"],
+     "bec0b067122f1e7ad1da2356180e3280d99ae4e4f5d0d4df66e4655212373c55"),
+]
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     """Run every recipe once, in README order; map name -> (exit code, bytes)."""
@@ -82,3 +109,12 @@ def test_recipe_output_is_golden(outputs, name, pin):
     code, data = outputs[name]
     assert code == 0
     assert hashlib.sha256(data).hexdigest() == pin
+
+
+@pytest.mark.parametrize("argv,pin", [(r[1], r[2]) for r in EXTRA], ids=[r[0] for r in EXTRA])
+def test_extra_output_is_golden(argv, pin):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == pin

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liftdep.quadrature import (
+    DEFAULT_BUDGET_2D,
     QuadResult,
     adaptive_quad_1d,
     adaptive_quad_2d,
     core_tail_cells,
 )
+
+import oracles
 
 
 def test_polynomial_exactness():
@@ -18,6 +23,9 @@ def test_polynomial_exactness():
         lambda x, y: x * x * y + 3.0, core_tail_cells((0, 1, 0, 1)), tol=1e-12
     )
     assert res.value == pytest.approx(1 / 6 + 3, abs=1e-12)
+    # both rules are exact, so no seed cell is split
+    assert res.n_cells == 4
+    assert res.converged
 
 
 def test_gaussian_integral():
@@ -83,3 +91,106 @@ def test_1d_nonsmooth_subdivides():
 def test_bad_box_rejected():
     with pytest.raises(ValueError):
         core_tail_cells((1, 1, 0, 1))
+
+
+# The batched heap against the cell-by-cell reference heap in oracles.py:
+# equal results on every box, tolerance and budget (budget-stopped runs
+# included), and one integrand call for the seeds plus one per split cell.
+
+PROPERTY = settings(max_examples=40, deadline=None)
+TOLS = st.integers(4, 12).map(lambda k: 10.0**-k)
+# small budgets stop before or soon after the seeds, large ones mostly converge
+BUDGETS = st.one_of(st.integers(0, 3000), st.integers(3000, 40000))
+
+INTEGRANDS_2D = {
+    "polynomial": lambda x, y: x**8 - 3.0 * x * y**5 + 2.0 * y**2 + 1.0,
+    "gaussian": lambda x, y: np.exp(-((x - 0.3) ** 2 + (y + 0.2) ** 2) / 2) / (2 * math.pi),
+    "abs-sin": lambda x, y: np.abs(np.sin(40 * x) * np.sin(40 * y)),
+    "cauchy": lambda x, y: 1.0 / (2 * math.pi * (1 + x * x + y * y) ** 1.5),
+}
+INTEGRANDS_1D = {
+    "polynomial": lambda x: x**9 - 2.0 * x**4 + 1.0,
+    "gaussian": lambda x: np.exp(-((x - 0.3) ** 2) / 2) / math.sqrt(2 * math.pi),
+    "abs-sin": lambda x: np.abs(np.sin(40 * x)),
+    "cauchy": lambda x: 1.0 / (math.pi * (1 + x * x)),
+}
+
+
+def _counted(f):
+    calls = []
+
+    def g(*args):
+        calls.append(args[0].size)
+        return f(*args)
+
+    return g, calls
+
+
+@PROPERTY
+@given(
+    name=st.sampled_from(sorted(INTEGRANDS_2D)),
+    corner=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+    size=st.tuples(st.floats(0.5, 30.0), st.floats(0.5, 30.0)),
+    scale=st.sampled_from([1.0, 1e3]),
+    core_half=st.floats(0.5, 10.0),
+    tol=TOLS,
+    budget=BUDGETS,
+)
+@example(name="gaussian", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+         tol=1e-9, budget=DEFAULT_BUDGET_2D)
+@example(name="cauchy", corner=(-10.0, -10.0), size=(20.0, 20.0), scale=1e3, core_half=8.0,
+         tol=1e-6, budget=100_000)
+@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+         tol=1e-14, budget=5000)
+def test_2d_heap_matches_cell_by_cell_oracle(name, corner, size, scale, core_half, tol, budget):
+    f = INTEGRANDS_2D[name]
+    (x, y), (w, h) = corner, size
+    cells = core_tail_cells((x * scale, (x + w) * scale, y * scale, (y + h) * scale), core_half)
+    expected, pops = oracles.quad_heap_2d(f, cells, tol, budget)
+    counted, calls = _counted(f)
+    res = adaptive_quad_2d(counted, cells, tol=tol, budget=budget)
+    assert res == QuadResult(*expected)
+    assert len(calls) == 1 + pops
+    assert sum(calls) == res.n_evals
+
+
+@PROPERTY
+@given(
+    st.sampled_from(sorted(INTEGRANDS_1D)),
+    st.floats(-50.0, 50.0),
+    st.floats(0.5, 100.0),
+    TOLS,
+    BUDGETS,
+)
+def test_1d_heap_matches_cell_by_cell_oracle(name, a, width, tol, budget):
+    f = INTEGRANDS_1D[name]
+    expected, pops = oracles.quad_heap_1d(f, a, a + width, tol, budget)
+    counted, calls = _counted(f)
+    res = adaptive_quad_1d(counted, a, a + width, tol=tol, budget=budget)
+    assert res == QuadResult(*expected)
+    assert len(calls) == 1 + pops
+    assert sum(calls) == res.n_evals
+
+
+def test_budget_stop_is_not_converged():
+    res = adaptive_quad_2d(
+        INTEGRANDS_2D["abs-sin"], core_tail_cells((-8, 8, -8, 8)), tol=1e-14, budget=5000
+    )
+    assert res.n_evals >= 5000
+    assert res.error > 1e-14
+    assert not res.converged
+    res_1d = adaptive_quad_1d(INTEGRANDS_1D["abs-sin"], -8, 8, tol=1e-14, budget=2000)
+    assert res_1d.n_evals >= 2000
+    assert not res_1d.converged
+
+
+def test_smooth_integrand_converges():
+    res = adaptive_quad_2d(
+        lambda x, y: np.exp(-(x * x + y * y) / 2), core_tail_cells((-8, 8, -8, 8)), tol=1e-9
+    )
+    assert res.converged
+    assert res.error <= 1e-9
+    assert res.n_cells > 4
+    res_1d = adaptive_quad_1d(lambda x: np.exp(-x * x / 2), -8, 8, tol=1e-12)
+    assert res_1d.converged
+    assert res_1d.n_cells > 1
