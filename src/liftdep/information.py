@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,12 +56,23 @@ class MiMethod(str, enum.Enum):
 
 @dataclass(frozen=True)
 class MiReport:
-    """A mutual-information value with its provenance and error estimate."""
+    """A mutual-information value with its provenance and error estimate.
+
+    ``converged`` (the quadrature's error estimate met its tolerance),
+    ``n_cells`` (cells in its final partition) and ``budget_exhausted`` (the
+    evaluation budget stopped it) describe the quadrature routes; the exact
+    routes keep the defaults, and the Monte Carlo fallback, which runs only
+    after the quadrature failed, reports ``converged=False`` and no cells.
+    They are not part of the JSON output.
+    """
 
     value: float
     method: MiMethod
     abs_error_estimate: float
     n_evals: int
+    converged: bool = True
+    n_cells: int = 0
+    budget_exhausted: bool = False
 
     def __post_init__(self):
         if self.abs_error_estimate < 0:
@@ -106,15 +117,22 @@ def mi_bvn_closed_form(r: float) -> MiReport:
     )
 
 
+def _log_lift(dist: dm.ContinuousFamily, x, y):
+    """``(rho, log L, ok)`` at the points: ``log L = log rho - log rho_X -
+    log rho_Y`` is meaningful only where ``ok``, i.e. all three are positive."""
+    rho = np.asarray(dist.joint_density(x, y), dtype=float)
+    mx = np.asarray(dist.marginal_x(x), dtype=float)
+    my = np.asarray(dist.marginal_y(y), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_l = np.log(rho) - np.log(mx) - np.log(my)
+    return rho, log_l, (rho > 0) & (mx > 0) & (my > 0)
+
+
 def _mi_integrand(dist: dm.ContinuousFamily):
     def integrand(x, y):
-        rho = np.asarray(dist.joint_density(x, y), dtype=float)
-        mx = np.asarray(dist.marginal_x(x), dtype=float)
-        my = np.asarray(dist.marginal_y(y), dtype=float)
-        out = np.zeros_like(rho)
-        ok = (rho > 0) & (mx > 0) & (my > 0)
-        out[ok] = rho[ok] * (np.log(rho[ok]) - np.log(mx[ok]) - np.log(my[ok]))
-        return out
+        rho, log_l, ok = _log_lift(dist, x, y)
+        with np.errstate(invalid="ignore"):
+            return np.where(ok, rho * log_l, 0.0)
 
     return integrand
 
@@ -140,7 +158,11 @@ def mi_continuous(
     )
     if result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
-            return _mi_monte_carlo(dist, mc_samples, seed)
+            return replace(
+                _mi_monte_carlo(dist, mc_samples, seed),
+                converged=False,
+                budget_exhausted=result.budget_exhausted,
+            )
         raise QuadratureNotConverged(
             f"error estimate {result.error:.3g} > {CONVERGENCE_FAILURE_TOL:g} "
             f"after {result.n_evals} evaluations"
@@ -150,16 +172,16 @@ def mi_continuous(
         method=MiMethod.QUADRATURE,
         abs_error_estimate=result.error,
         n_evals=result.n_evals,
+        converged=result.converged,
+        n_cells=result.n_cells,
+        budget_exhausted=result.budget_exhausted,
     )
 
 
 def _mi_monte_carlo(dist: dm.ContinuousFamily, n: int, seed: int) -> MiReport:
     pts = dm.sample(dist, n, seed)
-    rho = np.asarray(dist.joint_density(pts[:, 0], pts[:, 1]), dtype=float)
-    mx = np.asarray(dist.marginal_x(pts[:, 0]), dtype=float)
-    my = np.asarray(dist.marginal_y(pts[:, 1]), dtype=float)
-    ok = (rho > 0) & (mx > 0) & (my > 0)
-    log_l = np.log(rho[ok]) - np.log(mx[ok]) - np.log(my[ok])
+    _, log_l, ok = _log_lift(dist, pts[:, 0], pts[:, 1])
+    log_l = log_l[ok]
     stderr = float(np.std(log_l, ddof=1) / math.sqrt(log_l.size))
     return MiReport(
         value=float(np.mean(log_l)),
@@ -218,6 +240,9 @@ def mi_curve(
         method=MiMethod.CURVE_QUADRATURE,
         abs_error_estimate=result.error,
         n_evals=result.n_evals,
+        converged=result.converged,
+        n_cells=result.n_cells,
+        budget_exhausted=result.budget_exhausted,
     )
 
 

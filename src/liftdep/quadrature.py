@@ -3,12 +3,15 @@
 Each cell is integrated with a coarse and a fine tensor rule; the cell error
 is |fine - coarse| and the fine value is kept. Cells live in a max-heap keyed
 by error (ties broken by insertion order, so results do not depend on
-scheduling) and the worst cell is bisected until the summed error drops below
+scheduling), and worst cells are bisected until the summed error drops below
 the tolerance or the evaluation budget runs out. One heap driver serves 1D and
 2D, and each heap step makes one integrand call: the seed cells at start-up,
-then the children of each popped cell, with the nodes of both rules of every
-cell concatenated. Cell values are reduced cell by cell, so batching changes
-no result.
+then the children of a batch of popped cells. A step pops cells in heap order
+until their errors sum to at least half of ``error - tol``, but stops before a
+cell whose children would take the step past ``STEP_NODES`` nodes or the
+evaluations past the budget; it always pops at least one cell. The cells of a
+step are grouped by rule and each rule is reduced as one row sum per cell, so
+a cell gets the same bits whatever batch it is evaluated in.
 
 Integrands must be vectorized and elementwise: ``f(x, y)`` (2D) or ``f(x)``
 (1D) with 1-D ndarray arguments returning an ndarray of the same shape.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -43,6 +46,9 @@ RULE_1D = (7, 15)
 
 DEFAULT_BUDGET_2D = 2**22
 
+# Most nodes a heap step evaluates, unless its first popped cell alone has more.
+STEP_NODES = 2**15
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -53,92 +59,114 @@ class QuadResult:
     n_cells: int
     # error <= tol; False when the budget stopped the refinement
     converged: bool
+    # heap steps, one integrand call each
+    n_steps: int
+    # the budget ran out with error > tol
+    budget_exhausted: bool
 
 
 @lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _rule_tables(rule: tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nodes and weights of a rule pair on [-1, 1]^dim, coarse rule then fine.
 
-
-@lru_cache(maxsize=None)
-def _unit_nodes(rule: tuple[int, int], dim: int) -> tuple[np.ndarray, ...]:
-    """Nodes of a rule pair on [-1, 1]^dim, coarse rule then fine rule.
-
-    One array per axis; the tensor grid is flattened with the x index
+    Returns the nodes as a ``(dim, 1, N)`` array, the ``N`` weights, and the
+    number of coarse nodes. Each tensor grid is flattened with the x index
     outermost, as ``meshgrid(..., indexing="ij").ravel()`` orders it.
     """
-    return tuple(
-        np.concatenate(
-            [np.repeat(np.tile(_leggauss(n)[0], n**j), n ** (dim - 1 - j)) for n in rule]
-        )
-        for j in range(dim)
-    )
+    nodes, weights = [], []
+    for n in rule:
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes.append([np.repeat(np.tile(x, n**j), n ** (dim - 1 - j)) for j in range(dim)])
+        weights.append(reduce(np.multiply.outer, [w] * dim).ravel())
+    return np.concatenate(nodes, axis=1)[:, None, :], np.concatenate(weights), weights[0].size
 
 
 def _eval_cells(f, cells):
     """Integrate f over each ``(bounds, rule)`` cell with its nested rule pair,
     all cells in one call of ``f``.
 
-    ``bounds`` is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. Returns
-    ``([(fine_value, |fine - coarse|) per cell], n_evals)``.
+    ``bounds`` is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. The cells of
+    one rule get their nodes from one broadcast, and each rule is reduced as
+    one row sum per cell, so a cell gets the same bits in any batch. Returns
+    ``(fine values, |fine - coarse| errors, n_evals)``, lists in cell order.
     """
     dim = len(cells[0][0]) // 2
-    coords: list[list[np.ndarray]] = [[] for _ in range(dim)]
-    scales = []
-    for bounds, rule in cells:
-        scale = 1.0
-        for j, unit in enumerate(_unit_nodes(rule, dim)):
+    if len(cells) == 1:  # cheaper set-up in Python floats, same bits as a batch
+        [(bounds, rule)] = cells
+        units, weights, k = _rule_tables(rule, dim)
+        nodes, scale = [], 1.0
+        for j, unit in enumerate(units):
             lo, hi = bounds[2 * j], bounds[2 * j + 1]
             h = 0.5 * (hi - lo)
-            coords[j].append(0.5 * (lo + hi) + h * unit)
+            nodes.append(0.5 * (lo + hi) + h * unit[0])
             scale *= h
-        scales.append(scale)
-    nodes = [np.concatenate(c) for c in coords]
-    n_evals = nodes[0].size
+        fw = np.asarray(f(*nodes), dtype=float).reshape(weights.size) * weights
+        coarse, fine = scale * float(np.add.reduce(fw[:k])), scale * float(np.add.reduce(fw[k:]))
+        return [fine], [abs(fine - coarse)], weights.size
+    groups: dict = {}
+    for i, (bounds, rule) in enumerate(cells):
+        groups.setdefault(rule, []).append(i)
+    coords, scales = [], []
+    for rule, idx in groups.items():
+        b = np.array([cells[i][0] for i in idx]).T
+        c, h = 0.5 * (b[0::2] + b[1::2]), 0.5 * (b[1::2] - b[0::2])
+        units = _rule_tables(rule, dim)[0]
+        coords.append((c[:, :, None] + h[:, :, None] * units).reshape(dim, -1))
+        scales.append(reduce(np.multiply, h))
+    nodes = coords[0] if len(coords) == 1 else np.concatenate(coords, axis=1)
+    n_evals = nodes.shape[1]
     fv = np.asarray(f(*nodes), dtype=float).reshape(n_evals)
-    out = []
+    value, error = np.empty(len(cells)), np.empty(len(cells))
     i = 0
-    for (_, rule), scale in zip(cells, scales):
-        vals = []
-        for n in rule:
-            wn = _leggauss(n)[1]
-            m = n**dim
-            cell = fv[i : i + m]
-            s = wn @ cell if dim == 1 else np.einsum("i,j,ij->", wn, wn, cell.reshape(n, n))
-            vals.append(scale * float(s))
-            i += m
-        coarse, fine = vals
-        out.append((fine, abs(fine - coarse)))
-    return out, n_evals
+    for (rule, idx), scale in zip(groups.items(), scales):
+        _, weights, k = _rule_tables(rule, dim)
+        block = fv[i : i + len(idx) * weights.size].reshape(len(idx), -1) * weights
+        coarse = scale * block[:, :k].sum(axis=1)
+        fine = scale * block[:, k:].sum(axis=1)
+        value[idx], error[idx] = fine, np.abs(fine - coarse)
+        i += block.size
+    return value.tolist(), error.tolist(), n_evals
 
 
 def _adaptive_heap(f, seeds, split, tol: float, budget: int) -> QuadResult:
-    """Refine the worst cell until the summed error is at most ``tol`` or
+    """Refine the worst cells until the summed error is at most ``tol`` or
     ``budget`` evaluations are spent.
 
     ``seeds`` are ``(bounds, rule)`` cells; ``split(*bounds)`` gives the
     bounds of a cell's children, which inherit its rule. Each step is one
-    call of ``f``: the seeds first, then the children of each popped cell.
+    call of ``f``: the seeds first, then the children of the cells popped by
+    the batch pop rule (see the module docstring).
     """
     heap: list = []
     total = err = 0.0
-    n_evals = 0
+    n_evals = n_steps = 0
     tick = itertools.count()
     batch = seeds
     while batch:
-        values, ne = _eval_cells(f, batch)
+        values, errors, ne = _eval_cells(f, batch)
         n_evals += ne
-        for (bounds, rule), (v, e) in zip(batch, values):
+        n_steps += 1
+        for (bounds, rule), v, e in zip(batch, values, errors):
             total += v
             err += e
             heapq.heappush(heap, (-e, next(tick), bounds, rule, v, e))
-        batch = []
-        if err > tol and n_evals < budget:
-            _, _, bounds, rule, v, e = heapq.heappop(heap)
+        # pop until the popped errors reach half of the excess over tol
+        batch, excess, popped, nodes = [], err - tol, 0.0, 0
+        while heap and 2.0 * popped < excess and n_evals < budget:
+            _, _, bounds, rule, v, e = heap[0]
+            children = split(*bounds)
+            n = len(children) * _rule_tables(rule, len(bounds) // 2)[1].size
+            if batch and (nodes + n > STEP_NODES or n_evals + nodes + n > budget):
+                break
+            heapq.heappop(heap)
             total -= v
             err -= e
-            batch = [(child, rule) for child in split(*bounds)]
-    return QuadResult(total, err, n_evals, len(heap), err <= tol)
+            popped += e
+            nodes += n
+            batch += [(child, rule) for child in children]
+    return QuadResult(
+        total, err, n_evals, len(heap), err <= tol, n_steps, err > tol and n_evals >= budget
+    )
 
 
 def _split_2d(xa, xb, ya, yb):

@@ -5,6 +5,7 @@ deliberately avoiding the library's own code paths, so that an agreement
 between an oracle and the library is a genuine dual-route check.
 """
 
+import functools
 import heapq
 import math
 
@@ -71,6 +72,15 @@ def lift_label(value, tol):
 def bvn_orthant_lower(r):
     """P(X <= 0, Y <= 0) for the standard bivariate normal."""
     return 0.25 + math.asin(r) / (2 * math.pi)
+
+
+def mi_integrand_masked(rho, mx, my):
+    """``rho * log(rho / (mx * my))`` gathered and scattered on the points
+    where all three densities are positive, 0 elsewhere."""
+    out = np.zeros_like(rho)
+    ok = (rho > 0) & (mx > 0) & (my > 0)
+    out[ok] = rho[ok] * (np.log(rho[ok]) - np.log(mx[ok]) - np.log(my[ok]))
+    return out
 
 
 def quad_1d(f, a, b, **kw):
@@ -141,9 +151,17 @@ def ball_profile_csv(radii, counts, densities):
 
 
 # Reference adaptive heaps: the nested Gauss-Legendre heap written out one
-# cell at a time, with one integrand call per cell and rule. Each returns
-# ``((value, error, n_evals, n_cells, converged), pops)``, where ``pops`` is
-# the number of cells taken off the heap and split.
+# cell at a time, with one integrand call per cell and rule and each rule
+# reduced as ``np.sum(w * cell)`` over its flattened tensor grid. A heap step
+# pops the worst cells (ties by age) until their errors sum to at least half
+# of ``err - tol``, stopping before a cell whose children would take the step
+# past ``STEP_NODES`` nodes or the evaluation count past ``budget``; it always
+# pops at least one cell. Each returns ``((value, error, n_evals, n_cells,
+# converged, n_steps, budget_exhausted), steps)``, where ``steps`` counts the
+# steps that popped cells and ``n_steps`` the integrand calls the batched
+# driver makes (one more, for the seeds).
+
+STEP_NODES = 2**15
 
 
 def _gl_cell_2d(f, xa, xb, ya, yb, rule):
@@ -153,44 +171,19 @@ def _gl_cell_2d(f, xa, xb, ya, yb, rule):
     for n in rule:
         xn, wn = np.polynomial.legendre.leggauss(n)
         xx, yy = np.meshgrid(cx + hx * xn, cy + hy * xn, indexing="ij")
-        fv = np.asarray(f(xx.ravel(), yy.ravel()), dtype=float).reshape(n, n)
-        vals.append(hx * hy * float(np.einsum("i,j,ij->", wn, wn, fv)))
+        cell = np.asarray(f(xx.ravel(), yy.ravel()), dtype=float)
+        vals.append(hx * hy * float(np.sum(np.outer(wn, wn).ravel() * cell)))
     coarse, fine = vals
-    return fine, abs(fine - coarse), sum(n * n for n in rule)
+    return fine, abs(fine - coarse)
 
 
-def quad_heap_2d(f, cells, tol, budget):
-    """Worst cell first (ties by age); long cells halve, near-square ones quarter."""
-    heap = []
-    total = err = 0.0
-    n_evals = tick = pops = 0
-
-    def push(xa, xb, ya, yb, rule):
-        nonlocal total, err, n_evals, tick
-        v, e, ne = _gl_cell_2d(f, xa, xb, ya, yb, rule)
-        total += v
-        err += e
-        n_evals += ne
-        heapq.heappush(heap, (-e, tick, xa, xb, ya, yb, rule, v, e))
-        tick += 1
-
-    for xa, xb, ya, yb, rule in cells:
-        push(xa, xb, ya, yb, rule)
-    while err > tol and n_evals < budget and heap:
-        _, _, xa, xb, ya, yb, rule, v, e = heapq.heappop(heap)
-        pops += 1
-        total -= v
-        err -= e
-        xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
-        if xb - xa >= 2.0 * (yb - ya):
-            children = [(xa, xm, ya, yb), (xm, xb, ya, yb)]
-        elif yb - ya >= 2.0 * (xb - xa):
-            children = [(xa, xb, ya, ym), (xa, xb, ym, yb)]
-        else:
-            children = [(xa, xm, ya, ym), (xm, xb, ya, ym), (xa, xm, ym, yb), (xm, xb, ym, yb)]
-        for child in children:
-            push(*child, rule)
-    return (total, err, n_evals, len(heap), err <= tol), pops
+def _children_2d(xa, xb, ya, yb):
+    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    if xb - xa >= 2.0 * (yb - ya):
+        return [(xa, xm, ya, yb), (xm, xb, ya, yb)]
+    if yb - ya >= 2.0 * (xb - xa):
+        return [(xa, xb, ya, ym), (xa, xb, ym, yb)]
+    return [(xa, xm, ya, ym), (xm, xb, ya, ym), (xa, xm, ym, yb), (xm, xb, ym, yb)]
 
 
 def _gl_cell_1d(f, a, b, rule):
@@ -198,28 +191,60 @@ def _gl_cell_1d(f, a, b, rule):
     vals = []
     for n in rule:
         xn, wn = np.polynomial.legendre.leggauss(n)
-        vals.append(h * float(wn @ np.asarray(f(c + h * xn), dtype=float)))
+        vals.append(h * float(np.sum(wn * np.asarray(f(c + h * xn), dtype=float))))
     coarse, fine = vals
-    return fine, abs(fine - coarse), sum(rule)
+    return fine, abs(fine - coarse)
+
+
+def _children_1d(a, b):
+    mid = 0.5 * (a + b)
+    return [(a, mid), (mid, b)]
+
+
+def _batch_pop_heap(cell_fn, children_fn, dim, seeds, tol, budget):
+    heap = []
+    total = err = 0.0
+    n_evals = tick = steps = 0
+    batch = seeds
+    while batch:
+        for bounds, rule in batch:
+            v, e = cell_fn(*bounds, rule)
+            n_evals += sum(n**dim for n in rule)
+            total += v
+            err += e
+            heapq.heappush(heap, (-e, tick, bounds, rule, v, e))
+            tick += 1
+        batch = []
+        excess = err - tol
+        popped = 0.0
+        nodes = 0
+        while heap and 2.0 * popped < excess and n_evals < budget:
+            bounds, rule = heap[0][2], heap[0][3]
+            children = children_fn(*bounds)
+            n = len(children) * sum(m**dim for m in rule)
+            if batch and (nodes + n > STEP_NODES or n_evals + nodes + n > budget):
+                break
+            _, _, _, _, v, e = heapq.heappop(heap)
+            total -= v
+            err -= e
+            popped += e
+            nodes += n
+            for child in children:
+                batch.append((child, rule))
+        if batch:
+            steps += 1
+    exhausted = err > tol and n_evals >= budget
+    return (total, err, n_evals, len(heap), err <= tol, steps + 1, exhausted), steps
+
+
+def quad_heap_2d(f, cells, tol, budget):
+    """Long cells halve, near-square ones quarter; children keep the rule."""
+    seeds = [((xa, xb, ya, yb), tuple(rule)) for xa, xb, ya, yb, rule in cells]
+    cell_fn = functools.partial(_gl_cell_2d, f)
+    return _batch_pop_heap(cell_fn, _children_2d, 2, seeds, tol, budget)
 
 
 def quad_heap_1d(f, a, b, tol, budget, rule=(7, 15)):
-    """Worst interval first (ties by age), halved at its midpoint."""
-    total, err, n_evals = _gl_cell_1d(f, a, b, rule)
-    heap = [(-err, 0, a, b, total, err)]
-    tick = 1
-    pops = 0
-    while err > tol and n_evals < budget and heap:
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        pops += 1
-        total -= v
-        err -= e
-        mid = 0.5 * (lo + hi)
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            v2, e2, ne = _gl_cell_1d(f, lo2, hi2, rule)
-            total += v2
-            err += e2
-            n_evals += ne
-            heapq.heappush(heap, (-e2, tick, lo2, hi2, v2, e2))
-            tick += 1
-    return (total, err, n_evals, len(heap), err <= tol), pops
+    """Intervals halve at their midpoint."""
+    cell_fn = functools.partial(_gl_cell_1d, f)
+    return _batch_pop_heap(cell_fn, _children_1d, 1, [((a, b), rule)], tol, budget)

