@@ -97,12 +97,10 @@ def _cmd_lift_grid(args, f, parser):
     if args.tol <= 0:
         parser.error("--tol must be positive")
     dist = _build_dist(args, parser)
-    if isinstance(dist, dm.DiscreteJoint) and args.grid_default:
-        field = lf.discrete_lift(dist, tol=args.tol)
-    else:
-        gx, gy = _grids(args)
-        field = lf.lift_grid(dist, gx, gy, tol=args.tol)
-    field.to_csv(f)
+    if args.grid_default and args.pmf_file is None:
+        parser.error("--grid-default needs --pmf-file")
+    gx, gy = (dist.x_support, dist.y_support) if args.grid_default else _grids(args)
+    lf.lift_grid(dist, gx, gy, tol=args.tol).to_csv(f)
 
 
 def _cmd_mi(args, f, parser):
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid-default",
         action="store_true",
-        help="for pmf input, use the support grid instead of --xmin/--xmax/...",
+        help="with --pmf-file, use the support grid instead of --xmin/--xmax/...",
     )
 
     p = new("mi", _cmd_mi, "mutual information (JSON)")

@@ -1,8 +1,12 @@
 """Joint-distribution classes and their densities, marginals, and samplers.
 
-Three joint classes are supported:
+Three joint classes are supported. Each owns its lift rule, an elementwise
+``lift(x, y)`` that is NaN where the lift is undefined, and its region cells,
+``lift_cells()``, so callers make one member call instead of branching on the
+class:
 
-* :class:`DiscreteJoint` -- a finite pmf table over labeled supports.
+* :class:`DiscreteJoint` -- a finite pmf table over labeled supports; ``lift``
+  and ``joint_density`` look up its cached ``lift_table`` and its pmf.
 * Absolutely continuous joints -- :class:`ContinuousJoint` (density
   evaluators with an explicit integration box) and the named families
   :class:`BivariateNormal`, :class:`CircularCauchy` and
@@ -15,10 +19,11 @@ Three joint classes are supported:
   formulas live in one place.
 * :class:`CurveSingularJoint` -- mass concentrated on the graphs of smooth
   branches ``y = phi_n(x)`` with absolutely continuous marginals. It has no
-  density w.r.t. area measure; its Y-marginal can be derived by the
-  pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over preimages),
-  whose preimages are found for many y at once by an elementwise bisection
-  on the monotone pieces of each branch.
+  density w.r.t. area measure (``joint_density``, ``integration_box`` and
+  ``lift_cells`` raise CurveSingularHasNoDensity). Its Y-marginal can be
+  derived by the pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over
+  preimages), whose preimages are found for many y at once by an elementwise
+  bisection on the monotone pieces of each branch.
 
 Density and marginal evaluators must be pure, vectorized functions: they take
 scalars or ndarrays and return values of the same shape. All distribution
@@ -40,6 +45,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Union
 
@@ -66,6 +72,7 @@ __all__ = [
     "JointDistribution",
     "NamedFamily",
     "DENSITY_FLOOR",
+    "ON_CURVE_TOL",
     "bvn_density",
     "circular_cauchy_density",
     "density_at",
@@ -95,8 +102,10 @@ PMF_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12
 DERIVATIVE_FLOOR = 1e-12
 DENSITY_FLOOR = 1e-300
+ON_CURVE_TOL = 1e-9
 INVERSE_CDF_RESOLUTION = 4096
 PROBE_GRID_SIZE = 1024
+REGION_GRID_N = 1024
 CSV_BLOCK_ROWS = 65536
 
 CAUCHY_BOX_HALF_WIDTH = 1e5
@@ -193,6 +202,38 @@ class DiscreteJoint:
     def p_y(self) -> np.ndarray:
         return self.pmf.sum(axis=0)
 
+    @cached_property
+    def lift_table(self) -> np.ndarray:
+        """Read-only ``p / (p_X p_Y)`` over the support; NaN where ``p_X p_Y`` is 0."""
+        denom = np.outer(self.p_x, self.p_y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = np.where(denom > 0, self.pmf / denom, np.nan)
+        table.flags.writeable = False
+        return table
+
+    def _cells(self, x, y):
+        """Support indices of the points, and where both coordinates are labels."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ix = np.minimum(np.searchsorted(self.x_support, x), self.x_support.size - 1)
+        iy = np.minimum(np.searchsorted(self.y_support, y), self.y_support.size - 1)
+        return ix, iy, (self.x_support[ix] == x) & (self.y_support[iy] == y)
+
+    def lift(self, x, y):
+        """Elementwise :attr:`lift_table` lookup; NaN off the support."""
+        ix, iy, on = self._cells(x, y)
+        return np.where(on, self.lift_table[ix, iy], np.nan)
+
+    def joint_density(self, x, y):
+        """Elementwise pmf lookup; raises OutOfSupport off the support."""
+        ix, iy, on = self._cells(x, y)
+        if not on.all():
+            raise OutOfSupport(f"label ({x}, {y}) not in the discrete support")
+        return self.pmf[ix, iy]
+
+    def lift_cells(self):
+        """The lift table and the product mass ``p_X p_Y`` of each cell."""
+        return self.lift_table, np.outer(self.p_x, self.p_y)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse CDF on the flattened pmf."""
         cum = np.cumsum(self.pmf.ravel())
@@ -214,15 +255,22 @@ class ContinuousFamily:
     """
 
     def lift(self, x, y):
-        """Elementwise density ratio ``rho / (rho_X rho_Y)``; NaN where the
-        product of the marginals is below DENSITY_FLOOR."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        joint = np.asarray(self.joint_density(x, y), dtype=float)
+        """Elementwise density ratio ``rho / (rho_X rho_Y)``, the marginals taken
+        before broadcasting; NaN where their product is below DENSITY_FLOOR."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        joint = np.asarray(self.joint_density(*np.broadcast_arrays(x, y)), dtype=float)
         denom = np.asarray(self.marginal_x(x), dtype=float) * np.asarray(
             self.marginal_y(y), dtype=float
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(denom >= DENSITY_FLOOR, joint / denom, np.nan)
+
+    def lift_cells(self):
+        """The lift at the midpoint quantiles of a ``REGION_GRID_N``-square
+        grid, and the product mass ``REGION_GRID_N**-2`` of every cell."""
+        u = (np.arange(REGION_GRID_N) + 0.5) / REGION_GRID_N
+        gx, gy = np.asarray(self.quantile_x(u)), np.asarray(self.quantile_y(u))
+        return np.asarray(self.lift(gx[:, None], gy), dtype=float), REGION_GRID_N**-2.0
 
     def quantile_x(self, u):
         """X quantiles from the marginal CDF tabulated over the box."""
@@ -402,6 +450,41 @@ class CurveSingularJoint:
             return self.marginal_y
         return pushforward_density_fn(self)
 
+    def lift(self, x, y):
+        """Elementwise lift: ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))``
+        where ``|y - phi_n(x)| <= ON_CURVE_TOL`` (the smallest such n wins),
+        zero off the branches. Each branch evaluates ``rho_Y`` once, on its
+        on-curve points, or point by point if a fold (a preimage with a flat
+        slope) makes that raise DerivativeVanishes. NaN at a fold or where
+        ``rho_Y`` is below DENSITY_FLOOR."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        values = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        rho_y = self.marginal_y_fn()
+        for branch in self.branches:
+            lo, hi = branch.domain
+            inside = (x >= lo) & (x <= hi)
+            phi_x = np.full(x.shape, np.nan)  # phi is evaluated on its domain only
+            phi_x[inside] = branch.phi(x[inside])
+            at = (np.abs(y - phi_x) <= ON_CURVE_TOL) & (values == 0.0)
+            x_at, phi_at = (np.broadcast_to(a, values.shape)[at] for a in (x, phi_x))
+            try:
+                dens = np.asarray(rho_y(phi_at), dtype=float)
+            except DerivativeVanishes:
+                dens = np.array([_density_or_nan(rho_y, v) for v in phi_at])
+            slope = np.asarray(branch.dphi(x_at), dtype=float)
+            with np.errstate(divide="ignore"):
+                val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
+            val[dens < DENSITY_FLOOR] = np.nan
+            values[at] = val
+        return values
+
+    def _no_density(self, *_):
+        raise CurveSingularHasNoDensity("curve-singular joints have no density w.r.t. area measure")
+
+    # The other classes build these on an area density.
+    joint_density = lift_cells = _no_density
+    integration_box = property(_no_density)
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """X from a tabulated inverse CDF, a branch by weight, the on-curve y."""
         inv_x = tabulated_inverse_cdf(self.marginal_x, self.support_x)
@@ -419,6 +502,13 @@ class CurveSingularJoint:
         return np.column_stack([x, y])
 
 
+def _density_or_nan(rho_y: Evaluator, y: float) -> float:
+    try:
+        return float(rho_y(y))
+    except DerivativeVanishes:
+        return math.nan
+
+
 NamedFamily = Union[BivariateNormal, CircularCauchy, IndependentProduct]
 JointDistribution = Union[DiscreteJoint, ContinuousJoint, NamedFamily, CurveSingularJoint]
 
@@ -426,23 +516,13 @@ JointDistribution = Union[DiscreteJoint, ContinuousJoint, NamedFamily, CurveSing
 def density_at(dist: JointDistribution, point: tuple[float, float]) -> float:
     """Joint density (or pmf entry) of ``dist`` at ``point``.
 
-    Discrete lookups require exact support matches. Curve-singular joints
-    have no joint density w.r.t. area measure and raise
-    CurveSingularHasNoDensity.
+    Discrete lookups require exact support matches and raise OutOfSupport
+    otherwise. Curve-singular joints have no joint density w.r.t. area
+    measure and raise CurveSingularHasNoDensity.
     """
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("point coordinates must be finite")
-    if isinstance(dist, DiscreteJoint):
-        ix = np.nonzero(dist.x_support == x)[0]
-        iy = np.nonzero(dist.y_support == y)[0]
-        if ix.size == 0 or iy.size == 0:
-            raise OutOfSupport(f"label ({x}, {y}) not in the discrete support")
-        return float(dist.pmf[ix[0], iy[0]])
-    if isinstance(dist, CurveSingularJoint):
-        raise CurveSingularHasNoDensity(
-            "curve-singular joints have no density w.r.t. area measure"
-        )
     return float(dist.joint_density(x, y))
 
 

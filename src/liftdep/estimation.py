@@ -167,13 +167,7 @@ def kernel_lift(
     denom = np.outer(marg_x, marg_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(denom > 0, joint / denom, np.nan)
-    field = LiftField(
-        grid_x=grid_x,
-        grid_y=grid_y,
-        values=values,
-        labels=classify_values(values, ESTIMATED_TOL),
-        tol=ESTIMATED_TOL,
-    )
+    field = LiftField(grid_x, grid_y, values, classify_values(values, ESTIMATED_TOL), ESTIMATED_TOL)
     return KernelLiftEstimate(bandwidth_x=hx, bandwidth_y=hy, field=field, n=n)
 
 

@@ -94,9 +94,8 @@ class MiReport:
 
 def mi_discrete(dist: dm.DiscreteJoint) -> MiReport:
     """Exact sum of ``p * log(p / (p_X p_Y))`` over positive-probability cells."""
-    denom = np.outer(dist.p_x, dist.p_y)
     mask = dist.pmf > 0
-    value = float(np.sum(dist.pmf[mask] * np.log(dist.pmf[mask] / denom[mask])))
+    value = float(np.sum(dist.pmf[mask] * np.log(dist.lift_table[mask])))
     return MiReport(
         value=max(value, 0.0),
         method=MiMethod.EXACT_SUM,
@@ -148,15 +147,15 @@ def mi_continuous(
     """Adaptive 2D quadrature of ``rho * log L`` over the integration box.
 
     The box is seeded as a core square plus tail bands with doubled node
-    density, so heavy-tailed families converge too. If the nested-rule error
-    estimate is still above 1e-3 when the budget runs out, either the Monte
+    density, so heavy-tailed families converge too. If the budget runs out
+    with the nested-rule error estimate still above 1e-3, either the Monte
     Carlo fallback kicks in (when requested and the family is sampleable) or
     QuadratureNotConverged is raised.
     """
     result = adaptive_quad_2d(
         _mi_integrand(dist), core_tail_cells(dist.integration_box), tol=tol, budget=budget
     )
-    if result.error > CONVERGENCE_FAILURE_TOL:
+    if result.budget_exhausted and result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
             return replace(
                 _mi_monte_carlo(dist, mc_samples, seed),

@@ -3,17 +3,20 @@
 The lift at a point compares the joint law with the product of the marginals:
 values above one mean the coordinates mutually lift each other there, values
 below one mean they inhibit, one means local independence. Each joint class
-gets its own evaluation rule:
+owns its rule as an elementwise ``lift(x, y)`` (:mod:`liftdep.distributions`):
 
-* discrete: pmf ratio ``p / (p_X p_Y)``, read from the :func:`discrete_lift`
-  table;
-* absolutely continuous: the family's elementwise ``lift`` -- the density
-  ratio, or the family's closed form where it has one (bivariate normal);
+* discrete: a lookup in the pmf-ratio table ``p / (p_X p_Y)``, NaN off the
+  support;
+* absolutely continuous: the density ratio, or the family's closed form
+  where it has one (bivariate normal);
 * curve-singular: zero off the branches and
   ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))`` on branch n.
 
-:func:`lift_grid` is the one evaluation path: the pointwise lift is a
-one-point grid that raises UndefinedAtPoint where its cell is undefined.
+:func:`lift_grid` is the one evaluation path, one ``dist.lift`` call with the
+x grid as a column and the y grid as a row (the rules broadcast, so no dense
+mesh is built): :func:`discrete_lift` is the grid of the support, and the
+pointwise lift a one-point grid that raises UndefinedAtPoint where its cell is
+undefined.
 
 Grid cells where the value is undefined (a vanishing marginal, an off-support
 discrete label) carry the ``Undefined`` label rather than a sentinel value so
@@ -28,13 +31,13 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import distributions as dm
-from .distributions import DENSITY_FLOOR
-from .errors import DerivativeVanishes, UndefinedAtPoint
+from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
+from .errors import UndefinedAtPoint
 from .quadrature import adaptive_quad_1d, adaptive_quad_2d, core_tail_cells
 
 __all__ = [
@@ -56,9 +59,6 @@ __all__ = [
 
 ANALYTIC_TOL = 1e-9
 ESTIMATED_TOL = 0.05
-ON_CURVE_TOL = 1e-9
-
-REGION_GRID_N = 1024
 
 
 class RegionLabel(enum.StrEnum):
@@ -98,11 +98,7 @@ class RegionSummary:
     mass_neutral: float
 
     def to_dict(self) -> dict:
-        return {
-            "mass_lift": self.mass_lift,
-            "mass_inhibit": self.mass_inhibit,
-            "mass_neutral": self.mass_neutral,
-        }
+        return asdict(self)
 
 
 def classify_values(values: np.ndarray, tol: float) -> np.ndarray:
@@ -128,17 +124,7 @@ def discrete_lift(dist: dm.DiscreteJoint, tol: float = ANALYTIC_TOL) -> LiftFiel
     Cells whose product marginal vanishes (necessarily zero-probability
     cells) are labeled Undefined.
     """
-    denom = np.outer(dist.p_x, dist.p_y)
-    values = np.full(dist.pmf.shape, np.nan)
-    defined = denom > 0
-    values[defined] = dist.pmf[defined] / denom[defined]
-    return LiftField(
-        grid_x=dist.x_support.copy(),
-        grid_y=dist.y_support.copy(),
-        values=values,
-        labels=classify_values(values, tol),
-        tol=tol,
-    )
+    return lift_grid(dist, dist.x_support.copy(), dist.y_support.copy(), tol)
 
 
 def lift_at(dist, point) -> float:
@@ -248,81 +234,22 @@ def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
     if any(np.any(g[1:] <= g[:-1]) for g in (grid_x, grid_y)):
         raise ValueError("grids must be strictly increasing")
 
-    if isinstance(dist, dm.DiscreteJoint):
-        table = discrete_lift(dist, tol).values
-        ix = np.minimum(np.searchsorted(dist.x_support, grid_x), dist.x_support.size - 1)
-        iy = np.minimum(np.searchsorted(dist.y_support, grid_y), dist.y_support.size - 1)
-        on = np.outer(dist.x_support[ix] == grid_x, dist.y_support[iy] == grid_y)
-        values = np.where(on, table[np.ix_(ix, iy)], np.nan)
-    elif isinstance(dist, dm.CurveSingularJoint):
-        values = _curve_grid(dist, grid_x, grid_y)
-    else:
-        xx, yy = np.meshgrid(grid_x, grid_y, indexing="ij")
-        values = np.asarray(dist.lift(xx, yy), dtype=float)
+    values = np.asarray(dist.lift(grid_x[:, None], grid_y), dtype=float)
     return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
-
-
-def _curve_grid(dist: dm.CurveSingularJoint, grid_x, grid_y) -> np.ndarray:
-    """Curve-singular lift on a grid; the smallest branch index wins a cell.
-
-    A cell is on branch n when ``|y - phi_n(x)| <= ON_CURVE_TOL``. The
-    Y-marginal is evaluated once per branch, on every on-curve ``phi_n(x)``,
-    or point by point if a fold (a preimage with a flat slope) makes the batch
-    raise DerivativeVanishes; cells at a fold become Undefined.
-    """
-    values = np.zeros((grid_x.size, grid_y.size))
-    rho_y = dist.marginal_y_fn()
-    for branch in dist.branches:
-        lo, hi = branch.domain
-        rows = np.flatnonzero((grid_x >= lo) & (grid_x <= hi))
-        phi_x = np.asarray(branch.phi(grid_x[rows]), dtype=float)
-        on = np.abs(grid_y - phi_x[:, None]) <= ON_CURVE_TOL
-        hit = on.any(axis=1)
-        rows, phi_x, on = rows[hit], phi_x[hit], on[hit]
-        try:
-            dens = np.asarray(rho_y(phi_x), dtype=float)
-        except DerivativeVanishes:
-            dens = np.array([_density_or_nan(rho_y, y) for y in phi_x])
-        slope = np.asarray(branch.dphi(grid_x[rows]), dtype=float)
-        with np.errstate(divide="ignore"):
-            val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
-        val[dens < DENSITY_FLOOR] = np.nan
-        block = values[rows]
-        values[rows] = np.where(on & (block == 0.0), val[:, None], block)
-    return values
-
-
-def _density_or_nan(rho_y, y: float) -> float:
-    try:
-        return float(rho_y(y))
-    except DerivativeVanishes:
-        return math.nan
 
 
 def region_summary(dist, tol: float = ANALYTIC_TOL) -> RegionSummary:
     """Masses of ``{L > 1 + tol}``, ``{L < 1 - tol}``, and the remainder
     under the product of the marginals.
 
-    Discrete joints are summed exactly. Continuous joints are evaluated on a
-    quantile-spaced grid so every cell carries identical product mass; the
-    only error is boundary-cell misclassification.
+    The cells and masses are the class's ``lift_cells``. Discrete joints are
+    summed exactly. Continuous joints are evaluated on a quantile-spaced grid
+    so every cell carries identical product mass; the only error is
+    boundary-cell misclassification. Curve-singular joints raise
+    CurveSingularHasNoDensity.
     """
-    if isinstance(dist, dm.DiscreteJoint):
-        weights = np.outer(dist.p_x, dist.p_y)
-        field = discrete_lift(dist, tol)
-        defined = ~np.isnan(field.values)
-        lift_mass = float(weights[defined & (field.values > 1.0 + tol)].sum())
-        inhibit_mass = float(weights[defined & (field.values < 1.0 - tol)].sum())
-        return RegionSummary(lift_mass, inhibit_mass, 1.0 - lift_mass - inhibit_mass)
-    if isinstance(dist, dm.CurveSingularJoint):
-        raise TypeError("region_summary is not defined for curve-singular joints")
-
-    u = (np.arange(REGION_GRID_N) + 0.5) / REGION_GRID_N
-    gx = np.asarray(dist.quantile_x(u), dtype=float)
-    gy = np.asarray(dist.quantile_y(u), dtype=float)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    values = np.asarray(dist.lift(xx, yy), dtype=float)
-    cell = 1.0 / (REGION_GRID_N * REGION_GRID_N)
-    lift_mass = float(np.count_nonzero(values > 1.0 + tol)) * cell
-    inhibit_mass = float(np.count_nonzero(values < 1.0 - tol)) * cell
+    values, weights = dist.lift_cells()
+    weights = np.broadcast_to(weights, values.shape)
+    lift_mass = float(weights[values > 1.0 + tol].sum())
+    inhibit_mass = float(weights[values < 1.0 - tol].sum())
     return RegionSummary(lift_mass, inhibit_mass, 1.0 - lift_mass - inhibit_mass)

@@ -13,6 +13,8 @@ import pytest
 import liftdep
 from liftdep.cli import main
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -133,6 +135,28 @@ class TestOutputs:
         assert lines[0] == "x,y,omega"
         assert float(lines[1].split(",")[2]) == pytest.approx(1.409666, abs=1e-4)
 
+    def test_lift_grid_default_is_the_support_grid(self, capsys, tmp_path):
+        # fewer than eight labels a side: numpy then sums each marginal in
+        # order, so the loop oracle gives the same bits
+        xs, ys = [-1.5, 0.0, 2.0], [0.0, 1.0, 2.5, 4.0]
+        pmf = [[0.125, 0.0, 0.0625, 0.0], [0.1, 0.2, 0.0, 0.0], [0.0, 0.0, 0.5125, 0.0]]
+        path = tmp_path / "pmf.csv"
+        path.write_text(oracles.pmf_csv(xs, ys, pmf))
+        code, out, _ = run(capsys, "lift-grid", "--pmf-file", str(path), "--grid-default")
+        assert code == 0
+        values = [[math.nan if v is None else v for v in row]
+                  for row in oracles.brute_lift_table(pmf)]
+        labels = [[oracles.lift_label(v, 1e-9) for v in row] for row in values]
+        assert out == oracles.lift_field_csv(xs, ys, values, labels)
+
+    def test_lift_grid_default_needs_pmf_file(self, capsys):
+        code, out, err = run(
+            capsys, "lift-grid", "--dist", "bvn", "--r", "0.6", "--grid-default"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--grid-default" in err
+
     def test_target_discrete(self, capsys, tmp_path):
         pmf = tmp_path / "pmf.csv"
         pmf.write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
@@ -233,6 +257,16 @@ class TestMalformedInput:
         assert out == ""
         assert "ValueError" in err and "line 3: not a number: 'abc'" in err
 
+
+    @pytest.mark.parametrize("argv", [
+        ["regions"],
+        ["target", "--target-lo", "0", "--target-hi", "1"],
+    ])
+    def test_curve_without_area_density_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--dist", "curve-normal-identity")
+        assert code == 1
+        assert out == ""
+        assert "CurveSingularHasNoDensity" in err
 
     def test_curve_fold_is_undefined_cell(self, capsys):
         # X ~ U[0,1], Y = X^2: phi' vanishes at x = 0, the rest of the curve

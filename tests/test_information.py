@@ -95,6 +95,14 @@ class TestMiContinuous:
         assert report.n_cells > 4
         assert set(report.to_dict()) == {"value", "method", "abs_error_estimate", "n_evals"}
 
+    def test_converged_run_above_failure_bound_returns(self):
+        # a tolerance above the 1e-3 failure bound: the heap converges with an
+        # error estimate between the two, which is a result, not a failure
+        report = ld.mi_continuous(ld.BivariateNormal(0.6), tol=0.01)
+        assert report.converged
+        assert not report.budget_exhausted
+        assert report.value == pytest.approx(ld.mi_bvn_closed_form(0.6).value, abs=0.01)
+
     def test_monte_carlo_fallback(self):
         report = ld.mi_continuous(
             ld.BivariateNormal(0.6), budget=64, monte_carlo_fallback=True, mc_samples=200_000

@@ -1,10 +1,13 @@
 """Lift evaluation, Sibuya's ratio, grids, regions, and the property suite."""
 
+import dataclasses
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liftdep as ld
 from liftdep.lift import RegionLabel
@@ -85,6 +88,14 @@ class TestCurveLiftAt:
 
     def test_off_curve_is_zero(self, normal_identity_curve):
         assert ld.curve_lift_at(normal_identity_curve, (0.0, 1.0)) == 0.0
+        # y = x at x = 9 lies beyond the branch domain [-8, 8]
+        assert ld.curve_lift_at(normal_identity_curve, (9.0, 9.0)) == 0.0
+
+    def test_undefined_where_y_marginal_vanishes(self, uniform_identity_curve):
+        curve = dataclasses.replace(uniform_identity_curve, marginal_y=ld.uniform_pdf(0.0, 0.5))
+        assert ld.curve_lift_at(curve, (0.25, 0.25)) == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)))
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.curve_lift_at(curve, (0.75, 0.75))
 
     def test_two_branch_mixture(self, tent_curve):
         assert ld.curve_lift_at(tent_curve, (0.25, 0.25)) == pytest.approx(
@@ -95,6 +106,17 @@ class TestCurveLiftAt:
         # at x = 0.5 both branches pass through y = 0.5; branch 0 wins
         val = ld.curve_lift_at(tent_curve, (0.5, 0.5))
         assert val == pytest.approx(0.22507907903927651, rel=1e-8)
+        # weights 1/4 and 3/4 keep Y uniform but give the branches different
+        # lifts 2 a_n / (pi sqrt 2), so the winner shows
+        up, down = tent_curve.branches
+        skewed = ld.CurveSingularJoint(
+            tent_curve.marginal_x,
+            (0.0, 1.0),
+            (dataclasses.replace(up, weight=0.25), dataclasses.replace(down, weight=0.75)),
+        )
+        assert ld.curve_lift_at(skewed, (0.5, 0.5)) == pytest.approx(
+            0.5 / (math.pi * math.sqrt(2.0)), rel=1e-12
+        )
 
 
 class TestSibuyaOmega:
@@ -341,6 +363,68 @@ class TestPropertySuite:
         # sanity: the factors are 2/(pi sqrt(2)) and 2/(pi sqrt(5))
         assert conc_shallow == pytest.approx(2 / (math.pi * math.sqrt(2)), rel=1e-9)
         assert conc_steep == pytest.approx(2 / (math.pi * math.sqrt(5)), rel=1e-9)
+
+
+def _mixed_grid(data, labels):
+    """A strictly increasing grid drawn from the labels, the midpoints between
+    them and one point beyond each end."""
+    mids = (labels[1:] + labels[:-1]) / 2
+    pool = np.concatenate([labels, mids, [labels[0] - 1.0, labels[-1] + 1.0]])
+    return np.sort(data.draw(st.lists(st.sampled_from(pool.tolist()), min_size=1, unique=True)))
+
+
+# Fewer than eight labels a side: numpy then sums each marginal in order, so
+# the loop oracles give the same bits.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nx=st.integers(1, 7),
+    ny=st.integers(1, 7),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.7]),
+    data=st.data(),
+)
+def test_discrete_members_match_brute_force(seed, nx, ny, zero_fraction, data):
+    rng = np.random.default_rng(seed)
+    pmf = oracles.random_pmf(rng, nx, ny, zero_fraction)
+    xs = np.cumsum(rng.uniform(0.5, 2.0, nx))
+    ys = np.cumsum(rng.uniform(0.5, 2.0, ny)) - 3.0
+    dist = ld.DiscreteJoint(xs, ys, pmf)
+    brute = oracles.brute_lift_table(pmf)
+    assert not dist.lift_table.flags.writeable
+
+    gx, gy = _mixed_grid(data, xs), _mixed_grid(data, ys)
+    field = ld.lift_grid(dist, gx, gy)
+    for i, x in enumerate(gx):
+        for j, y in enumerate(gy):
+            want = None
+            if x in xs and y in ys:
+                want = brute[int(np.flatnonzero(xs == x)[0])][int(np.flatnonzero(ys == y)[0])]
+            if want is None:
+                assert math.isnan(field.values[i, j])
+                assert field.labels[i, j] == "Undefined"
+            else:
+                assert field.values[i, j] == want
+                assert field.labels[i, j] == oracles.lift_label(want, ld.ANALYTIC_TOL)
+
+    assert ld.mi_discrete(dist).value == pytest.approx(max(oracles.brute_mi(pmf), 0.0), abs=1e-12)
+
+    px, py = [sum(row) for row in pmf.tolist()], [sum(col) for col in pmf.T.tolist()]
+    lift_mass = inhibit_mass = 0.0
+    for i in range(nx):
+        for j in range(ny):
+            if brute[i][j] is not None and brute[i][j] > 1.0 + ld.ANALYTIC_TOL:
+                lift_mass += px[i] * py[j]
+            if brute[i][j] is not None and brute[i][j] < 1.0 - ld.ANALYTIC_TOL:
+                inhibit_mass += px[i] * py[j]
+    summary = ld.region_summary(dist)
+    assert summary.mass_lift == pytest.approx(lift_mass, abs=1e-12)
+    assert summary.mass_inhibit == pytest.approx(inhibit_mass, abs=1e-12)
+
+    x_off = data.draw(st.sampled_from([xs[0] - 1.0, xs[-1] + 1.0, *((xs[1:] + xs[:-1]) / 2)]))
+    with pytest.raises(ld.OutOfSupport):
+        ld.lift_at(dist, (x_off, ys[0]))
+    with pytest.raises(ld.OutOfSupport):
+        ld.lift_at(dist, (xs[0], ys[-1] + 1.0))
 
 
 class TestLiftFieldCsv:
