@@ -20,6 +20,7 @@ from . import information as info
 from . import lift as lf
 from . import scaling as sc
 from .errors import LiftDepError
+from .quadrature import DEFAULT_BUDGET_2D
 
 CURVE_SPECS = (
     "curve-normal-identity",
@@ -105,14 +106,17 @@ def _cmd_lift_grid(args, f, parser):
 
 def _cmd_mi(args, f, parser):
     dist = _build_dist(args, parser)
-    if isinstance(dist, dm.DiscreteJoint):
-        report = info.mi_discrete(dist)
-    elif isinstance(dist, dm.CurveSingularJoint):
-        report = info.mi_curve(dist)
-    elif isinstance(dist, dm.BivariateNormal) and args.method == "auto":
+    if isinstance(dist, dm.BivariateNormal) and args.method == "auto":
         report = info.mi_bvn_closed_form(dist.r)
+    elif isinstance(dist, dm.ContinuousFamily):
+        budget = DEFAULT_BUDGET_2D if args.budget is None else args.budget
+        report = info.mi_continuous(dist, budget=budget)
+    elif args.method == "quadrature" or args.budget is not None:
+        parser.error("--method quadrature and --budget need a continuous --dist")
+    elif isinstance(dist, dm.DiscreteJoint):
+        report = info.mi_discrete(dist)
     else:
-        report = info.mi_continuous(dist, budget=args.budget)
+        report = info.mi_curve(dist)
     report.to_json(f)
 
 
@@ -238,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("mi", _cmd_mi, "mutual information (JSON)")
     _add_dist_flags(p)
     p.add_argument("--method", choices=("auto", "quadrature"), default="auto")
-    p.add_argument("--budget", type=int, default=2**22)
+    p.add_argument(
+        "--budget", type=int, help="quadrature evaluation budget (default 2**22)"
+    )
 
     p = new("regions", _cmd_regions, "lift/inhibition region masses (JSON)")
     _add_dist_flags(p)

@@ -234,9 +234,9 @@ def _continuous_target(dist, target: tuple[float, float], x_grid) -> TargetingRe
     lo, hi = float(target[0]), float(target[1])
     if not lo < hi:
         raise ValueError("target interval must satisfy lo < hi")
-    x_lo, x_hi, y_lo, y_hi = dist.integration_box
+    _, _, y_lo, y_hi = dist.integration_box
     if x_grid is None:
-        x_grid = np.linspace(x_lo, x_hi, 201)
+        x_grid = np.linspace(*dist.bounded_axis("x"), 201)
     x_grid = np.asarray(x_grid, dtype=float)
     lo_c, hi_c = max(lo, y_lo), min(hi, y_hi)
     baseline = (
@@ -270,8 +270,9 @@ def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
 
     Accepts a DiscreteJoint, a ContingencyTable (used at raw frequencies),
     or an absolutely continuous joint together with a target interval
-    ``(lo, hi)`` and an optional 1D profile grid. Ties break toward the
-    smallest profile value.
+    ``(lo, hi)`` and an optional 1D profile grid (by default 201 points over
+    the X range of the integration box; ValueError when that range is
+    unbounded). Ties break toward the smallest profile value.
     """
     if isinstance(dist_or_table, ContingencyTable):
         return _discrete_target(empirical_pmf(dist_or_table), target_y)

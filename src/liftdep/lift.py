@@ -38,7 +38,7 @@ import numpy as np
 from . import distributions as dm
 from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
 from .errors import UndefinedAtPoint
-from .quadrature import adaptive_quad_1d, adaptive_quad_2d, core_tail_cells
+from .quadrature import adaptive_quad_1d, adaptive_quad_box
 
 __all__ = [
     "RegionLabel",
@@ -177,8 +177,16 @@ def sibuya_omega_at(dist, point) -> float:
     """Sibuya's dependence ratio ``F(x, y) / (G(x) H(y))``.
 
     Joint and marginal CDFs are computed by partial sums (discrete), adaptive
-    quadrature over the integration box (continuous), or the X-marginal mass
-    of ``{x' <= x : phi(x') <= y}`` (curve-singular).
+    quadrature over the integration box (continuous; infinite ends through
+    the sinh map of ``quadrature``), or the X-marginal mass of
+    ``{x' <= x : phi(x') <= y}`` (curve-singular).
+
+    A continuous family's CDFs are those of its law truncated to the box, so
+    near the lower edge of a finite box omega carries the truncation bias:
+    for ``BivariateNormal(0.6)`` (box edge -8) it is 4.6e-5 low at (-6, -6),
+    0.97% low at (-7, -7) and 10.9% low at (-7.5, -7.5). The quadrature itself
+    matches the exact truncated-box ratio there to about 4e-12, so its
+    absolute 1e-8 tolerance on ``F`` is not the cause.
     """
     x, y = float(point[0]), float(point[1])
     if isinstance(dist, dm.DiscreteJoint):
@@ -212,7 +220,7 @@ def sibuya_omega_at(dist, point) -> float:
     if x <= x_lo or y <= y_lo:
         return 0.0
     quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
-    f_joint = adaptive_quad_2d(dist.joint_density, core_tail_cells(quadrant), tol=1e-8).value
+    f_joint = adaptive_quad_box(dist.joint_density, quadrant, tol=1e-8).value
     return f_joint / (g * h)
 
 

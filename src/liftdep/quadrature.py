@@ -15,15 +15,21 @@ a cell gets the same bits whatever batch it is evaluated in.
 
 Integrands must be vectorized and elementwise: ``f(x, y)`` (2D) or ``f(x)``
 (1D) with 1-D ndarray arguments returning an ndarray of the same shape.
-Heavy-tailed integrands are handled by seeding the heap with a core box plus
-four tail bands whose rules carry doubled node counts; see
-:func:`core_tail_cells`.
+A finite 2D box is seeded with a core square plus up to four tail bands whose
+rules carry doubled node counts; see :func:`core_tail_cells`. An infinite end
+is integrated through the map ``x = c + sinh t``: ``c`` is the finite end of
+the axis (0 when both ends are infinite), ``t`` runs over ``[-T, 0]``,
+``[0, T]`` or ``[-T, T]`` with ``T = SINH_T_MAX``, and the integrand is
+multiplied by ``cosh t``. The map turns an algebraic tail into one that decays
+exponentially in ``t``, so a heavy tail costs a few cells, not a wide box;
+see :func:`adaptive_quad_box` and :func:`adaptive_quad_1d`.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
@@ -34,6 +40,7 @@ __all__ = [
     "QuadResult",
     "adaptive_quad_2d",
     "adaptive_quad_1d",
+    "adaptive_quad_box",
     "core_tail_cells",
     "DEFAULT_BUDGET_2D",
 ]
@@ -48,6 +55,10 @@ DEFAULT_BUDGET_2D = 2**22
 
 # Most nodes a heap step evaluates, unless its first popped cell alone has more.
 STEP_NODES = 2**15
+
+# Length of the t-interval of an infinite end. x = c + sinh t reaches
+# sinh 30 ~ 5.3e12 from c, so a Cauchy tail loses ~1.2e-13 of its mass.
+SINH_T_MAX = 30.0
 
 
 @dataclass(frozen=True)
@@ -207,11 +218,22 @@ def adaptive_quad_2d(
     return _adaptive_heap(f, seeds, _split_2d, tol, budget)
 
 
+def _quarters(xa, xb, ya, yb, rule):
+    xm, ym = 0.5 * (xa + xb), 0.5 * (ya + yb)
+    return [
+        (xa, xm, ya, ym, rule),
+        (xm, xb, ya, ym, rule),
+        (xa, xm, ym, yb, rule),
+        (xm, xb, ym, yb, rule),
+    ]
+
+
 def core_tail_cells(
     box: tuple[float, float, float, float],
     core_half: float = 8.0,
 ) -> list[tuple[float, float, float, float, tuple[int, int]]]:
-    """Seed cells for a box: a clipped core square plus up to four tail bands.
+    """Seed cells for a finite box: a clipped core square plus up to four tail
+    bands.
 
     The core is the intersection of the box with [-c, c]^2, quartered so the
     heap starts with several competing cells. The remainder of the box is
@@ -220,37 +242,77 @@ def core_tail_cells(
     single quartered tail region.
     """
     x_lo, x_hi, y_lo, y_hi = box
+    if not all(map(math.isfinite, box)):
+        raise ValueError("core_tail_cells needs a finite box; see adaptive_quad_box")
     if not (x_lo < x_hi and y_lo < y_hi):
         raise ValueError("integration box must have positive extent")
     c = core_half
     cx_lo, cx_hi = max(x_lo, -c), min(x_hi, c)
     cy_lo, cy_hi = max(y_lo, -c), min(y_hi, c)
-    cells: list[tuple[float, float, float, float, tuple[int, int]]] = []
-    if cx_lo < cx_hi and cy_lo < cy_hi:
-        xm, ym = 0.5 * (cx_lo + cx_hi), 0.5 * (cy_lo + cy_hi)
-        cells += [
-            (cx_lo, xm, cy_lo, ym, CORE_RULE),
-            (xm, cx_hi, cy_lo, ym, CORE_RULE),
-            (cx_lo, xm, ym, cy_hi, CORE_RULE),
-            (xm, cx_hi, ym, cy_hi, CORE_RULE),
-        ]
-        if x_lo < cx_lo:
-            cells.append((x_lo, cx_lo, y_lo, y_hi, TAIL_RULE))
-        if x_hi > cx_hi:
-            cells.append((cx_hi, x_hi, y_lo, y_hi, TAIL_RULE))
-        if y_lo < cy_lo:
-            cells.append((cx_lo, cx_hi, y_lo, cy_lo, TAIL_RULE))
-        if y_hi > cy_hi:
-            cells.append((cx_lo, cx_hi, cy_hi, y_hi, TAIL_RULE))
-    else:
-        xm, ym = 0.5 * (x_lo + x_hi), 0.5 * (y_lo + y_hi)
-        cells += [
-            (x_lo, xm, y_lo, ym, TAIL_RULE),
-            (xm, x_hi, y_lo, ym, TAIL_RULE),
-            (x_lo, xm, ym, y_hi, TAIL_RULE),
-            (xm, x_hi, ym, y_hi, TAIL_RULE),
-        ]
+    if not (cx_lo < cx_hi and cy_lo < cy_hi):
+        return _quarters(x_lo, x_hi, y_lo, y_hi, TAIL_RULE)
+    cells = _quarters(cx_lo, cx_hi, cy_lo, cy_hi, CORE_RULE)
+    if x_lo < cx_lo:
+        cells.append((x_lo, cx_lo, y_lo, y_hi, TAIL_RULE))
+    if x_hi > cx_hi:
+        cells.append((cx_hi, x_hi, y_lo, y_hi, TAIL_RULE))
+    if y_lo < cy_lo:
+        cells.append((cx_lo, cx_hi, y_lo, cy_lo, TAIL_RULE))
+    if y_hi > cy_hi:
+        cells.append((cx_lo, cx_hi, cy_hi, y_hi, TAIL_RULE))
     return cells
+
+
+def _sinh_map(f, bounds):
+    """``f`` and ``bounds`` in the variables the heap integrates over.
+
+    A finite axis keeps ``t = x``. An axis with an infinite end gets
+    ``x = c + sinh t`` (see the module docstring) and multiplies the integrand
+    by ``cosh t``. Returns ``(integrand, t-bounds)``; with no infinite end
+    they are ``f`` and ``bounds`` themselves.
+    """
+    t_bounds, centres = [], []
+    for lo, hi in zip(bounds[0::2], bounds[1::2]):
+        if math.isfinite(lo) and math.isfinite(hi):
+            t_bounds += [lo, hi]
+            centres.append(None)
+            continue
+        if not lo < hi:
+            raise ValueError(f"integration interval ({lo}, {hi}) must have positive extent")
+        t_bounds += [-SINH_T_MAX if lo == -math.inf else 0.0, SINH_T_MAX if hi == math.inf else 0.0]
+        centres.append(lo if math.isfinite(lo) else hi if math.isfinite(hi) else 0.0)
+    if all(c is None for c in centres):
+        return f, tuple(bounds)
+
+    def mapped(*ts):
+        xs, jacobian = [], 1.0
+        for t, c in zip(ts, centres):
+            if c is None:
+                xs.append(t)
+            else:
+                xs.append(c + np.sinh(t))
+                jacobian = jacobian * np.cosh(t)
+        return np.asarray(f(*xs), dtype=float) * jacobian
+
+    return mapped, tuple(t_bounds)
+
+
+def adaptive_quad_box(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    box: tuple[float, float, float, float],
+    tol: float = 1e-6,
+    budget: int = DEFAULT_BUDGET_2D,
+) -> QuadResult:
+    """Adaptively integrate ``f(x, y)`` over ``box = (x_lo, x_hi, y_lo, y_hi)``,
+    whose ends may be infinite.
+
+    A finite box is seeded by :func:`core_tail_cells`. A box with an infinite
+    end is integrated over its ``t``-box (see the module docstring), seeded in
+    quarters with ``CORE_RULE``; ``f`` still receives ``x`` and ``y``.
+    """
+    g, t_box = _sinh_map(f, box)
+    cells = core_tail_cells(box) if g is f else _quarters(*t_box, CORE_RULE)
+    return adaptive_quad_2d(g, cells, tol=tol, budget=budget)
 
 
 def adaptive_quad_1d(
@@ -260,5 +322,7 @@ def adaptive_quad_1d(
     tol: float = 1e-9,
     budget: int = 2**18,
 ) -> QuadResult:
-    """Adaptive 1D integral of a vectorized integrand over [a, b]."""
-    return _adaptive_heap(f, [((a, b), RULE_1D)], _split_1d, tol, budget)
+    """Adaptive 1D integral of a vectorized integrand over [a, b]; an infinite
+    end is integrated through the sinh map of the module docstring."""
+    g, t_bounds = _sinh_map(f, (a, b))
+    return _adaptive_heap(g, [(t_bounds, RULE_1D)], _split_1d, tol, budget)

@@ -69,6 +69,21 @@ def lift_label(value, tol):
     return "Neutral"
 
 
+# The circular Cauchy, density 1/(2 pi (1 + x^2 + y^2)^(3/2)), in closed form.
+# MI = E[log L] = log(8 pi) - 3 over the whole plane.
+MI_CIRCULAR_CAUCHY = math.log(8.0 * math.pi) - 3.0
+
+
+def cauchy_cdf(x):
+    return 0.5 + math.atan(x) / math.pi
+
+
+def circular_cauchy_cdf(x, y):
+    """F(x, y) = P(X <= x, Y <= y)."""
+    s = math.atan(x) + math.atan(y) + math.atan(x * y / math.sqrt(1.0 + x * x + y * y))
+    return 0.25 + s / (2.0 * math.pi)
+
+
 def bvn_orthant_lower(r):
     """P(X <= 0, Y <= 0) for the standard bivariate normal."""
     return 0.25 + math.asin(r) / (2 * math.pi)

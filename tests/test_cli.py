@@ -53,6 +53,25 @@ class TestMi:
         assert payload["method"] == "ExactSum"
         assert payload["value"] == pytest.approx(0.192745, abs=1e-6)
 
+    @pytest.mark.parametrize("flags", [["--method", "quadrature"], ["--budget", "10"]],
+                             ids=["method", "budget"])
+    @pytest.mark.parametrize("source", ["pmf", "curve"])
+    def test_quadrature_flags_need_a_continuous_dist(self, capsys, tmp_path, source, flags):
+        """mi_discrete and mi_curve take neither flag, so giving one is a usage
+        error instead of a silently ignored setting."""
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
+        dist = ["--pmf-file", str(pmf)] if source == "pmf" else ["--dist", "curve-normal-identity"]
+        code, out, err = run(capsys, "mi", *dist, *flags)
+        assert code == 2
+        assert out == ""
+        assert flags[0] in err
+
+    def test_budget_reaches_the_quadrature(self, capsys):
+        code, _, err = run(capsys, "mi", "--dist", "cauchy-circular", "--budget", "1000")
+        assert code == 1
+        assert "QuadratureNotConverged" in err
+
 
 class TestWeierstrass:
     def test_two_endpoints(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import liftdep as ld
 from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
-from liftdep.quadrature import adaptive_quad_2d, core_tail_cells
+from liftdep.quadrature import adaptive_quad_box
 
 import oracles
 
@@ -210,6 +210,20 @@ class TestClassInvariants:
         with pytest.raises(ValueError, match="finite"):
             ld.DiscreteJoint(x_support, y_support, pmf)
 
+    def test_tabulated_quantiles_reject_an_unbounded_axis(self):
+        cont = ld.as_continuous(ld.CircularCauchy())
+        with pytest.raises(ValueError, match="x axis"):
+            cont.quantile_x([0.5])
+        with pytest.raises(ValueError, match="y axis"):
+            cont.quantile_y([0.5])
+        with pytest.raises(ValueError, match="unbounded"):
+            ld.region_summary(cont)
+        strip = ld.ContinuousJoint(
+            cont.joint_density, ld.uniform_pdf(-1.0, 1.0), cont.marginal_y,
+            (-1.0, 1.0, -np.inf, np.inf),
+        )
+        assert float(strip.quantile_x([0.5])[0]) == pytest.approx(0.0, abs=1e-3)
+
     def test_branch_weights_sum_to_one(self):
         b1 = ld.CurveBranch(
             phi=lambda x: np.asarray(x, float),
@@ -239,9 +253,7 @@ class TestClassInvariants:
     )
     def test_density_normalization(self, family):
         cont = ld.as_continuous(family)
-        res = adaptive_quad_2d(
-            cont.joint_density, core_tail_cells(cont.integration_box), tol=1e-5
-        )
+        res = adaptive_quad_box(cont.joint_density, cont.integration_box, tol=1e-5)
         assert 1 - 1e-3 <= res.value <= 1 + 1e-3
 
     @pytest.mark.parametrize(

@@ -187,6 +187,18 @@ class TestTargeting:
         assert result.x_opt == pytest.approx(best)
         assert result.boosted_rate == pytest.approx(cond_rate(best), abs=1e-6)
 
+    def test_circular_cauchy_half_line_target(self):
+        # P(Y >= 1) = 1/4 and P(Y >= 1 | X = x) = (1 - 1/sqrt(2 + x^2)) / 2,
+        # largest at the grid ends; ties go to the smaller x
+        result = ld.target_profile(ld.CircularCauchy(), (1.0, math.inf), np.linspace(-3, 3, 61))
+        assert result.baseline_rate == pytest.approx(1.0 - oracles.cauchy_cdf(1.0), abs=1e-10)
+        assert result.x_opt == -3.0
+        assert result.boosted_rate == pytest.approx((1 - 1 / math.sqrt(11.0)) / 2, abs=1e-10)
+
+    def test_default_grid_needs_a_bounded_x_axis(self):
+        with pytest.raises(ValueError, match="x axis"):
+            ld.target_profile(ld.CircularCauchy(), (1.0, 2.0))
+
     def test_table_input(self):
         result = ld.target_profile(table([[8, 2], [2, 8]]), 1.0)
         assert result.x_opt == 1.0

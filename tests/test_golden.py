@@ -42,7 +42,7 @@ RECIPES = [
     ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
      None, "93094d8c31f31458fcdfff41e251e424b894d511882a1ef36c0e6d68229fe336"),
     ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
-     "bd18c9577c19bbc65965bd6a9934d1bb2e54438f7eb9e9b469e8ec23b0881061"),
+     "475ce805d9126d447daa1293837a63615dc773f4a155787ef14f3e04acbc1409"),
     ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
                          "--out", "{dir}/cauchy_grid.csv"], "cauchy_grid.csv",
      "95b9f6919d6a0fb3a270662086a01eef004e019091ddcb0269d0fafdca82dfa5"),
@@ -89,7 +89,7 @@ EXTRA = [
      "aebb70659ad5758d0a410c34d0269eec9e0c79930d45296635e92cca0afe80d4"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
-     "e26458db9dcbe8c45aee825c4bb883dd40af4b93721700e32630b5a0a39ca250"),
+     "e129d583b525e120493762c89f389cb59e3d8791797963a38cfdd545719d8429"),
 ]
 
 

@@ -138,6 +138,39 @@ class TestSibuyaOmega:
         val = ld.sibuya_omega_at(ld.BivariateNormal(0.6), (-6.0, -6.0))
         assert val > 1.0
 
+    @pytest.mark.parametrize("t", [-6.0, -7.0, -7.5])
+    def test_bvn_lower_tail_is_the_truncated_box_ratio(self, t):
+        """Near the -8 edge of the box omega is F/(G H) of the law truncated to
+        the box, 4.6e-5 to 11% below the untruncated ratio; the truncated
+        ratio itself comes out to 1e-9."""
+        from scipy.special import ndtr
+
+        r, s = 0.6, math.sqrt(1 - 0.36)
+        f = oracles.quad_1d(
+            lambda u: oracles.normal_pdf(u) * (ndtr((t - r * u) / s) - ndtr((-8.0 - r * u) / s)),
+            -8.0, t, epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        g = ndtr(t) - ndtr(-8.0)
+        assert ld.sibuya_omega_at(ld.BivariateNormal(r), (t, t)) == pytest.approx(
+            f / (g * g), rel=1e-9
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
+    def test_circular_cauchy_matches_closed_form_cdf(self, x, y):
+        want = oracles.circular_cauchy_cdf(x, y) / (oracles.cauchy_cdf(x) * oracles.cauchy_cdf(y))
+        assert ld.sibuya_omega_at(ld.CircularCauchy(), (x, y)) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("x,y", [(0.5, 1.5), (-2.0, 3.0), (-7.0, -9.0)])
+    def test_circular_cauchy_cdf_oracle_matches_quadpack(self, x, y):
+        """The closed-form F against F = int_{-inf}^x rho_X(t) P(Y <= y | X = t) dt,
+        with conditional CDF (1 + y / sqrt(1 + t^2 + y^2)) / 2."""
+        f = oracles.quad_1d(
+            lambda t: 0.5 * (1.0 + y / math.sqrt(1.0 + t * t + y * y)) / (math.pi * (1.0 + t * t)),
+            -math.inf, x, epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        assert oracles.circular_cauchy_cdf(x, y) == pytest.approx(f, abs=1e-15)
+
     def test_discrete_partial_sums(self, dep_pmf):
         # F(0,0)=0.4, G=H=0.5
         assert ld.sibuya_omega_at(dep_pmf, (0.0, 0.0)) == pytest.approx(1.6)

@@ -16,6 +16,7 @@ from liftdep.quadrature import (
     _eval_cells,
     adaptive_quad_1d,
     adaptive_quad_2d,
+    adaptive_quad_box,
     core_tail_cells,
 )
 
@@ -231,3 +232,87 @@ def test_smooth_integrand_converges():
     assert res_1d.converged
     assert not res_1d.budget_exhausted
     assert res_1d.n_cells > 1
+
+
+# Infinite ends: the sinh map against the closed-form Cauchy CDFs of oracles.py.
+
+INF = math.inf
+CIRCULAR_CAUCHY = INTEGRANDS_2D["cauchy"]
+
+
+@pytest.mark.parametrize("b", [-50.0, -3.0, 0.0, 0.7, 5.0, 1e3])
+def test_1d_half_lines_match_the_cauchy_cdf(b):
+    cdf = oracles.cauchy_cdf(b)
+    lower = adaptive_quad_1d(INTEGRANDS_1D["cauchy"], -INF, b, tol=1e-10)
+    upper = adaptive_quad_1d(INTEGRANDS_1D["cauchy"], b, INF, tol=1e-10)
+    assert lower.value == pytest.approx(cdf, abs=1e-10)
+    assert upper.value == pytest.approx(1.0 - cdf, abs=1e-10)
+    assert lower.converged and upper.converged
+
+
+def test_1d_real_line_is_the_cauchy_mass():
+    res = adaptive_quad_1d(INTEGRANDS_1D["cauchy"], -INF, INF)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_circular_cauchy_density_integrates_to_one_over_the_plane():
+    res = adaptive_quad_box(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
+    assert res.value == pytest.approx(1.0, abs=1e-8)
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "box,want",
+    [
+        # P(|X| <= 1): a finite x axis beside a mapped y axis
+        ((-1.0, 1.0, -INF, INF), 0.5),
+        # P(X >= 0, Y <= 2) = H(2) - F(0, 2)
+        ((0.0, INF, -INF, 2.0), oracles.cauchy_cdf(2.0) - oracles.circular_cauchy_cdf(0.0, 2.0)),
+        # P(X >= 0.3, Y >= -2) = 1 - G(0.3) - H(-2) + F(0.3, -2)
+        ((0.3, INF, -2.0, INF), 1.0 - oracles.cauchy_cdf(0.3) - oracles.cauchy_cdf(-2.0)
+         + oracles.circular_cauchy_cdf(0.3, -2.0)),
+    ],
+    ids=["strip", "half-plane-quadrant", "upper-quadrant"],
+)
+def test_box_with_some_infinite_ends(box, want):
+    res = adaptive_quad_box(CIRCULAR_CAUCHY, box, tol=1e-9)
+    assert res.value == pytest.approx(want, abs=1e-10)
+
+
+def test_mapped_box_is_the_reference_heap_on_the_t_box():
+    """x = sinh t, y = sinh s on [-30, 30]^2 in CORE_RULE quarters, the
+    integrand times cosh t cosh s: the cell-by-cell heap gives the same bits."""
+
+    def mapped(t, s):
+        return CIRCULAR_CAUCHY(np.sinh(t), np.sinh(s)) * (np.cosh(t) * np.cosh(s))
+
+    quarters = [
+        (-30.0, 0.0, -30.0, 0.0, CORE_RULE),
+        (0.0, 30.0, -30.0, 0.0, CORE_RULE),
+        (-30.0, 0.0, 0.0, 30.0, CORE_RULE),
+        (0.0, 30.0, 0.0, 30.0, CORE_RULE),
+    ]
+    expected, _ = oracles.quad_heap_2d(mapped, quarters, 1e-6, DEFAULT_BUDGET_2D)
+    res = adaptive_quad_box(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
+    assert res == QuadResult(*expected)
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "box", [(0.0, 1.0, 0.0, 1.0), (-8.0, 8.0, -8.0, 8.0), (-1e4, 1e4, -3.0, 50.0)]
+)
+def test_finite_box_keeps_the_core_tail_seeding(box):
+    f = INTEGRANDS_2D["gaussian"]
+    want = adaptive_quad_2d(f, core_tail_cells(box), tol=1e-9)
+    assert adaptive_quad_box(f, box, tol=1e-9) == want
+
+
+def test_bad_infinite_ends_raise():
+    with pytest.raises(ValueError):
+        adaptive_quad_1d(INTEGRANDS_1D["cauchy"], INF, 0.0)
+    with pytest.raises(ValueError):
+        adaptive_quad_1d(INTEGRANDS_1D["cauchy"], -INF, -INF)
+    with pytest.raises(ValueError):
+        adaptive_quad_box(CIRCULAR_CAUCHY, (0.0, 1.0, INF, -INF))
+    with pytest.raises(ValueError, match="finite box"):
+        core_tail_cells((-INF, INF, -1.0, 1.0))
