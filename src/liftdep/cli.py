@@ -105,6 +105,8 @@ def _cmd_lift_grid(args, f, parser):
 
 
 def _cmd_mi(args, f, parser):
+    if args.budget is not None and args.budget <= 0:
+        parser.error("--budget must be positive")
     dist = _build_dist(args, parser)
     if isinstance(dist, dm.BivariateNormal) and args.method == "auto":
         report = info.mi_bvn_closed_form(dist.r)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dm
 from .errors import DegenerateCorrelation, QuadratureNotConverged, UndefinedAtPoint
-from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_box
+from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_2d
 
 __all__ = [
     "MiMethod",
@@ -146,14 +146,14 @@ def mi_continuous(
 ) -> MiReport:
     """Adaptive 2D quadrature of ``rho * log L`` over the integration box.
 
-    A finite box is seeded as a core square plus tail bands with doubled
-    node density; a box with an infinite end (a heavy-tailed family) is
-    integrated through ``x = c + sinh t`` (see :func:`adaptive_quad_box`). If
-    the budget runs out with the nested-rule error estimate still above 1e-3,
-    either the Monte Carlo fallback kicks in (when requested and the family
-    is sampleable) or QuadratureNotConverged is raised.
+    A finite box is seeded as a core square plus tail bands; a box with an
+    infinite end (a heavy-tailed family) is integrated through
+    ``x = c + sinh t`` (see :func:`adaptive_quad_2d`). If the budget runs
+    out with the nested-rule error estimate still above 1e-3, either the
+    Monte Carlo fallback kicks in (when requested and the family is
+    sampleable) or QuadratureNotConverged is raised.
     """
-    result = adaptive_quad_box(_mi_integrand(dist), dist.integration_box, tol=tol, budget=budget)
+    result = adaptive_quad_2d(_mi_integrand(dist), dist.integration_box, tol=tol, budget=budget)
     if result.budget_exhausted and result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
             return replace(

@@ -38,7 +38,7 @@ import numpy as np
 from . import distributions as dm
 from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
 from .errors import UndefinedAtPoint
-from .quadrature import adaptive_quad_1d, adaptive_quad_box
+from .quadrature import adaptive_quad_1d, adaptive_quad_2d
 
 __all__ = [
     "RegionLabel",
@@ -187,8 +187,12 @@ def sibuya_omega_at(dist, point) -> float:
     0.97% low at (-7, -7) and 10.9% low at (-7.5, -7.5). The quadrature itself
     matches the exact truncated-box ratio there to about 4e-12, so its
     absolute 1e-8 tolerance on ``F`` is not the cause.
+
+    Raises ValueError for a NaN coordinate; ``±inf`` is a valid coordinate.
     """
     x, y = float(point[0]), float(point[1])
+    if math.isnan(x) or math.isnan(y):
+        raise ValueError(f"Sibuya ratio needs a point without NaN, got ({x}, {y})")
     if isinstance(dist, dm.DiscreteJoint):
         mx = dist.x_support <= x
         my = dist.y_support <= y
@@ -217,10 +221,8 @@ def sibuya_omega_at(dist, point) -> float:
     h = _interval_mass(dist.marginal_y, y_lo, min(y, y_hi))
     if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
         raise UndefinedAtPoint(f"a marginal CDF is zero at ({x:.6g}, {y:.6g})")
-    if x <= x_lo or y <= y_lo:
-        return 0.0
     quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
-    f_joint = adaptive_quad_box(dist.joint_density, quadrant, tol=1e-8).value
+    f_joint = adaptive_quad_2d(dist.joint_density, quadrant, tol=1e-8).value
     return f_joint / (g * h)
 
 
@@ -233,12 +235,15 @@ def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
     """Evaluate the lift on a rectangular grid with region labels.
 
     Pointwise failures (off-support labels, vanishing marginals, folds of a
-    curve branch) become Undefined cells instead of raising.
+    curve branch) become Undefined cells instead of raising. Grids must be
+    strictly increasing and free of NaN, or ValueError is raised.
     """
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
     if grid_x.size < 1 or grid_y.size < 1:
         raise ValueError("grids must be nonempty")
+    if np.isnan(grid_x).any() or np.isnan(grid_y).any():
+        raise ValueError("grids must not contain NaN")
     if any(np.any(g[1:] <= g[:-1]) for g in (grid_x, grid_y)):
         raise ValueError("grids must be strictly increasing")
 

@@ -167,19 +167,47 @@ def ball_profile_csv(radii, counts, densities):
 
 # Reference adaptive heaps: the nested Gauss-Legendre heap written out one
 # cell at a time, with one integrand call per cell and rule and each rule
-# reduced as ``np.sum(w * cell)`` over its flattened tensor grid. A heap step
-# pops the worst cells (ties by age) until their errors sum to at least half
-# of ``err - tol``, stopping before a cell whose children would take the step
-# past ``STEP_NODES`` nodes or the evaluation count past ``budget``; it always
-# pops at least one cell. Each returns ``((value, error, n_evals, n_cells,
-# converged, n_steps, budget_exhausted), steps)``, where ``steps`` counts the
-# steps that popped cells and ``n_steps`` the integrand calls the batched
-# driver makes (one more, for the seeds).
+# reduced as ``np.sum(w * cell)`` over its flattened tensor grid. Each heap
+# uses one (coarse, fine) rule pair on every cell, fixed by its dimension, and
+# a cell is its bounds alone. A heap step pops the worst cells (ties by age)
+# until their errors sum to at least half of ``err - tol``, stopping before a
+# cell whose children would take the step past ``STEP_NODES`` nodes or the
+# evaluation count past ``budget``; it always pops at least one cell. Each
+# returns ``((value, error, n_evals, n_cells, converged, n_steps,
+# budget_exhausted), steps)``, where ``steps`` counts the steps that popped
+# cells and ``n_steps`` the integrand calls the batched driver makes (one
+# more, for the seeds).
 
 STEP_NODES = 2**15
+RULE_2D = (3, 7)
+RULE_1D = (7, 15)
+CORE_HALF = 8.0
 
 
-def _gl_cell_2d(f, xa, xb, ya, yb, rule):
+def core_tail_seeds(box):
+    """Seed cells of a finite box: the part inside ``[-8, 8]^2`` cut into four
+    equal quarters (bottom row left to right, then top row), then the left,
+    right, bottom and top bands of the rest that are not empty. The left and
+    right bands span the full height, the bottom and top ones the core width.
+    A box that misses the core square is cut into quarters whole."""
+    x_lo, x_hi, y_lo, y_hi = box
+    core_x = (max(x_lo, -CORE_HALF), min(x_hi, CORE_HALF))
+    core_y = (max(y_lo, -CORE_HALF), min(y_hi, CORE_HALF))
+    if core_x[0] >= core_x[1] or core_y[0] >= core_y[1]:
+        core_x, core_y = (x_lo, x_hi), (y_lo, y_hi)
+    xs = (core_x[0], 0.5 * (core_x[0] + core_x[1]), core_x[1])
+    ys = (core_y[0], 0.5 * (core_y[0] + core_y[1]), core_y[1])
+    seeds = [(xs[i], xs[i + 1], ys[j], ys[j + 1]) for j in range(2) for i in range(2)]
+    bands = [
+        (x_lo, core_x[0], y_lo, y_hi),
+        (core_x[1], x_hi, y_lo, y_hi),
+        (core_x[0], core_x[1], y_lo, core_y[0]),
+        (core_x[0], core_x[1], core_y[1], y_hi),
+    ]
+    return seeds + [b for b in bands if b[0] < b[1] and b[2] < b[3]]
+
+
+def _gl_cell_2d(f, rule, xa, xb, ya, yb):
     hx, hy = 0.5 * (xb - xa), 0.5 * (yb - ya)
     cx, cy = 0.5 * (xa + xb), 0.5 * (ya + yb)
     vals = []
@@ -201,7 +229,7 @@ def _children_2d(xa, xb, ya, yb):
     return [(xa, xm, ya, ym), (xm, xb, ya, ym), (xa, xm, ym, yb), (xm, xb, ym, yb)]
 
 
-def _gl_cell_1d(f, a, b, rule):
+def _gl_cell_1d(f, rule, a, b):
     h, c = 0.5 * (b - a), 0.5 * (a + b)
     vals = []
     for n in rule:
@@ -216,50 +244,47 @@ def _children_1d(a, b):
     return [(a, mid), (mid, b)]
 
 
-def _batch_pop_heap(cell_fn, children_fn, dim, seeds, tol, budget):
+def _batch_pop_heap(cell_fn, children_fn, cell_nodes, seeds, tol, budget):
     heap = []
     total = err = 0.0
     n_evals = tick = steps = 0
     batch = seeds
     while batch:
-        for bounds, rule in batch:
-            v, e = cell_fn(*bounds, rule)
-            n_evals += sum(n**dim for n in rule)
+        for bounds in batch:
+            v, e = cell_fn(*bounds)
+            n_evals += cell_nodes
             total += v
             err += e
-            heapq.heappush(heap, (-e, tick, bounds, rule, v, e))
+            heapq.heappush(heap, (-e, tick, bounds, v, e))
             tick += 1
         batch = []
         excess = err - tol
         popped = 0.0
         nodes = 0
         while heap and 2.0 * popped < excess and n_evals < budget:
-            bounds, rule = heap[0][2], heap[0][3]
-            children = children_fn(*bounds)
-            n = len(children) * sum(m**dim for m in rule)
+            children = children_fn(*heap[0][2])
+            n = len(children) * cell_nodes
             if batch and (nodes + n > STEP_NODES or n_evals + nodes + n > budget):
                 break
-            _, _, _, _, v, e = heapq.heappop(heap)
+            _, _, _, v, e = heapq.heappop(heap)
             total -= v
             err -= e
             popped += e
             nodes += n
-            for child in children:
-                batch.append((child, rule))
+            batch.extend(children)
         if batch:
             steps += 1
     exhausted = err > tol and n_evals >= budget
     return (total, err, n_evals, len(heap), err <= tol, steps + 1, exhausted), steps
 
 
-def quad_heap_2d(f, cells, tol, budget):
-    """Long cells halve, near-square ones quarter; children keep the rule."""
-    seeds = [((xa, xb, ya, yb), tuple(rule)) for xa, xb, ya, yb, rule in cells]
-    cell_fn = functools.partial(_gl_cell_2d, f)
-    return _batch_pop_heap(cell_fn, _children_2d, 2, seeds, tol, budget)
+def quad_heap_2d(f, cells, tol, budget, rule=RULE_2D):
+    """Seeds ``(xa, xb, ya, yb)``; long cells halve, near-square ones quarter."""
+    cell_fn = functools.partial(_gl_cell_2d, f, rule)
+    return _batch_pop_heap(cell_fn, _children_2d, sum(n * n for n in rule), cells, tol, budget)
 
 
-def quad_heap_1d(f, a, b, tol, budget, rule=(7, 15)):
+def quad_heap_1d(f, a, b, tol, budget, rule=RULE_1D):
     """Intervals halve at their midpoint."""
-    cell_fn = functools.partial(_gl_cell_1d, f)
-    return _batch_pop_heap(cell_fn, _children_1d, 1, [((a, b), rule)], tol, budget)
+    cell_fn = functools.partial(_gl_cell_1d, f, rule)
+    return _batch_pop_heap(cell_fn, _children_1d, sum(rule), [(a, b)], tol, budget)

@@ -67,6 +67,16 @@ class TestMi:
         assert out == ""
         assert flags[0] in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_is_a_usage_error(self, capsys, budget):
+        code, out, err = run(
+            capsys, "mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature",
+            "--budget", budget,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--budget must be positive" in err
+
     def test_budget_reaches_the_quadrature(self, capsys):
         code, _, err = run(capsys, "mi", "--dist", "cauchy-circular", "--budget", "1000")
         assert code == 1
@@ -153,6 +163,24 @@ class TestOutputs:
         lines = out.splitlines()
         assert lines[0] == "x,y,omega"
         assert float(lines[1].split(",")[2]) == pytest.approx(1.409666, abs=1e-4)
+
+    def test_lift_grid_rejects_a_nan_grid_value(self, capsys):
+        code, out, err = run(
+            capsys, "lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "2", "--ny", "2",
+            "--xmin", "nan",
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "NaN" in err
+
+    def test_sibuya_nan_point_is_an_error_and_inf_is_valid(self, capsys):
+        code, out, err = run(capsys, "sibuya", "--dist", "bvn", "--r", "0.6", "--point", "nan", "0")
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "(nan, 0.0)" in err
+        code, out, _ = run(capsys, "sibuya", "--dist", "bvn", "--r", "0.6", "--point", "inf", "inf")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
     def test_lift_grid_default_is_the_support_grid(self, capsys, tmp_path):
         # fewer than eight labels a side: numpy then sums each marginal in

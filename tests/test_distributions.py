@@ -8,7 +8,7 @@ import pytest
 
 import liftdep as ld
 from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
-from liftdep.quadrature import adaptive_quad_box
+from liftdep.quadrature import adaptive_quad_2d
 
 import oracles
 
@@ -253,7 +253,7 @@ class TestClassInvariants:
     )
     def test_density_normalization(self, family):
         cont = ld.as_continuous(family)
-        res = adaptive_quad_box(cont.joint_density, cont.integration_box, tol=1e-5)
+        res = adaptive_quad_2d(cont.joint_density, cont.integration_box, tol=1e-5)
         assert 1 - 1e-3 <= res.value <= 1 + 1e-3
 
     @pytest.mark.parametrize(

@@ -69,6 +69,19 @@ class TestMiContinuous:
         # a tenth of the 1,153,736 evaluations the [-1e5, 1e5]^2 box took
         assert report.n_evals <= 115_373
 
+    @pytest.mark.parametrize("r", [0.6, 0.9])
+    def test_wide_box_with_tail_bands(self, r):
+        """[-40, 40]^2 is seeded as the [-8, 8]^2 core plus four tail bands."""
+        dist = ld.ContinuousJoint(
+            joint_density=ld.BivariateNormal(r).joint_density,
+            marginal_x=ld.standard_normal_pdf,
+            marginal_y=ld.standard_normal_pdf,
+            integration_box=(-40.0, 40.0, -40.0, 40.0),
+        )
+        report = ld.mi_continuous(dist)
+        assert report.value == pytest.approx(ld.mi_bvn_closed_form(r).value, abs=1e-10)
+        assert report.converged
+
     def test_independent_product(self):
         dist = ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf)
         report = ld.mi_continuous(dist)

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,35 @@ class TestSibuyaOmega:
         with pytest.raises(ld.UndefinedAtPoint):
             ld.sibuya_omega_at(dep_pmf, (-1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)], ids=["x", "y", "xy"]
+    )
+    @pytest.mark.parametrize("name", ["bvn", "cauchy", "discrete", "curve"])
+    def test_nan_coordinate_is_rejected_up_front(
+        self, name, point, dep_pmf, uniform_identity_curve
+    ):
+        dist = {
+            "bvn": ld.BivariateNormal(0.6),
+            "cauchy": ld.CircularCauchy(),
+            "discrete": dep_pmf,
+            "curve": uniform_identity_curve,
+        }[name]
+        with pytest.raises(ValueError, match=re.escape(f"({point[0]}, {point[1]})")):
+            ld.sibuya_omega_at(dist, point)
+
+    @pytest.mark.parametrize("point", [(math.inf, math.inf), (math.inf, 0.3), (-0.4, math.inf)])
+    def test_infinite_coordinate_is_a_full_marginal(self, point):
+        """F(inf, y) = H(y) and F(x, inf) = G(x), so omega is 1 there."""
+        assert ld.sibuya_omega_at(ld.BivariateNormal(0.6), point) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "point", [(-9.0, 0.0), (0.0, -9.0), (-8.0, 1.0), (1.0, -8.0), (-math.inf, 0.0)]
+    )
+    def test_bvn_point_left_of_or_below_the_box_is_undefined(self, point):
+        """G or H is 0 at or beyond the -8 edge of the box."""
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.sibuya_omega_at(ld.BivariateNormal(0.6), point)
+
     def test_curve_singular_omega(self, uniform_identity_curve):
         # F(x,y) = min(x, y), G(x) = x, H(y) = y on [0,1]
         for x, y in [(0.5, 0.5), (0.3, 0.8), (0.9, 0.2)]:
@@ -235,6 +265,20 @@ class TestLiftGrid:
     def test_grid_must_increase(self, dep_pmf):
         with pytest.raises(ValueError):
             ld.lift_grid(dep_pmf, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "grid_x,grid_y",
+        [
+            ([0.0, math.nan, 1.0], [0.0]),
+            ([0.0, 1.0], [math.nan, 1.0]),
+            ([math.nan], [0.0]),
+            ([0.0], [math.nan]),
+        ],
+    )
+    def test_nan_grid_value_is_rejected(self, grid_x, grid_y, dep_pmf):
+        for dist in (ld.BivariateNormal(0.6), dep_pmf):
+            with pytest.raises(ValueError, match="NaN"):
+                ld.lift_grid(dist, grid_x, grid_y)
 
 
 class TestRegionSummary:

@@ -8,25 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liftdep.quadrature import (
-    CORE_RULE,
     DEFAULT_BUDGET_2D,
-    RULE_1D,
-    TAIL_RULE,
+    RULE_2D,
     QuadResult,
+    _core_tail_cells,
     _eval_cells,
     adaptive_quad_1d,
     adaptive_quad_2d,
-    adaptive_quad_box,
-    core_tail_cells,
 )
 
 import oracles
 
 
 def test_polynomial_exactness():
-    res = adaptive_quad_2d(
-        lambda x, y: x * x * y + 3.0, core_tail_cells((0, 1, 0, 1)), tol=1e-12
-    )
+    res = adaptive_quad_2d(lambda x, y: x * x * y + 3.0, (0, 1, 0, 1), tol=1e-12)
     assert res.value == pytest.approx(1 / 6 + 3, abs=1e-12)
     # both rules are exact, so no seed cell is split
     assert res.n_cells == 4
@@ -36,7 +31,7 @@ def test_polynomial_exactness():
 def test_gaussian_integral():
     res = adaptive_quad_2d(
         lambda x, y: np.exp(-(x * x + y * y) / 2) / (2 * math.pi),
-        core_tail_cells((-8, 8, -8, 8)),
+        (-8, 8, -8, 8),
         tol=1e-9,
     )
     assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -45,19 +40,32 @@ def test_gaussian_integral():
 
 
 def test_heavy_tail_core_split():
-    cells = core_tail_cells((-1e4, 1e4, -1e4, 1e4))
+    box = (-1e4, 1e4, -1e4, 1e4)
     # 4 core quarters + 4 tail bands
-    assert len(cells) == 8
+    assert len(_core_tail_cells(box)) == 8
     res = adaptive_quad_2d(
-        lambda x, y: 1.0 / (2 * math.pi * (1 + x * x + y * y) ** 1.5), cells, tol=1e-6
+        lambda x, y: 1.0 / (2 * math.pi * (1 + x * x + y * y) ** 1.5), box, tol=1e-6
     )
     assert res.value == pytest.approx(1.0, abs=2e-4)  # mass beyond the box ~1e-4
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        (0.0, 1.0, 0.0, 1.0),
+        (-8.0, 8.0, -8.0, 8.0),
+        (-1e4, 1e4, -3.0, 50.0),
+        (-1e4, 1e4, -1e4, 1e4),
+        (-30.0, -10.0, -1.0, 1.0),
+    ],
+)
+def test_core_tail_seeds_match_the_oracle_geometry(box):
+    assert _core_tail_cells(box) == oracles.core_tail_seeds(box)
+
+
 def test_quadrant_clipped_cells():
     # a box entirely left of the core square still integrates correctly
-    cells = core_tail_cells((-30, -10, -1, 1))
-    res = adaptive_quad_2d(lambda x, y: np.ones_like(x), cells, tol=1e-10)
+    res = adaptive_quad_2d(lambda x, y: np.ones_like(x), (-30, -10, -1, 1), tol=1e-10)
     assert res.value == pytest.approx(40.0, abs=1e-9)
 
 
@@ -68,17 +76,18 @@ def test_budget_stops_refinement():
         calls["n"] += x.size
         return np.abs(np.sin(40 * x) * np.sin(40 * y))
 
-    res = adaptive_quad_2d(f, core_tail_cells((-8, 8, -8, 8)), tol=1e-14, budget=5000)
+    res = adaptive_quad_2d(f, (-8, 8, -8, 8), tol=1e-14, budget=5000)
     assert res.n_evals == calls["n"]
-    assert res.n_evals <= 5000 + 4 * (36 + 196)  # may finish the last batch
+    # may finish the last batch
+    assert res.n_evals <= 5000 + 4 * sum(n * n for n in RULE_2D)
 
 
 def test_determinism():
     def f(x, y):
         return np.exp(-x * x - y * y) * (1 + np.sin(3 * x))
 
-    a = adaptive_quad_2d(f, core_tail_cells((-6, 6, -6, 6)), tol=1e-9)
-    b = adaptive_quad_2d(f, core_tail_cells((-6, 6, -6, 6)), tol=1e-9)
+    a = adaptive_quad_2d(f, (-6, 6, -6, 6), tol=1e-9)
+    b = adaptive_quad_2d(f, (-6, 6, -6, 6), tol=1e-9)
     assert a == b
 
 
@@ -95,12 +104,13 @@ def test_1d_nonsmooth_subdivides():
 
 def test_bad_box_rejected():
     with pytest.raises(ValueError):
-        core_tail_cells((1, 1, 0, 1))
+        adaptive_quad_2d(lambda x, y: np.ones_like(x), (1, 1, 0, 1))
 
 
-# The batched heap against the cell-by-cell reference heap in oracles.py:
-# equal results on every box, tolerance and budget (budget-stopped runs
-# included), and one integrand call for the seeds plus one per heap step.
+# The batched heap against the cell-by-cell reference heap in oracles.py, each
+# seeded by its own core/tail geometry: equal results on every box, tolerance
+# and budget (budget-stopped runs included), and one integrand call for the
+# seeds plus one per heap step.
 
 PROPERTY = settings(max_examples=40, deadline=None)
 TOLS = st.integers(4, 12).map(lambda k: 10.0**-k)
@@ -137,26 +147,30 @@ def _counted(f):
     corner=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
     size=st.tuples(st.floats(0.5, 30.0), st.floats(0.5, 30.0)),
     scale=st.sampled_from([1.0, 1e3]),
-    core_half=st.floats(0.5, 10.0),
     tol=TOLS,
     budget=BUDGETS,
 )
-@example(name="gaussian", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+@example(name="gaussian", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0,
          tol=1e-9, budget=DEFAULT_BUDGET_2D)
-@example(name="cauchy", corner=(-10.0, -10.0), size=(20.0, 20.0), scale=1e3, core_half=8.0,
+@example(name="cauchy", corner=(-10.0, -10.0), size=(20.0, 20.0), scale=1e3,
          tol=1e-6, budget=100_000)
-@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0,
          tol=1e-14, budget=5000)
 # steps here reach the 2**15-node cap
-@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0, core_half=8.0,
+@example(name="abs-sin", corner=(-8.0, -8.0), size=(16.0, 16.0), scale=1.0,
          tol=1e-6, budget=200_000)
-def test_2d_heap_matches_cell_by_cell_oracle(name, corner, size, scale, core_half, tol, budget):
+# tail bands on all four sides, and a box that misses the core square
+@example(name="gaussian", corner=(-10.0, -12.0), size=(25.0, 30.0), scale=1.0,
+         tol=1e-6, budget=DEFAULT_BUDGET_2D)
+@example(name="polynomial", corner=(9.0, -3.0), size=(2.0, 5.0), scale=1.0,
+         tol=1e-6, budget=DEFAULT_BUDGET_2D)
+def test_2d_heap_matches_cell_by_cell_oracle(name, corner, size, scale, tol, budget):
     f = INTEGRANDS_2D[name]
     (x, y), (w, h) = corner, size
-    cells = core_tail_cells((x * scale, (x + w) * scale, y * scale, (y + h) * scale), core_half)
-    expected, pops = oracles.quad_heap_2d(f, cells, tol, budget)
+    box = (x * scale, (x + w) * scale, y * scale, (y + h) * scale)
+    expected, pops = oracles.quad_heap_2d(f, oracles.core_tail_seeds(box), tol, budget)
     counted, calls = _counted(f)
-    res = adaptive_quad_2d(counted, cells, tol=tol, budget=budget)
+    res = adaptive_quad_2d(counted, box, tol=tol, budget=budget)
     assert res == QuadResult(*expected)
     assert len(calls) == 1 + pops
     assert sum(calls) == res.n_evals
@@ -187,26 +201,20 @@ SPANS = st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0))
 @given(
     dim=st.sampled_from([1, 2]),
     name=st.sampled_from(sorted(INTEGRANDS_2D)),
-    cells=st.lists(
-        st.tuples(SPANS, SPANS, st.sampled_from([CORE_RULE, TAIL_RULE, RULE_1D])),
-        min_size=1,
-        max_size=300,
-    ),
+    cells=st.lists(st.tuples(SPANS, SPANS), min_size=1, max_size=300),
 )
 def test_cell_bits_do_not_depend_on_its_batch(dim, name, cells):
     """A cell's (value, error) alone equals its entry in any batch, bit for bit."""
     f = (INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D)[name]
-    batch = [((x, x + w, y, y + h)[: 2 * dim], rule) for (x, w), (y, h), rule in cells]
-    values, errors, n_evals = _eval_cells(f, batch)
-    assert n_evals == sum(n**dim for _, rule in batch for n in rule)
+    batch = [(x, x + w, y, y + h)[: 2 * dim] for (x, w), (y, h) in cells]
+    values, errors = _eval_cells(f, batch)
+    assert len(values) == len(errors) == len(batch)
     for cell, v, e in zip(batch, values, errors):
-        assert _eval_cells(f, [cell]) == ([v], [e], sum(n**dim for n in cell[1]))
+        assert _eval_cells(f, [cell]) == ([v], [e])
 
 
 def test_budget_stop_is_not_converged():
-    res = adaptive_quad_2d(
-        INTEGRANDS_2D["abs-sin"], core_tail_cells((-8, 8, -8, 8)), tol=1e-14, budget=5000
-    )
+    res = adaptive_quad_2d(INTEGRANDS_2D["abs-sin"], (-8, 8, -8, 8), tol=1e-14, budget=5000)
     assert res.n_evals >= 5000
     assert res.error > 1e-14
     assert not res.converged
@@ -218,9 +226,7 @@ def test_budget_stop_is_not_converged():
 
 
 def test_smooth_integrand_converges():
-    res = adaptive_quad_2d(
-        lambda x, y: np.exp(-(x * x + y * y) / 2), core_tail_cells((-8, 8, -8, 8)), tol=1e-9
-    )
+    res = adaptive_quad_2d(lambda x, y: np.exp(-(x * x + y * y) / 2), (-8, 8, -8, 8), tol=1e-9)
     assert res.converged
     assert not res.budget_exhausted
     assert res.error <= 1e-9
@@ -256,7 +262,7 @@ def test_1d_real_line_is_the_cauchy_mass():
 
 
 def test_circular_cauchy_density_integrates_to_one_over_the_plane():
-    res = adaptive_quad_box(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
+    res = adaptive_quad_2d(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
     assert res.value == pytest.approx(1.0, abs=1e-8)
     assert res.converged
 
@@ -275,36 +281,27 @@ def test_circular_cauchy_density_integrates_to_one_over_the_plane():
     ids=["strip", "half-plane-quadrant", "upper-quadrant"],
 )
 def test_box_with_some_infinite_ends(box, want):
-    res = adaptive_quad_box(CIRCULAR_CAUCHY, box, tol=1e-9)
+    res = adaptive_quad_2d(CIRCULAR_CAUCHY, box, tol=1e-9)
     assert res.value == pytest.approx(want, abs=1e-10)
 
 
 def test_mapped_box_is_the_reference_heap_on_the_t_box():
-    """x = sinh t, y = sinh s on [-30, 30]^2 in CORE_RULE quarters, the
-    integrand times cosh t cosh s: the cell-by-cell heap gives the same bits."""
+    """x = sinh t, y = sinh s on [-30, 30]^2 in quarters, the integrand times
+    cosh t cosh s: the cell-by-cell heap gives the same bits."""
 
     def mapped(t, s):
         return CIRCULAR_CAUCHY(np.sinh(t), np.sinh(s)) * (np.cosh(t) * np.cosh(s))
 
     quarters = [
-        (-30.0, 0.0, -30.0, 0.0, CORE_RULE),
-        (0.0, 30.0, -30.0, 0.0, CORE_RULE),
-        (-30.0, 0.0, 0.0, 30.0, CORE_RULE),
-        (0.0, 30.0, 0.0, 30.0, CORE_RULE),
+        (-30.0, 0.0, -30.0, 0.0),
+        (0.0, 30.0, -30.0, 0.0),
+        (-30.0, 0.0, 0.0, 30.0),
+        (0.0, 30.0, 0.0, 30.0),
     ]
     expected, _ = oracles.quad_heap_2d(mapped, quarters, 1e-6, DEFAULT_BUDGET_2D)
-    res = adaptive_quad_box(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
+    res = adaptive_quad_2d(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
     assert res == QuadResult(*expected)
     assert res.converged
-
-
-@pytest.mark.parametrize(
-    "box", [(0.0, 1.0, 0.0, 1.0), (-8.0, 8.0, -8.0, 8.0), (-1e4, 1e4, -3.0, 50.0)]
-)
-def test_finite_box_keeps_the_core_tail_seeding(box):
-    f = INTEGRANDS_2D["gaussian"]
-    want = adaptive_quad_2d(f, core_tail_cells(box), tol=1e-9)
-    assert adaptive_quad_box(f, box, tol=1e-9) == want
 
 
 def test_bad_infinite_ends_raise():
@@ -313,6 +310,4 @@ def test_bad_infinite_ends_raise():
     with pytest.raises(ValueError):
         adaptive_quad_1d(INTEGRANDS_1D["cauchy"], -INF, -INF)
     with pytest.raises(ValueError):
-        adaptive_quad_box(CIRCULAR_CAUCHY, (0.0, 1.0, INF, -INF))
-    with pytest.raises(ValueError, match="finite box"):
-        core_tail_cells((-INF, INF, -1.0, 1.0))
+        adaptive_quad_2d(CIRCULAR_CAUCHY, (0.0, 1.0, INF, -INF))
