@@ -27,6 +27,7 @@ from .distributions import (
     read_samples_csv,
     sample,
     standard_normal_pdf,
+    standard_normal_quantile,
     uniform_pdf,
     write_pmf_csv,
     write_samples_csv,

@@ -109,6 +109,8 @@ def _cmd_mi(args, f, parser):
         parser.error("--budget must be positive")
     dist = _build_dist(args, parser)
     if isinstance(dist, dm.BivariateNormal) and args.method == "auto":
+        if args.budget is not None:
+            parser.error("--budget with --dist bvn needs --method quadrature")
         report = info.mi_bvn_closed_form(dist.r)
     elif isinstance(dist, dm.ContinuousFamily):
         budget = DEFAULT_BUDGET_2D if args.budget is None else args.budget

@@ -84,8 +84,10 @@ class LiftField:
     tol: float
 
     def to_csv(self, f: io.TextIOBase) -> None:
-        """Row-major ``x,y,L,label`` rows with 17-significant-digit floats."""
-        x, y = np.repeat(self.grid_x, self.grid_y.size), np.tile(self.grid_y, self.grid_x.size)
+        """Row-major ``x,y,L,label`` rows with 17-significant-digit floats; each
+        grid coordinate is formatted once, not once per row or column."""
+        gx, gy = dm.csv_floats(self.grid_x), dm.csv_floats(self.grid_y)
+        x, y = np.repeat(gx, gy.size), np.tile(gy, gx.size)
         dm.write_csv(f, ("x", "y", "L", "label"), x, y, self.values.ravel(), self.labels.ravel())
 
 

@@ -77,6 +77,14 @@ class TestMi:
         assert out == ""
         assert "--budget must be positive" in err
 
+    def test_budget_on_the_closed_form_bvn_is_a_usage_error(self, capsys):
+        """Under --method auto the bvn takes the closed form, which has no
+        budget, so --budget there is refused instead of ignored."""
+        code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.6", "--budget", "5")
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err and "--method quadrature" in err
+
     def test_budget_reaches_the_quadrature(self, capsys):
         code, _, err = run(capsys, "mi", "--dist", "cauchy-circular", "--budget", "1000")
         assert code == 1
@@ -337,14 +345,27 @@ class TestMalformedInput:
 
 class TestImport:
     def test_import_loads_no_scipy(self):
+        """Neither the import nor a bvn `regions` or `lift-grid` command loads
+        scipy: the runtime needs numpy only."""
         src = str(Path(liftdep.__file__).resolve().parents[1])
-        code = "import sys, liftdep; print([m for m in sys.modules if m.startswith('scipy')])"
+        argvs = [
+            ["regions", "--dist", "bvn", "--r", "0.6"],
+            ["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "5", "--ny", "5"],
+        ]
+        code = (
+            "import contextlib, io, sys, liftdep.cli\n"
+            "def scipy_modules(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+            "print(scipy_modules())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [liftdep.cli.main(argv) for argv in {argvs!r}]\n"
+            "print(codes, scipy_modules())\n"
+        )
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines() == ["[]", "[0, 0] []"]
 
 
 class TestDeterminism:

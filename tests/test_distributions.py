@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import liftdep as ld
 from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
@@ -58,6 +61,36 @@ class TestBvnDensity:
             ld.bvn_density(1.0, (0.0, 0.0))
         with pytest.raises(ld.DegenerateCorrelation):
             ld.BivariateNormal(-1.0)
+
+
+class TestStandardNormalQuantile:
+    """AS 241 against scipy's ``ndtri``, the reference it replaces at run time."""
+
+    def test_matches_ndtri_on_random_uniforms(self):
+        u = np.random.default_rng(1010).random(100_000)
+        np.testing.assert_allclose(ld.standard_normal_quantile(u), ndtri(u), rtol=2e-15, atol=0)
+
+    # The far tail, its edge r = 5 at u = exp(-25), the tail, the edges
+    # u = 0.075 and 0.925 of the centre, and the last double below 1.
+    @pytest.mark.parametrize(
+        "u", [1e-300, 2.0**-1074, 1e-20, math.exp(-25.0), 0.02425, 0.075, 0.925, 1 - 2.0**-53]
+    )
+    def test_matches_ndtri_at_edges(self, u):
+        assert ld.standard_normal_quantile(u) == pytest.approx(ndtri(u), rel=2e-15, abs=0)
+
+    def test_infinite_at_zero_and_one(self):
+        assert ld.standard_normal_quantile(0.0) == -math.inf
+        assert ld.standard_normal_quantile(1.0) == math.inf
+
+    @pytest.mark.parametrize("u", [-0.1, 1.1, math.nan])
+    def test_nan_outside_the_unit_interval(self, u):
+        assert math.isnan(ld.standard_normal_quantile(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
+    def test_never_decreases(self, us):
+        x = ld.standard_normal_quantile(np.sort(us))
+        assert (x[1:] >= x[:-1]).all()
 
 
 class TestPushforwardDensity:

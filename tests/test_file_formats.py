@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import liftdep as ld
 import oracles
+from liftdep.distributions import CSV_BLOCK_ROWS
 from liftdep.lift import classify_values
 
 # Every double, NaN, +-inf, -0.0, subnormals and 1e308 included.
@@ -53,6 +54,22 @@ def test_lift_field_csv_edge_values():
     field = ld.LiftField(EDGES[:2], EDGES[:5], values, labels, ld.ANALYTIC_TOL)
     label_text = [[label.value for label in row] for row in labels]
     assert written(field.to_csv) == oracles.lift_field_csv(EDGES[:2], EDGES[:5], values, label_text)
+
+
+def test_lift_field_csv_across_a_block_boundary():
+    """A non-square grid of more than CSV_BLOCK_ROWS cells, whose coordinates
+    need 17 digits and include -0.0, with NaN and Zero cells."""
+    nx, ny = 257, 263
+    assert nx * ny > CSV_BLOCK_ROWS
+    gx, gy = np.linspace(-1.0, 1.0, nx) / 3.0, np.linspace(-2.0, 1.0, ny) * 0.1
+    gx[nx // 2] = -0.0
+    values = np.random.default_rng(1010).lognormal(0.0, 1.0, (nx, ny))
+    values[::7, ::5] = np.nan
+    values[3::11, 2::13] = 0.0
+    labels = classify_values(values, ld.ANALYTIC_TOL)
+    field = ld.LiftField(gx, gy, values, labels, ld.ANALYTIC_TOL)
+    label_text = [[label.value for label in row] for row in labels]
+    assert written(field.to_csv) == oracles.lift_field_csv(gx, gy, values, label_text)
 
 
 @PROPERTY
