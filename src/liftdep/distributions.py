@@ -23,7 +23,9 @@ class:
   ``lift_cells`` raise CurveSingularHasNoDensity). Its Y-marginal can be
   derived by the pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over
   preimages), whose preimages are found for many y at once by an elementwise
-  bisection on the monotone pieces of each branch.
+  bisection on the monotone pieces of each branch. At an on-curve point
+  ``y = phi_n(x)`` the point's own ``x`` is the preimage on its piece, and
+  only the other pieces are bisected (``on_curve_marginal_y``).
 
 Density and marginal evaluators must be pure, vectorized functions: they take
 scalars or ndarrays and return values of the same shape. All distribution
@@ -159,6 +161,45 @@ def _rational(coeffs, t):
     return num / den
 
 
+# Dekker's splitter 2^s + 1, s = ceil(p / 2) for the p-bit long double mantissa.
+_SPLITTER = np.longdouble(2.0 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1.0)
+
+
+def _split(a):
+    """``a = hi + lo`` with each half short enough that their products are exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """``a * b`` rounded, and its rounding error exactly (Dekker)."""
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _compensated_rational(coeffs, t):
+    """``P(t) / Q(t)`` as :func:`_rational` computes it, but with the rounding
+    error of every Horner step kept by TwoProduct and TwoSum and summed by a
+    second Horner pass (Graillat, Langlois & Louvet, 2005), and the quotient
+    corrected by its exact residual: as accurate as the plain evaluation in
+    twice the working precision, then rounded once."""
+    parts = []
+    for c in coeffs:
+        s, err = np.full(t.shape, c[-1], dtype=t.dtype), np.zeros_like(t)
+        for a in c[-2::-1]:
+            p, p_err = _two_product(s, t)
+            s = p + a
+            z = s - p
+            err = err * t + (p_err + ((p - (s - z)) + (a - z)))
+        parts.append((s, err))
+    (num, num_err), (den, den_err) = parts
+    q = num / den
+    p, p_err = _two_product(q, den)
+    return q + (((num - p) - p_err) + num_err - q * den_err) / den
+
+
 def standard_normal_quantile(u):
     """Inverse standard normal CDF, elementwise: Wichura's AS 241 (PPND16),
     about 1e-16 relative.
@@ -166,9 +207,11 @@ def standard_normal_quantile(u):
     ``u = 0`` gives ``-inf``, ``u = 1`` gives ``+inf``, and NaN or ``u``
     outside [0, 1] gives NaN. The rational functions are evaluated in
     ``np.longdouble`` and rounded once to double. In double, their rounding
-    errors put the quantiles of neighbouring inputs out of order by an ulp;
-    with the 64-bit mantissa of x86-64, a scan of neighbouring inputs found
-    no reversed pair above ``u = 1e-100``, and at most one in 20,000 below.
+    errors put the quantiles of neighbouring inputs out of order by an ulp.
+    In the far tail (``u < exp(-25)``) one input ulp moves ``r`` by only a few
+    long-double ulps, so there the rational is evaluated by compensated
+    Horner; with the 64-bit mantissa of x86-64, a scan of neighbouring inputs
+    found no reversed pair down to the smallest subnormal.
     """
     u = np.asarray(u, dtype=np.longdouble)
     x = np.full(u.shape, np.nan, dtype=np.longdouble)
@@ -180,7 +223,9 @@ def standard_normal_quantile(u):
     tail = (u > 0.0) & (u < 1.0) & ~central
     ut = u[tail]
     r = np.sqrt(-np.log(np.minimum(ut, 1.0 - ut)))
-    z = np.where(r <= 5.0, _rational(_PPND16_TAIL, r - 1.6), _rational(_PPND16_FAR_TAIL, r - 5.0))
+    z = _rational(_PPND16_TAIL, r - 1.6)
+    far = r > 5.0
+    z[far] = _compensated_rational(_PPND16_FAR_TAIL, r[far] - 5.0)
     x[tail] = np.where(ut < 0.5, -z, z)
     x[u == 0.0] = -np.inf
     x[u == 1.0] = np.inf
@@ -520,27 +565,58 @@ class CurveSingularJoint:
             return self.marginal_y
         return pushforward_density_fn(self)
 
+    def branch_pieces(self) -> list[list[tuple[float, float, int]]]:
+        """The :func:`monotone_pieces` of every branch, in branch order."""
+        return [monotone_pieces(branch) for branch in self.branches]
+
+    def on_curve_marginal_y(self, pieces=None) -> Callable[[int, np.ndarray], np.ndarray]:
+        """The evaluator ``(n, x) -> rho_Y(phi_n(x))`` for ``x`` in the domain
+        of branch n.
+
+        It uses the supplied Y-marginal when there is one. Otherwise it sums
+        the pushforward over the preimages of ``phi_n(x)``: ``x`` itself is
+        the one on its own piece of branch n, and only the other pieces and
+        branches are solved by bisection. ``pieces`` (default: found here,
+        once) are the :meth:`branch_pieces`.
+        """
+        if self.marginal_y is not None:
+            rho_y = self.marginal_y
+            return lambda n, x: np.asarray(
+                rho_y(np.asarray(self.branches[n].phi(x), dtype=float)), dtype=float
+            )
+        if pieces is None:
+            pieces = self.branch_pieces()
+
+        def rho_y_on_curve(n, x):
+            x = np.asarray(x, dtype=float)
+            flat = x.ravel()
+            y = np.asarray(self.branches[n].phi(flat), dtype=float)
+            return _preimage_sum(self, pieces, y, own=(n, flat)).reshape(x.shape)
+
+        return rho_y_on_curve
+
     def lift(self, x, y):
         """Elementwise lift: ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))``
         where ``|y - phi_n(x)| <= ON_CURVE_TOL`` (the smallest such n wins),
         zero off the branches. Each branch evaluates ``rho_Y`` once, on its
-        on-curve points, or point by point if a fold (a preimage with a flat
-        slope) makes that raise DerivativeVanishes. NaN at a fold or where
-        ``rho_Y`` is below DENSITY_FLOOR."""
+        on-curve points (see :meth:`on_curve_marginal_y`), or point by point
+        if a fold (a preimage with a flat slope) makes that raise
+        DerivativeVanishes. NaN at a fold or where ``rho_Y`` is below
+        DENSITY_FLOOR."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         values = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        rho_y = self.marginal_y_fn()
-        for branch in self.branches:
+        rho_y = self.on_curve_marginal_y()
+        for n, branch in enumerate(self.branches):
             lo, hi = branch.domain
             inside = (x >= lo) & (x <= hi)
             phi_x = np.full(x.shape, np.nan)  # phi is evaluated on its domain only
             phi_x[inside] = branch.phi(x[inside])
             at = (np.abs(y - phi_x) <= ON_CURVE_TOL) & (values == 0.0)
-            x_at, phi_at = (np.broadcast_to(a, values.shape)[at] for a in (x, phi_x))
+            x_at = np.broadcast_to(x, values.shape)[at]
             try:
-                dens = np.asarray(rho_y(phi_at), dtype=float)
+                dens = rho_y(n, x_at)
             except DerivativeVanishes:
-                dens = np.array([_density_or_nan(rho_y, v) for v in phi_at])
+                dens = np.array([_density_or_nan(rho_y, n, v) for v in x_at])
             slope = np.asarray(branch.dphi(x_at), dtype=float)
             with np.errstate(divide="ignore"):
                 val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
@@ -572,9 +648,9 @@ class CurveSingularJoint:
         return np.column_stack([x, y])
 
 
-def _density_or_nan(rho_y: Evaluator, y: float) -> float:
+def _density_or_nan(rho_y, n: int, x: float) -> float:
     try:
-        return float(rho_y(y))
+        return float(rho_y(n, x))
     except DerivativeVanishes:
         return math.nan
 
@@ -694,6 +770,52 @@ def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
     return [(a, b, int(s)) for a, b, s in zip(bounds[:-1], bounds[1:], piece_signs)]
 
 
+def _preimage_sum(dist: CurveSingularJoint, pieces, y: np.ndarray, own=None) -> np.ndarray:
+    """``sum a_n rho_X(x*) / |phi_n'(x*)|`` over the preimages ``x*`` of each
+    element of the flat array ``y``; ``pieces[n]`` are the monotone pieces of
+    branch n.
+
+    Each piece is solved with one elementwise bisection, and a preimage shared
+    by two adjacent pieces counts once. With ``own = (n, x)``, ``y`` is
+    ``phi_n(x)``: on the first piece of branch n that holds ``x``, ``x`` is
+    the preimage and only the other elements are bisected.
+    """
+    total = np.zeros(y.shape)
+    for n, (branch, branch_pieces) in enumerate(zip(dist.branches, pieces)):
+        unclaimed = None
+        if own is not None and own[0] == n:
+            x_own = own[1]
+            unclaimed = np.ones(y.shape, dtype=bool)
+        roots = []
+        for a, b, _sign in branch_pieces:
+            if unclaimed is None:
+                root = bisect_roots(branch.phi, y, a, b)
+            else:
+                mine = unclaimed & (x_own >= a) & (x_own <= b)
+                unclaimed &= ~mine
+                root = np.array(x_own)
+                if not mine.all():
+                    rest = ~mine
+                    root[rest] = bisect_roots(branch.phi, y[rest], a, b)
+            for earlier in roots:
+                root[np.abs(root - earlier) <= 1e-9] = np.nan
+            roots.append(root)
+            idx = np.flatnonzero(~np.isnan(root))
+            rho = np.asarray(dist.marginal_x(root[idx]), dtype=float)
+            idx, rho = idx[rho != 0.0], rho[rho != 0.0]
+            x = root[idx]
+            slope = np.abs(np.asarray(branch.dphi(x), dtype=float))
+            flat_slope = slope < DERIVATIVE_FLOOR
+            if np.any(flat_slope):
+                k = int(np.argmax(flat_slope))
+                raise DerivativeVanishes(
+                    f"|phi'({x[k]:.6g})| < {DERIVATIVE_FLOOR:g} at a preimage of "
+                    f"y={y[idx[k]]:.6g}"
+                )
+            total[idx] += branch.weight * rho / slope
+    return total
+
+
 def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
     """Vectorized Y-marginal of a curve-singular joint.
 
@@ -703,32 +825,11 @@ def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
     elementwise bisection. A preimage shared by two adjacent pieces counts
     once.
     """
-    branches = [(branch, monotone_pieces(branch)) for branch in dist.branches]
+    pieces = dist.branch_pieces()
 
     def rho_y(y):
         y = np.asarray(y, dtype=float)
-        flat = y.ravel()
-        total = np.zeros(flat.shape)
-        for branch, pieces in branches:
-            roots = []
-            for a, b, _sign in pieces:
-                root = bisect_roots(branch.phi, flat, a, b)
-                for earlier in roots:
-                    root[np.abs(root - earlier) <= 1e-9] = np.nan
-                roots.append(root)
-                idx = np.flatnonzero(~np.isnan(root))
-                rho = np.asarray(dist.marginal_x(root[idx]), dtype=float)
-                idx, rho = idx[rho != 0.0], rho[rho != 0.0]
-                x = root[idx]
-                slope = np.abs(np.asarray(branch.dphi(x), dtype=float))
-                flat_slope = slope < DERIVATIVE_FLOOR
-                if np.any(flat_slope):
-                    k = int(np.argmax(flat_slope))
-                    raise DerivativeVanishes(
-                        f"|phi'({x[k]:.6g})| < {DERIVATIVE_FLOOR:g} at a preimage of "
-                        f"y={flat[idx[k]]:.6g}"
-                    )
-                total[idx] += branch.weight * rho / slope
+        total = _preimage_sum(dist, pieces, y.ravel())
         return float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
 
     return rho_y

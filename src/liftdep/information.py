@@ -196,26 +196,34 @@ def mi_curve(
 ) -> MiReport:
     """1D quadrature of ``rho_X(x) * sum_n a_n log L(x, phi_n(x))``.
 
+    The heap is seeded with one cell between each pair of consecutive
+    monotone-piece bounds of the branches (domain ends included) inside
+    ``support_x``, so no node falls on a fold, where ``phi_n'`` vanishes.
+    The pieces are found once per call and also serve the on-curve Y-marginal
+    (:meth:`CurveSingularJoint.on_curve_marginal_y`).
+
     Raises UndefinedAtPoint if ``log L`` is evaluated where the Y-marginal
     vanishes on a positive-density part of the X support.
     """
-    rho_y = dist.marginal_y_fn()
+    pieces = dist.branch_pieces()
+    rho_y = dist.on_curve_marginal_y(pieces)
     lo, hi = dist.support_x
+    breaks = {end for branch_pieces in pieces for piece in branch_pieces for end in piece[:2]}
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
         rho = np.asarray(dist.marginal_x(x), dtype=float)
         total = np.zeros_like(x)
-        for branch in dist.branches:
+        for n, branch in enumerate(dist.branches):
             if branch.weight == 0.0:
                 continue
             a, b = branch.domain
             inside = (x >= a) & (x <= b)
             if not np.any(inside):
                 continue
-            phi_x = np.asarray(branch.phi(x[inside]), dtype=float)
-            slope = np.asarray(branch.dphi(x[inside]), dtype=float)
-            dens_y = np.asarray(rho_y(phi_x), dtype=float)
+            x_in = x[inside]
+            slope = np.asarray(branch.dphi(x_in), dtype=float)
+            dens_y = rho_y(n, x_in)
             if np.any((dens_y <= 0) & (rho[inside] > 0)):
                 raise UndefinedAtPoint(
                     "Y-marginal vanishes on the curve over a positive-density x set"
@@ -232,7 +240,7 @@ def mi_curve(
             total += contrib
         return np.where(rho > 0, rho * total, 0.0)
 
-    result = adaptive_quad_1d(integrand, lo, hi, tol=tol, budget=budget)
+    result = adaptive_quad_1d(integrand, lo, hi, tol=tol, budget=budget, breaks=breaks)
     return MiReport(
         value=result.value,
         method=MiMethod.CURVE_QUADRATURE,

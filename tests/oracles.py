@@ -284,7 +284,10 @@ def quad_heap_2d(f, cells, tol, budget, rule=RULE_2D):
     return _batch_pop_heap(cell_fn, _children_2d, sum(n * n for n in rule), cells, tol, budget)
 
 
-def quad_heap_1d(f, a, b, tol, budget, rule=RULE_1D):
-    """Intervals halve at their midpoint."""
+def quad_heap_1d(f, a, b, tol, budget, rule=RULE_1D, cuts=()):
+    """Intervals halve at their midpoint; the seeds are ``[a, b]`` cut at the
+    increasing ``cuts``."""
     cell_fn = functools.partial(_gl_cell_1d, f, rule)
-    return _batch_pop_heap(cell_fn, _children_1d, sum(rule), [(a, b)], tol, budget)
+    ends = [a, *cuts, b]
+    seeds = list(zip(ends[:-1], ends[1:]))
+    return _batch_pop_heap(cell_fn, _children_1d, sum(rule), seeds, tol, budget)

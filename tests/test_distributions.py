@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import liftdep as ld
+from liftdep.cli import CURVE_SPECS, _make_curve
 from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
 from liftdep.quadrature import adaptive_quad_2d
 
@@ -90,6 +91,18 @@ class TestStandardNormalQuantile:
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=50))
     def test_never_decreases(self, us):
         x = ld.standard_normal_quantile(np.sort(us))
+        assert (x[1:] >= x[:-1]).all()
+
+    # Below u = 1e-100 one input ulp moves r = sqrt(-log u) by about one
+    # long-double ulp. The examples are pairs that plain Horner put out of order.
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(2.0**-1074, 1e-100), st.integers(1, 2000))
+    @example(1.025441867658291e-148, 1)
+    @example(5.480673341343679e-196, 1)
+    @example(1.4111907893946688e-300, 1)
+    def test_never_decreases_between_far_tail_neighbours(self, u, n):
+        us = (np.array([u]).view(np.int64) + np.arange(n + 1)).view(np.float64)
+        x = ld.standard_normal_quantile(us)
         assert (x[1:] >= x[:-1]).all()
 
 
@@ -177,6 +190,73 @@ class TestPushforwardDensity:
         dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
         with pytest.raises(ld.DerivativeVanishes):
             ld.derive_pushforward_density(dist, 0.0)
+
+
+def _parabola():
+    """X ~ U[-1, 1], Y = X^2: two monotone pieces that meet at a fold."""
+    branch = ld.CurveBranch(
+        phi=lambda x: np.asarray(x, dtype=float) ** 2,
+        dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+        domain=(-1.0, 1.0),
+    )
+    return ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
+
+
+def _partial_domain_curve():
+    """X ~ U[0, 1]; Y = X, or Y = 1 - X^2 on the strict subset [0.2, 0.7]."""
+    up = ld.CurveBranch(
+        phi=lambda x: np.asarray(x, dtype=float),
+        dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        domain=(0.0, 1.0),
+        weight=0.6,
+    )
+    down = ld.CurveBranch(
+        phi=lambda x: 1.0 - np.asarray(x, dtype=float) ** 2,
+        dphi=lambda x: -2.0 * np.asarray(x, dtype=float),
+        domain=(0.2, 0.7),
+        weight=0.4,
+    )
+    return ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (up, down))
+
+
+class TestOnCurveMarginalY:
+    """``rho_Y(phi_n(x))`` from the node's own preimage against the pushforward
+    evaluated at ``y = phi_n(x)``, where every piece is bisected."""
+
+    @pytest.mark.parametrize("name", ["parabola", "tent", "partial-domain"])
+    def test_matches_the_pushforward_on_each_branch(self, name, tent_curve):
+        dist = {"parabola": _parabola(), "tent": tent_curve,
+                "partial-domain": _partial_domain_curve()}[name]
+        on_curve = dist.on_curve_marginal_y()
+        rho_y = ld.pushforward_density_fn(dist)
+        for n, branch in enumerate(dist.branches):
+            lo, hi = branch.domain
+            x = np.linspace(lo, hi, 400)  # an even count misses the fold at 0
+            want = rho_y(branch.phi(x))
+            np.testing.assert_allclose(on_curve(n, x), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("spec", CURVE_SPECS)
+    def test_bit_equal_on_the_cli_curves(self, spec):
+        dist = _make_curve(spec)
+        lo, hi = dist.support_x
+        x = np.concatenate([np.linspace(lo, hi, 1001)[1:],
+                            np.random.default_rng(1111).uniform(lo, hi, 10_000)])
+        got = dist.on_curve_marginal_y()(0, x)
+        assert got.tobytes() == ld.pushforward_density_fn(dist)(dist.branches[0].phi(x)).tobytes()
+
+    def test_keeps_the_shape_of_x(self, tent_curve):
+        x = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert tent_curve.on_curve_marginal_y()(1, x) == pytest.approx(np.ones((2, 2)), abs=1e-12)
+
+    def test_supplied_marginal_is_used(self):
+        dist = _make_curve("curve-normal-double")
+        dist = ld.CurveSingularJoint(dist.marginal_x, dist.support_x, dist.branches,
+                                     marginal_y=lambda y: np.full_like(y, 0.25))
+        assert dist.on_curve_marginal_y()(0, np.array([0.3, -1.0])).tolist() == [0.25, 0.25]
+
+    def test_fold_raises(self):
+        with pytest.raises(ld.DerivativeVanishes):
+            _parabola().on_curve_marginal_y()(0, np.array([0.5, 0.0]))
 
 
 class TestSample:

@@ -167,6 +167,53 @@ class TestMiCurve:
         expected = math.log(2 * 0.5 / (math.pi * math.sqrt(2)))
         assert ld.mi_curve(tent_curve).value == pytest.approx(expected, abs=1e-9)
 
+    def test_fold_at_the_centre_of_the_support(self):
+        # X ~ U[-1, 1], Y = X^2: rho_Y(y) = 1 / (2 sqrt y), so on the curve
+        # L = 4|x| / (pi sqrt(1 + 4x^2)). The centre node of [-1, 1] is the fold.
+        branch = ld.CurveBranch(
+            phi=lambda x: np.asarray(x, dtype=float) ** 2,
+            dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+            domain=(-1.0, 1.0),
+        )
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
+        expected = oracles.quad_1d(
+            lambda x: 0.5 * math.log(4.0 * abs(x) / (math.pi * math.sqrt(1.0 + 4.0 * x * x))),
+            -1.0, 1.0, points=[0.0], epsabs=1e-13, epsrel=1e-13,
+        )
+        report = ld.mi_curve(dist)
+        assert report.converged
+        assert report.value == pytest.approx(expected, abs=1e-8)
+
+    def test_two_branch_mixture_against_its_closed_form_marginal(self):
+        # X ~ U[0, 1], Y = X w.p. 0.3 and Y = X^2 w.p. 0.7:
+        # rho_Y(y) = 0.3 + 0.7 / (2 sqrt y) = 0.3 + 0.35 / sqrt y
+        identity = ld.CurveBranch(
+            phi=lambda x: np.asarray(x, dtype=float),
+            dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            domain=(0.0, 1.0),
+            weight=0.3,
+        )
+        square = ld.CurveBranch(
+            phi=lambda x: np.asarray(x, dtype=float) ** 2,
+            dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+            domain=(0.0, 1.0),
+            weight=0.7,
+        )
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (identity, square))
+
+        def rho_y(y):
+            return 0.3 + 0.35 / math.sqrt(y)
+
+        def integrand(x):
+            on_identity = math.log(2 * 0.3 / (math.pi * rho_y(x) * math.sqrt(2.0)))
+            on_square = math.log(
+                2 * 0.7 / (math.pi * rho_y(x * x) * math.sqrt(1.0 + 4.0 * x * x))
+            )
+            return 0.3 * on_identity + 0.7 * on_square
+
+        expected = oracles.quad_1d(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert ld.mi_curve(dist).value == pytest.approx(expected, abs=1e-8)
+
     def test_convergence_facts(self, normal_identity_curve):
         report = ld.mi_curve(normal_identity_curve)
         assert report.converged

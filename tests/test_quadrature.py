@@ -194,6 +194,42 @@ def test_1d_heap_matches_cell_by_cell_oracle(name, a, width, tol, budget):
     assert sum(calls) == res.n_evals
 
 
+def test_1d_breaks_seed_one_cell_between_consecutive_points():
+    """Breaks inside (a, b) cut the seed; ends, repeats and outside points do not."""
+    f = INTEGRANDS_1D["cauchy"]
+    expected, _ = oracles.quad_heap_1d(f, -2.0, 3.0, 1e-10, 2**18, cuts=(-0.5, 1.0))
+    res = adaptive_quad_1d(f, -2.0, 3.0, tol=1e-10, breaks=(1.0, -0.5, 3.0, 1.0, -2.0, 7.0))
+    assert res == QuadResult(*expected)
+    assert adaptive_quad_1d(f, -2.0, 3.0, breaks=(-2.0, 3.0, 9.0)) == adaptive_quad_1d(
+        f, -2.0, 3.0
+    )
+
+
+def test_1d_break_at_a_log_singularity():
+    """No node falls on a break: the centre node of [-1, 1] would hit log 0."""
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(x))
+
+    assert not math.isfinite(adaptive_quad_1d(f, -1.0, 1.0).value)
+    res = adaptive_quad_1d(f, -1.0, 1.0, breaks=(0.0,))
+    assert res.value == pytest.approx(-2.0, abs=1e-9)
+    assert res.converged
+
+
+def test_1d_breaks_on_a_mapped_axis():
+    """On an infinite axis a break cuts the t interval at asinh(x - c): a
+    jump of the integrand at the break then costs no refinement."""
+
+    def step(x):
+        return np.where(x < 2.0, INTEGRANDS_1D["cauchy"](x), 0.0)
+
+    cut = adaptive_quad_1d(step, -math.inf, 5.0, tol=1e-10, breaks=(2.0,))
+    assert cut.value == pytest.approx(oracles.cauchy_cdf(2.0), abs=1e-10)
+    assert cut.n_evals < adaptive_quad_1d(step, -math.inf, 5.0, tol=1e-10).n_evals
+
+
 SPANS = st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0))
 
 
