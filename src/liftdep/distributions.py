@@ -1,26 +1,30 @@
 """Joint-distribution classes and their densities, marginals, and samplers.
 
-Three joint classes are supported. Each owns its lift rule, an elementwise
-``lift(x, y)`` that is NaN where the lift is undefined, and its region cells,
-``lift_cells()``, so callers make one member call instead of branching on the
-class:
+Three joint classes are supported. Each owns one rule per derived quantity,
+so callers make one member call instead of branching on the class: its lift,
+an elementwise ``lift(x, y)`` that is NaN where the lift is undefined; its
+region cells, ``lift_cells()``; the CDFs of Sibuya's ratio,
+``sibuya_parts(x, y) -> (F, G, H)``; and its targeting rates,
+``target_rates(target, x_grid) -> (profiles, rates, baseline)``:
 
 * :class:`DiscreteJoint` -- a finite pmf table over labeled supports; ``lift``
-  and ``joint_density`` look up its cached ``lift_table`` and its pmf.
+  and ``joint_density`` look up its cached ``lift_table`` and its pmf, the
+  CDFs are partial sums and the rates the label ratios ``p(x, t) / p_X(x)``.
 * Absolutely continuous joints -- :class:`ContinuousJoint` (density
   evaluators with an explicit integration box) and the named families
   :class:`BivariateNormal`, :class:`CircularCauchy` and
   :class:`IndependentProduct`. All four share one interface:
   ``joint_density(x, y)``, ``marginal_x``, ``marginal_y``,
-  ``integration_box``, an elementwise ``lift(x, y)``,
-  ``quantile_x``/``quantile_y`` and ``sample(n, rng)``. The defaults sit on
-  :class:`ContinuousFamily` (density-ratio lift, quantiles tabulated over the
-  box, no sampler); each family overrides what it has in closed form, so its
-  formulas live in one place.
+  ``integration_box``, the members above, ``quantile_x``/``quantile_y`` and
+  ``sample(n, rng)``. The defaults sit on :class:`ContinuousFamily`
+  (density-ratio lift, CDFs and rates by quadrature over the box, quantiles
+  tabulated over it, no sampler); each family overrides what it has in closed
+  form, so its formulas live in one place.
 * :class:`CurveSingularJoint` -- mass concentrated on the graphs of smooth
-  branches ``y = phi_n(x)`` with absolutely continuous marginals. It has no
-  density w.r.t. area measure (``joint_density``, ``integration_box`` and
-  ``lift_cells`` raise CurveSingularHasNoDensity). Its Y-marginal can be
+  branches ``y = phi_n(x)`` with absolutely continuous marginals. Its CDFs
+  are X-marginal masses of sublevel sets of the branches. It has no density
+  w.r.t. area measure (``joint_density``, ``integration_box``, ``lift_cells``
+  and ``target_rates`` raise CurveSingularHasNoDensity). Its Y-marginal can be
   derived by the pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over
   preimages), whose preimages are found for many y at once by an elementwise
   bisection on the monotone pieces of each branch. At an on-curve point
@@ -61,7 +65,9 @@ from .errors import (
     NonMonotonePiece,
     NotSampleable,
     OutOfSupport,
+    TargetHasZeroMass,
 )
+from .quadrature import adaptive_quad_1d, adaptive_quad_2d
 
 __all__ = [
     "DiscreteJoint",
@@ -345,6 +351,27 @@ class DiscreteJoint:
         """The lift table and the product mass ``p_X p_Y`` of each cell."""
         return self.lift_table, np.outer(self.p_x, self.p_y)
 
+    def sibuya_parts(self, x: float, y: float) -> tuple[float, float, float]:
+        """The CDFs ``(F(x, y), G(x), H(y))`` as partial sums of the pmf."""
+        mx, my = self.x_support <= x, self.y_support <= y
+        f_joint = float(self.pmf[np.ix_(mx, my)].sum())
+        return f_joint, float(self.p_x[mx].sum()), float(self.p_y[my].sum())
+
+    def target_rates(self, target, x_grid):
+        """``(x_support, P(Y = target | X), P(Y = target))``, rate ``-inf`` where
+        ``p_X`` is 0; ``x_grid`` is unused. TargetHasZeroMass for a null label."""
+        iy = np.nonzero(self.y_support == float(target))[0]
+        if iy.size == 0:
+            raise TargetHasZeroMass(f"target label {target} not in the Y support")
+        j = int(iy[0])
+        baseline = float(self.p_y[j])
+        if baseline == 0.0:
+            raise TargetHasZeroMass(f"target label {target} has zero probability")
+        p_x = self.p_x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.where(p_x > 0, self.pmf[:, j] / p_x, -np.inf)
+        return self.x_support, rates, baseline
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse CDF on the flattened pmf."""
         cum = np.cumsum(self.pmf.ravel())
@@ -382,6 +409,55 @@ class ContinuousFamily:
         u = (np.arange(REGION_GRID_N) + 0.5) / REGION_GRID_N
         gx, gy = np.asarray(self.quantile_x(u)), np.asarray(self.quantile_y(u))
         return np.asarray(self.lift(gx[:, None], gy), dtype=float), REGION_GRID_N**-2.0
+
+    def sibuya_parts(self, x: float, y: float) -> tuple[float, float, float]:
+        """The CDFs ``(F(x, y), G(x), H(y))`` by adaptive quadrature over the box
+        below and left of the point (infinite ends through the sinh map).
+        ``F`` is 0, not integrated, where ``G`` or ``H`` is below DENSITY_FLOOR:
+        the quadrant may then have zero width.
+
+        These are the CDFs of the law truncated to the box, so near the lower
+        edge of a finite box ``F / (G H)`` carries the truncation bias: for
+        ``BivariateNormal(0.6)`` (box edge -8) it is 4.6e-5 low at (-6, -6),
+        0.97% low at (-7, -7) and 10.9% low at (-7.5, -7.5). The quadrature
+        itself matches the exact truncated-box ratio there to about 4e-12, so
+        its absolute 1e-8 tolerance on ``F`` is not the cause.
+        """
+        x_lo, x_hi, y_lo, y_hi = self.integration_box
+        g = _interval_mass(self.marginal_x, x_lo, min(x, x_hi))
+        h = _interval_mass(self.marginal_y, y_lo, min(y, y_hi))
+        if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
+            return 0.0, g, h
+        quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
+        return adaptive_quad_2d(self.joint_density, quadrant, tol=1e-8).value, g, h
+
+    def target_rates(self, target, x_grid):
+        """``(x_grid, P(Y in target | X = x), P(Y in target))`` for an interval
+        ``(lo, hi)`` clipped to the box, rate ``-inf`` where ``rho_X`` is 0; the
+        default grid is 201 points over the X range of the box."""
+        if not (isinstance(target, (tuple, list)) and len(target) == 2):
+            raise TypeError("continuous targeting requires a (lo, hi) target interval")
+        lo, hi = float(target[0]), float(target[1])
+        if not lo < hi:
+            raise ValueError("target interval must satisfy lo < hi")
+        _, _, y_lo, y_hi = self.integration_box
+        if x_grid is None:
+            x_grid = np.linspace(*self.bounded_axis("x"), 201)
+        x_grid = np.asarray(x_grid, dtype=float)
+        lo_c, hi_c = max(lo, y_lo), min(hi, y_hi)
+        baseline = _interval_mass(self.marginal_y, lo_c, hi_c)
+        if baseline <= 0.0:
+            raise TargetHasZeroMass(f"target interval [{lo}, {hi}] carries no mass")
+        rates = np.full(x_grid.shape, -np.inf)
+        for i, x in enumerate(x_grid):
+            rho_x = float(self.marginal_x(x))
+            if rho_x <= 0.0:
+                continue
+            strip = adaptive_quad_1d(
+                lambda y: self.joint_density(np.full_like(y, x), y), lo_c, hi_c, tol=1e-10
+            )
+            rates[i] = strip.value / rho_x
+        return x_grid, rates, baseline
 
     def bounded_axis(self, axis: str) -> Interval:
         """The ``(lo, hi)`` of axis ``"x"`` or ``"y"`` of the box; ValueError
@@ -624,11 +700,31 @@ class CurveSingularJoint:
             values[at] = val
         return values
 
+    def sibuya_parts(self, x: float, y: float) -> tuple[float, float, float]:
+        """The CDFs ``(F(x, y), G(x), H(y))``: ``H`` sums ``a_n`` times the X mass
+        of ``{phi_n <= y}``, one interval per monotone piece (its end found by
+        bisection), and ``F`` the part of it left of ``x``."""
+        lo, hi = self.support_x
+        g = _interval_mass(self.marginal_x, lo, min(x, hi))
+        f_joint = h = 0.0
+        for branch, pieces in zip(self.branches, self.branch_pieces()):
+            for a, b, sign in pieces:
+                va, vb = float(branch.phi(a)), float(branch.phi(b))
+                if y < min(va, vb):
+                    continue
+                if y < max(va, vb):
+                    cut = float(bisect_roots(branch.phi, y, a, b))
+                    a, b = (a, cut) if sign >= 0 else (cut, b)
+                a, b = max(a, lo), min(b, hi)
+                h += branch.weight * _interval_mass(self.marginal_x, a, b)
+                f_joint += branch.weight * _interval_mass(self.marginal_x, a, min(b, x))
+        return f_joint, g, h
+
     def _no_density(self, *_):
         raise CurveSingularHasNoDensity("curve-singular joints have no density w.r.t. area measure")
 
     # The other classes build these on an area density.
-    joint_density = lift_cells = _no_density
+    joint_density = lift_cells = target_rates = _no_density
     integration_box = property(_no_density)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -646,6 +742,13 @@ class CurveSingularJoint:
             if np.any(mask):
                 y[mask] = np.asarray(branch.phi(x[mask]), dtype=float)
         return np.column_stack([x, y])
+
+
+def _interval_mass(pdf: Evaluator, lo: float, hi: float) -> float:
+    """The integral of ``pdf`` over ``[lo, hi]``, 0 when the interval is empty."""
+    if hi <= lo:
+        return 0.0
+    return adaptive_quad_1d(pdf, lo, hi, tol=1e-10).value
 
 
 def _density_or_nan(rho_y, n: int, x: float) -> float:

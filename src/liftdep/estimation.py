@@ -26,7 +26,6 @@ from . import distributions as dm
 from .errors import DegenerateSample, MinSampleSize, TargetHasZeroMass
 from .information import MiReport, mi_discrete
 from .lift import ESTIMATED_TOL, LiftField, classify_values, discrete_lift
-from .quadrature import adaptive_quad_1d
 
 __all__ = [
     "ContingencyTable",
@@ -207,64 +206,6 @@ class TargetingResult:
         dm.write_json(f, self.to_dict())
 
 
-def _discrete_target(dist: dm.DiscreteJoint, target_y: float) -> TargetingResult:
-    iy = np.nonzero(dist.y_support == float(target_y))[0]
-    if iy.size == 0:
-        raise TargetHasZeroMass(f"target label {target_y} not in the Y support")
-    j = int(iy[0])
-    baseline = float(dist.p_y[j])
-    if baseline == 0.0:
-        raise TargetHasZeroMass(f"target label {target_y} has zero probability")
-    p_x = dist.p_x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        boosted = np.where(p_x > 0, dist.pmf[:, j] / p_x, -np.inf)
-    i = int(np.argmax(boosted))  # argmax takes the first maximizer: smallest x
-    boosted_rate = float(boosted[i])
-    return TargetingResult(
-        target_y=float(target_y),
-        x_opt=float(dist.x_support[i]),
-        lift_at_opt=boosted_rate / baseline,
-        baseline_rate=baseline,
-        boosted_rate=boosted_rate,
-        expected_extra_per_n=boosted_rate - baseline,
-    )
-
-
-def _continuous_target(dist, target: tuple[float, float], x_grid) -> TargetingResult:
-    lo, hi = float(target[0]), float(target[1])
-    if not lo < hi:
-        raise ValueError("target interval must satisfy lo < hi")
-    _, _, y_lo, y_hi = dist.integration_box
-    if x_grid is None:
-        x_grid = np.linspace(*dist.bounded_axis("x"), 201)
-    x_grid = np.asarray(x_grid, dtype=float)
-    lo_c, hi_c = max(lo, y_lo), min(hi, y_hi)
-    baseline = (
-        adaptive_quad_1d(dist.marginal_y, lo_c, hi_c, tol=1e-10).value if lo_c < hi_c else 0.0
-    )
-    if baseline <= 0.0:
-        raise TargetHasZeroMass(f"target interval [{lo}, {hi}] carries no mass")
-    best_x, best_rate = None, -np.inf
-    for x in x_grid:
-        rho_x = float(dist.marginal_x(x))
-        if rho_x <= 0.0:
-            continue
-        strip = adaptive_quad_1d(lambda y: dist.joint_density(np.full_like(y, x), y), lo_c, hi_c, tol=1e-10)
-        rate = strip.value / rho_x
-        if rate > best_rate:
-            best_x, best_rate = float(x), float(rate)
-    if best_x is None:
-        raise TargetHasZeroMass("no grid profile has positive marginal density")
-    return TargetingResult(
-        target_y=(lo, hi),
-        x_opt=best_x,
-        lift_at_opt=best_rate / baseline,
-        baseline_rate=baseline,
-        boosted_rate=best_rate,
-        expected_extra_per_n=best_rate - baseline,
-    )
-
-
 def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
     """Profile maximizing the lift toward the target response.
 
@@ -272,12 +213,26 @@ def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
     or an absolutely continuous joint together with a target interval
     ``(lo, hi)`` and an optional 1D profile grid (by default 201 points over
     the X range of the integration box; ValueError when that range is
-    unbounded). Ties break toward the smallest profile value.
+    unbounded, or when a given grid is empty or holds NaN). The rates are the
+    class's ``target_rates``; ties break toward the smallest profile value.
     """
     if isinstance(dist_or_table, ContingencyTable):
-        return _discrete_target(empirical_pmf(dist_or_table), target_y)
-    if isinstance(dist_or_table, dm.DiscreteJoint):
-        return _discrete_target(dist_or_table, target_y)
-    if isinstance(target_y, (tuple, list)) and len(target_y) == 2:
-        return _continuous_target(dist_or_table, (target_y[0], target_y[1]), x_grid)
-    raise TypeError("continuous targeting requires a (lo, hi) target interval")
+        dist_or_table = empirical_pmf(dist_or_table)
+    if x_grid is not None:
+        x_grid = np.asarray(x_grid, dtype=float)
+        if x_grid.size < 1 or np.isnan(x_grid).any():
+            raise ValueError("the profile grid must be nonempty and free of NaN")
+    profiles, rates, baseline = dist_or_table.target_rates(target_y, x_grid)
+    i = int(np.argmax(rates))  # argmax takes the first maximizer: smallest x
+    boosted_rate = float(rates[i])
+    if boosted_rate == -np.inf:
+        raise TargetHasZeroMass("no grid profile has positive marginal density")
+    target = tuple(map(float, target_y)) if isinstance(target_y, (tuple, list)) else float(target_y)
+    return TargetingResult(
+        target_y=target,
+        x_opt=float(profiles[i]),
+        lift_at_opt=boosted_rate / baseline,
+        baseline_rate=baseline,
+        boosted_rate=boosted_rate,
+        expected_extra_per_n=boosted_rate - baseline,
+    )

@@ -92,6 +92,19 @@ class MiReport:
         dm.write_json(f, self.to_dict())
 
 
+def _quad_report(result, method: MiMethod) -> MiReport:
+    """The report of a quadrature route: value, error and counts of its QuadResult."""
+    return MiReport(
+        value=result.value,
+        method=method,
+        abs_error_estimate=result.error,
+        n_evals=result.n_evals,
+        converged=result.converged,
+        n_cells=result.n_cells,
+        budget_exhausted=result.budget_exhausted,
+    )
+
+
 def mi_discrete(dist: dm.DiscreteJoint) -> MiReport:
     """Exact sum of ``p * log(p / (p_X p_Y))`` over positive-probability cells."""
     mask = dist.pmf > 0
@@ -165,15 +178,7 @@ def mi_continuous(
             f"error estimate {result.error:.3g} > {CONVERGENCE_FAILURE_TOL:g} "
             f"after {result.n_evals} evaluations"
         )
-    return MiReport(
-        value=result.value,
-        method=MiMethod.QUADRATURE,
-        abs_error_estimate=result.error,
-        n_evals=result.n_evals,
-        converged=result.converged,
-        n_cells=result.n_cells,
-        budget_exhausted=result.budget_exhausted,
-    )
+    return _quad_report(result, MiMethod.QUADRATURE)
 
 
 def _mi_monte_carlo(dist: dm.ContinuousFamily, n: int, seed: int) -> MiReport:
@@ -241,15 +246,7 @@ def mi_curve(
         return np.where(rho > 0, rho * total, 0.0)
 
     result = adaptive_quad_1d(integrand, lo, hi, tol=tol, budget=budget, breaks=breaks)
-    return MiReport(
-        value=result.value,
-        method=MiMethod.CURVE_QUADRATURE,
-        abs_error_estimate=result.error,
-        n_evals=result.n_evals,
-        converged=result.converged,
-        n_cells=result.n_cells,
-        budget_exhausted=result.budget_exhausted,
-    )
+    return _quad_report(result, MiMethod.CURVE_QUADRATURE)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ discrete label) carry the ``Undefined`` label rather than a sentinel value so
 downstream consumers can skip them without NaN contagion.
 
 Sibuya's dependence ratio ``F(x, y) / (G(x) H(y))`` is also provided for all
-classes as a CDF-level contrast to the pointwise lift.
+classes as a CDF-level contrast to the pointwise lift; the three CDFs are the
+class's ``sibuya_parts(x, y)``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 from . import distributions as dm
 from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
 from .errors import UndefinedAtPoint
-from .quadrature import adaptive_quad_1d, adaptive_quad_2d
 
 __all__ = [
     "RegionLabel",
@@ -153,78 +153,23 @@ continuous_lift_at = curve_lift_at = lift_at
 # ---------------------------------------------------------------------------
 
 
-def _interval_mass(pdf, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    return adaptive_quad_1d(pdf, lo, hi, tol=1e-10).value
-
-
-def _sublevel_intervals(branch: dm.CurveBranch, y: float) -> list[tuple[float, float]]:
-    """Sub-intervals of the branch domain where phi <= y, piece by piece."""
-    out = []
-    for a, b, sign in dm.monotone_pieces(branch):
-        va, vb = float(branch.phi(a)), float(branch.phi(b))
-        lo_val, hi_val = (va, vb) if va <= vb else (vb, va)
-        if y < lo_val:
-            continue
-        if y >= hi_val:
-            out.append((a, b))
-            continue
-        cut = float(dm.bisect_roots(branch.phi, y, a, b))
-        out.append((a, cut) if sign >= 0 else (cut, b))
-    return out
-
-
 def sibuya_omega_at(dist, point) -> float:
     """Sibuya's dependence ratio ``F(x, y) / (G(x) H(y))``.
 
-    Joint and marginal CDFs are computed by partial sums (discrete), adaptive
-    quadrature over the integration box (continuous; infinite ends through
-    the sinh map of ``quadrature``), or the X-marginal mass of
-    ``{x' <= x : phi(x') <= y}`` (curve-singular).
-
-    A continuous family's CDFs are those of its law truncated to the box, so
-    near the lower edge of a finite box omega carries the truncation bias:
-    for ``BivariateNormal(0.6)`` (box edge -8) it is 4.6e-5 low at (-6, -6),
-    0.97% low at (-7, -7) and 10.9% low at (-7.5, -7.5). The quadrature itself
-    matches the exact truncated-box ratio there to about 4e-12, so its
-    absolute 1e-8 tolerance on ``F`` is not the cause.
+    The joint and marginal CDFs are the class's ``sibuya_parts``: partial
+    sums (discrete), adaptive quadrature over the box (continuous) or
+    X-marginal masses of sublevel sets of the branches (curve-singular).
 
     Raises ValueError for a NaN coordinate; ``±inf`` is a valid coordinate.
+    Raises UndefinedAtPoint where ``G`` or ``H`` is below DENSITY_FLOOR or
+    their product underflows to 0.
     """
     x, y = float(point[0]), float(point[1])
     if math.isnan(x) or math.isnan(y):
         raise ValueError(f"Sibuya ratio needs a point without NaN, got ({x}, {y})")
-    if isinstance(dist, dm.DiscreteJoint):
-        mx = dist.x_support <= x
-        my = dist.y_support <= y
-        g = float(dist.p_x[mx].sum())
-        h = float(dist.p_y[my].sum())
-        if g == 0.0 or h == 0.0:
-            raise UndefinedAtPoint(f"a marginal CDF is zero at ({x}, {y})")
-        f_joint = float(dist.pmf[np.ix_(mx, my)].sum())
-        return f_joint / (g * h)
-    if isinstance(dist, dm.CurveSingularJoint):
-        lo, hi = dist.support_x
-        g = _interval_mass(dist.marginal_x, lo, min(x, hi))
-        h = 0.0
-        f_joint = 0.0
-        for branch in dist.branches:
-            for a, b in _sublevel_intervals(branch, y):
-                a = max(a, lo)
-                b = min(b, hi)
-                h += branch.weight * _interval_mass(dist.marginal_x, a, b)
-                f_joint += branch.weight * _interval_mass(dist.marginal_x, a, min(b, x))
-        if g == 0.0 or h == 0.0:
-            raise UndefinedAtPoint(f"a marginal CDF is zero at ({x}, {y})")
-        return f_joint / (g * h)
-    x_lo, x_hi, y_lo, y_hi = dist.integration_box
-    g = _interval_mass(dist.marginal_x, x_lo, min(x, x_hi))
-    h = _interval_mass(dist.marginal_y, y_lo, min(y, y_hi))
-    if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
-        raise UndefinedAtPoint(f"a marginal CDF is zero at ({x:.6g}, {y:.6g})")
-    quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
-    f_joint = adaptive_quad_2d(dist.joint_density, quadrant, tol=1e-8).value
+    f_joint, g, h = dist.sibuya_parts(x, y)
+    if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h == 0.0:
+        raise UndefinedAtPoint(f"G(x) H(y) vanishes at ({x:.6g}, {y:.6g})")
     return f_joint / (g * h)
 
 

@@ -190,6 +190,24 @@ class TestOutputs:
         assert code == 0
         assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_sibuya_underflowing_marginal_product_is_a_domain_error(self, capsys, tmp_path):
+        pmf = tmp_path / "pmf.csv"
+        pmf.write_text("x,y:0,y:1\n0,1e-200,0\n1,0,1\n")
+        code, out, err = run(capsys, "sibuya", "--pmf-file", str(pmf), "--point", "0", "0")
+        assert code == 1
+        assert out == ""
+        assert "UndefinedAtPoint" in err
+        assert "Traceback" not in err
+
+    def test_target_empty_profile_grid_is_an_error(self, capsys):
+        code, out, err = run(
+            capsys, "target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1",
+            "--target-hi", "2", "--nx", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "profile grid" in err
+
     def test_lift_grid_default_is_the_support_grid(self, capsys, tmp_path):
         # fewer than eight labels a side: numpy then sums each marginal in
         # order, so the loop oracle gives the same bits

@@ -211,6 +211,11 @@ class TestTargeting:
         with pytest.raises(ld.TargetHasZeroMass):
             ld.target_profile(dist, 1.0)
 
+    @pytest.mark.parametrize("grid", [[], [math.nan, 1.0], [0.0, math.nan]])
+    def test_profile_grid_must_be_nonempty_and_free_of_nan(self, grid):
+        with pytest.raises(ValueError, match="profile grid"):
+            ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), grid)
+
     def test_tie_breaks_to_smallest_profile(self):
         dist = ld.DiscreteJoint(
             [0.0, 1.0, 2.0],

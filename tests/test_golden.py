@@ -7,7 +7,8 @@ Weierstrass pins equal the ``GOLDEN`` pins of ``bench/checks.py``. The
 instead of the README's 1e6 rows to keep the suite short; the benchmark pins
 the 1e6-row outputs. ``EXTRA`` pins quadrature paths the recipes do not
 reach: the curve-singular MIs (1D heap), the r = 0.99 bivariate-normal MI by
-quadrature and the circular-Cauchy Sibuya ratio.
+quadrature, the circular-Cauchy and curve-singular Sibuya ratios, and the
+Sibuya ratio and targeting of a pmf table (``PMF``, written per test).
 
 The ``lhat.csv`` pin depends on the number of BLAS threads: ``kernel_lift``'s
 ``kx @ ky.T`` gives different last bits under one and two OpenBLAS threads,
@@ -75,7 +76,9 @@ RECIPES = [
 ]
 
 
-# (name, argv, sha256 of stdout)
+PMF = "x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n"
+
+# (name, argv, sha256 of stdout); "{pmf}" in an argv entry is a file holding PMF.
 EXTRA = [
     ("mi-curve-normal-identity", ["mi", "--dist", "curve-normal-identity"],
      "a5022b67396498f3d536a275f24a9d6a54925b0f3f8584e628f7a36098b2f102"),
@@ -90,6 +93,13 @@ EXTRA = [
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
      "e129d583b525e120493762c89f389cb59e3d8791797963a38cfdd545719d8429"),
+    ("sibuya-curve-uniform-square", ["sibuya", "--dist", "curve-uniform-square",
+                                     "--point", "0.5", "0.16", "--point", "0.3", "0.81"],
+     "faf71302f451b5c65b432affdc5874fd6f84dc0663ee319cd71108c6aa784829"),
+    ("sibuya-pmf", ["sibuya", "--pmf-file", "{pmf}", "--point", "0", "0", "--point", "1", "0"],
+     "5aca7226ebc1c9ebcf218ca97c634f11f21f9d1b9393be4c2f2dcb007bf8b519"),
+    ("target-pmf", ["target", "--pmf-file", "{pmf}", "--target-y", "1"],
+     "3c5d9da8e271a7de24b76d5fcacd94050d295cab37b04db2387a55207b9b7047"),
 ]
 
 
@@ -115,9 +125,11 @@ def test_recipe_output_is_golden(outputs, name, pin):
 
 
 @pytest.mark.parametrize("argv,pin", [(r[1], r[2]) for r in EXTRA], ids=[r[0] for r in EXTRA])
-def test_extra_output_is_golden(argv, pin):
+def test_extra_output_is_golden(tmp_path, argv, pin):
+    pmf = tmp_path / "pmf.csv"
+    pmf.write_text(PMF)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(argv)
+        code = main([arg.replace("{pmf}", str(pmf)) for arg in argv])
     assert code == 0
     assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == pin

@@ -215,6 +215,28 @@ class TestSibuyaOmega:
                 expected, rel=1e-6
             )
 
+    @pytest.mark.parametrize("x,y", [(-0.5, 0.49), (0.3, 0.25), (0.9, 0.04), (-0.2, 0.81)])
+    def test_curve_singular_omega_on_a_decreasing_piece(self, x, y):
+        """X ~ U(-1, 1), Y = X^2: on the decreasing piece [-1, 0] the sublevel
+        set {phi <= y} is [-sqrt(y), 0]. F = max(0, min(x, sqrt y) + sqrt y) / 2,
+        G = (x + 1) / 2 and H = sqrt(y), matched to the last bit."""
+        branch = ld.CurveBranch(
+            phi=lambda t: np.asarray(t, dtype=float) ** 2,
+            dphi=lambda t: 2.0 * np.asarray(t, dtype=float),
+            domain=(-1.0, 1.0),
+        )
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
+        s = math.sqrt(y)
+        want = max(0.0, min(x, s) + s) / 2 / (((x + 1) / 2) * s)
+        assert ld.sibuya_omega_at(dist, (x, y)) == want
+
+    def test_underflowing_marginal_product_is_undefined(self):
+        """G = H = 1e-200 at (0, 0) are positive, but G * H underflows to 0."""
+        dist = ld.DiscreteJoint([0.0, 1.0], [0.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]])
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.sibuya_omega_at(dist, (0.0, 0.0))
+        assert ld.sibuya_omega_at(dist, (1.0, 1.0)) == 1.0
+
 
 class TestLiftGrid:
     def test_bvn_band_structure(self):
