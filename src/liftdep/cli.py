@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
@@ -22,31 +23,7 @@ from . import scaling as sc
 from .errors import LiftDepError
 from .quadrature import DEFAULT_BUDGET_2D
 
-CURVE_SPECS = (
-    "curve-normal-identity",
-    "curve-uniform-identity",
-    "curve-normal-double",
-    "curve-uniform-square",
-)
-DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + CURVE_SPECS
-
-
-def _make_curve(spec: str) -> dm.CurveSingularJoint:
-    """One branch ``y = phi(x)`` over the whole X support."""
-    normal = (dm.standard_normal_pdf, (-8.0, 8.0))
-    uniform = (dm.uniform_pdf(0.0, 1.0), (0.0, 1.0))
-    marginal_x, support, phi, dphi = {
-        "curve-normal-identity": (*normal, lambda x: x, np.ones_like),
-        "curve-uniform-identity": (*uniform, lambda x: x, np.ones_like),
-        "curve-normal-double": (*normal, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
-        "curve-uniform-square": (*uniform, lambda x: x**2, lambda x: 2.0 * x),
-    }[spec]
-    branch = dm.CurveBranch(
-        phi=lambda x: phi(np.asarray(x, dtype=float)),
-        dphi=lambda x: dphi(np.asarray(x, dtype=float)),
-        domain=support,
-    )
-    return dm.CurveSingularJoint(marginal_x=marginal_x, support_x=support, branches=(branch,))
+DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + dm.CURVE_SPECS
 
 
 def _build_dist(args, parser):
@@ -68,7 +45,7 @@ def _build_dist(args, parser):
         return dm.CircularCauchy()
     if spec == "indep-normal":
         return dm.IndependentProduct(dm.standard_normal_pdf, dm.standard_normal_pdf)
-    return _make_curve(spec)
+    return dm.named_curve(spec)
 
 
 def _grids(args):
@@ -95,8 +72,8 @@ def _out(path: str):
 
 
 def _cmd_lift_grid(args, f, parser):
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        parser.error("--tol must be positive and finite")
     dist = _build_dist(args, parser)
     if args.grid_default and args.pmf_file is None:
         parser.error("--grid-default needs --pmf-file")
@@ -125,8 +102,8 @@ def _cmd_mi(args, f, parser):
 
 
 def _cmd_regions(args, f, parser):
-    if args.tol <= 0:
-        parser.error("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        parser.error("--tol must be positive and finite")
     dist = _build_dist(args, parser)
     dm.write_json(f, lf.region_summary(dist, tol=args.tol).to_dict())
 

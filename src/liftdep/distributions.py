@@ -27,9 +27,10 @@ region cells, ``lift_cells()``; the CDFs of Sibuya's ratio,
   and ``target_rates`` raise CurveSingularHasNoDensity). Its Y-marginal can be
   derived by the pushforward formula (sum of ``a_n * rho_X / |phi_n'|`` over
   preimages), whose preimages are found for many y at once by an elementwise
-  bisection on the monotone pieces of each branch. At an on-curve point
-  ``y = phi_n(x)`` the point's own ``x`` is the preimage on its piece, and
-  only the other pieces are bisected (``on_curve_marginal_y``).
+  bisection on the monotone pieces of each branch, found once per law
+  (``pieces``). At an on-curve point ``y = phi_n(x)`` the point's own ``x``
+  is the preimage on its piece, and only the other pieces are bisected
+  (``on_curve_marginal_y``).
 
 Density and marginal evaluators must be pure, vectorized functions: they take
 scalars or ndarrays and return values of the same shape. All distribution
@@ -90,6 +91,8 @@ __all__ = [
     "derive_pushforward_density",
     "pushforward_density_fn",
     "monotone_pieces",
+    "CURVE_SPECS",
+    "named_curve",
     "sample",
     "TabulatedInverseCdf",
     "tabulated_inverse_cdf",
@@ -641,35 +644,25 @@ class CurveSingularJoint:
             return self.marginal_y
         return pushforward_density_fn(self)
 
-    def branch_pieces(self) -> list[list[tuple[float, float, int]]]:
-        """The :func:`monotone_pieces` of every branch, in branch order."""
-        return [monotone_pieces(branch) for branch in self.branches]
+    @cached_property
+    def pieces(self) -> tuple[tuple[tuple[float, float, int], ...], ...]:
+        """The :func:`monotone_pieces` of every branch, in branch order. A
+        NonMonotonePiece is raised on every read: nothing is cached then."""
+        return tuple(tuple(monotone_pieces(branch)) for branch in self.branches)
 
-    def on_curve_marginal_y(self, pieces=None) -> Callable[[int, np.ndarray], np.ndarray]:
-        """The evaluator ``(n, x) -> rho_Y(phi_n(x))`` for ``x`` in the domain
-        of branch n.
+    def on_curve_marginal_y(self, n: int, x) -> np.ndarray:
+        """``rho_Y(phi_n(x))`` for ``x`` in the domain of branch n.
 
         It uses the supplied Y-marginal when there is one. Otherwise it sums
         the pushforward over the preimages of ``phi_n(x)``: ``x`` itself is
         the one on its own piece of branch n, and only the other pieces and
-        branches are solved by bisection. ``pieces`` (default: found here,
-        once) are the :meth:`branch_pieces`.
+        branches are solved by bisection.
         """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(self.branches[n].phi(x), dtype=float)
         if self.marginal_y is not None:
-            rho_y = self.marginal_y
-            return lambda n, x: np.asarray(
-                rho_y(np.asarray(self.branches[n].phi(x), dtype=float)), dtype=float
-            )
-        if pieces is None:
-            pieces = self.branch_pieces()
-
-        def rho_y_on_curve(n, x):
-            x = np.asarray(x, dtype=float)
-            flat = x.ravel()
-            y = np.asarray(self.branches[n].phi(flat), dtype=float)
-            return _preimage_sum(self, pieces, y, own=(n, flat)).reshape(x.shape)
-
-        return rho_y_on_curve
+            return np.asarray(self.marginal_y(y), dtype=float)
+        return _preimage_sum(self, y.ravel(), own=(n, x.ravel())).reshape(x.shape)
 
     def lift(self, x, y):
         """Elementwise lift: ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))``
@@ -681,7 +674,6 @@ class CurveSingularJoint:
         DENSITY_FLOOR."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         values = np.zeros(np.broadcast_shapes(x.shape, y.shape))
-        rho_y = self.on_curve_marginal_y()
         for n, branch in enumerate(self.branches):
             lo, hi = branch.domain
             inside = (x >= lo) & (x <= hi)
@@ -690,9 +682,9 @@ class CurveSingularJoint:
             at = (np.abs(y - phi_x) <= ON_CURVE_TOL) & (values == 0.0)
             x_at = np.broadcast_to(x, values.shape)[at]
             try:
-                dens = rho_y(n, x_at)
+                dens = self.on_curve_marginal_y(n, x_at)
             except DerivativeVanishes:
-                dens = np.array([_density_or_nan(rho_y, n, v) for v in x_at])
+                dens = np.array([_density_or_nan(self, n, v) for v in x_at])
             slope = np.asarray(branch.dphi(x_at), dtype=float)
             with np.errstate(divide="ignore"):
                 val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
@@ -707,7 +699,7 @@ class CurveSingularJoint:
         lo, hi = self.support_x
         g = _interval_mass(self.marginal_x, lo, min(x, hi))
         f_joint = h = 0.0
-        for branch, pieces in zip(self.branches, self.branch_pieces()):
+        for branch, pieces in zip(self.branches, self.pieces):
             for a, b, sign in pieces:
                 va, vb = float(branch.phi(a)), float(branch.phi(b))
                 if y < min(va, vb):
@@ -751,9 +743,9 @@ def _interval_mass(pdf: Evaluator, lo: float, hi: float) -> float:
     return adaptive_quad_1d(pdf, lo, hi, tol=1e-10).value
 
 
-def _density_or_nan(rho_y, n: int, x: float) -> float:
+def _density_or_nan(dist: CurveSingularJoint, n: int, x: float) -> float:
     try:
-        return float(rho_y(n, x))
+        return float(dist.on_curve_marginal_y(n, x))
     except DerivativeVanishes:
         return math.nan
 
@@ -873,10 +865,9 @@ def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
     return [(a, b, int(s)) for a, b, s in zip(bounds[:-1], bounds[1:], piece_signs)]
 
 
-def _preimage_sum(dist: CurveSingularJoint, pieces, y: np.ndarray, own=None) -> np.ndarray:
+def _preimage_sum(dist: CurveSingularJoint, y: np.ndarray, own=None) -> np.ndarray:
     """``sum a_n rho_X(x*) / |phi_n'(x*)|`` over the preimages ``x*`` of each
-    element of the flat array ``y``; ``pieces[n]`` are the monotone pieces of
-    branch n.
+    element of the flat array ``y``, on the monotone pieces ``dist.pieces``.
 
     Each piece is solved with one elementwise bisection, and a preimage shared
     by two adjacent pieces counts once. With ``own = (n, x)``, ``y`` is
@@ -884,13 +875,13 @@ def _preimage_sum(dist: CurveSingularJoint, pieces, y: np.ndarray, own=None) -> 
     the preimage and only the other elements are bisected.
     """
     total = np.zeros(y.shape)
-    for n, (branch, branch_pieces) in enumerate(zip(dist.branches, pieces)):
+    for n, (branch, pieces) in enumerate(zip(dist.branches, dist.pieces)):
         unclaimed = None
         if own is not None and own[0] == n:
             x_own = own[1]
             unclaimed = np.ones(y.shape, dtype=bool)
         roots = []
-        for a, b, _sign in branch_pieces:
+        for a, b, _sign in pieces:
             if unclaimed is None:
                 root = bisect_roots(branch.phi, y, a, b)
             else:
@@ -923,16 +914,15 @@ def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
     """Vectorized Y-marginal of a curve-singular joint.
 
     Sums ``a_n * rho_X(x*) / |phi_n'(x*)|`` over all preimages x* of y on
-    every branch. The monotone pieces of each branch are found once, here;
-    each evaluation then solves for all its ys on a piece with one
-    elementwise bisection. A preimage shared by two adjacent pieces counts
-    once.
+    every branch. The monotone pieces of each branch are found once per law
+    (``dist.pieces``); each evaluation then solves for all its ys on a piece
+    with one elementwise bisection. A preimage shared by two adjacent pieces
+    counts once.
     """
-    pieces = dist.branch_pieces()
 
     def rho_y(y):
         y = np.asarray(y, dtype=float)
-        total = _preimage_sum(dist, pieces, y.ravel())
+        total = _preimage_sum(dist, y.ravel())
         return float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
 
     return rho_y
@@ -941,6 +931,33 @@ def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
 def derive_pushforward_density(dist: CurveSingularJoint, y: float) -> float:
     """Density of Y at one point ``y``; see :func:`pushforward_density_fn`."""
     return pushforward_density_fn(dist)(float(y))
+
+
+CURVE_SPECS = (
+    "curve-normal-identity",
+    "curve-uniform-identity",
+    "curve-normal-double",
+    "curve-uniform-square",
+)
+
+
+def named_curve(spec: str) -> CurveSingularJoint:
+    """The named law of ``CURVE_SPECS``: one branch ``y = phi(x)`` over the
+    whole X support, with the Y-marginal derived."""
+    normal = (standard_normal_pdf, (-8.0, 8.0))
+    uniform = (uniform_pdf(0.0, 1.0), (0.0, 1.0))
+    marginal_x, support, phi, dphi = {
+        "curve-normal-identity": (*normal, lambda x: x, np.ones_like),
+        "curve-uniform-identity": (*uniform, lambda x: x, np.ones_like),
+        "curve-normal-double": (*normal, lambda x: 2.0 * x, lambda x: np.full_like(x, 2.0)),
+        "curve-uniform-square": (*uniform, lambda x: x**2, lambda x: 2.0 * x),
+    }[spec]
+    branch = CurveBranch(
+        phi=lambda x: phi(np.asarray(x, dtype=float)),
+        dphi=lambda x: dphi(np.asarray(x, dtype=float)),
+        domain=support,
+    )
+    return CurveSingularJoint(marginal_x=marginal_x, support_x=support, branches=(branch,))
 
 
 # ---------------------------------------------------------------------------
@@ -959,16 +976,15 @@ class TabulatedInverseCdf:
         return np.interp(u, self.cdf, self.grid)
 
 
-def tabulated_inverse_cdf(
-    pdf: Evaluator, support: Interval, n: int = INVERSE_CDF_RESOLUTION
-) -> TabulatedInverseCdf:
-    """Tabulate the CDF of ``pdf`` on ``support`` and return its inverse."""
+def tabulated_inverse_cdf(pdf: Evaluator, support: Interval) -> TabulatedInverseCdf:
+    """Tabulate the CDF of ``pdf`` on ``support`` at INVERSE_CDF_RESOLUTION
+    points and return its inverse."""
     lo, hi = support
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, INVERSE_CDF_RESOLUTION)
     dens = np.asarray(pdf(grid), dtype=float)
     if np.any(dens < 0):
         raise ValueError("pdf evaluator returned negative values")
-    step = (hi - lo) / (n - 1)
+    step = (hi - lo) / (INVERSE_CDF_RESOLUTION - 1)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * step)])
     if cdf[-1] <= 0:
         raise ValueError("pdf has zero mass on the support")

@@ -1,8 +1,8 @@
 """Semantic exception hierarchy.
 
-Every error a caller can act on has its own class; the class name is the
-stable machine-readable identifier surfaced by the CLI on the diagnostic
-stream. Do not raise bare ValueError from public functions.
+Public functions raise ValueError for malformed arguments and a LiftDepError
+subclass for a domain condition of the law or the computation; the subclass
+name is the stable, machine-readable identifier the CLI prints on stderr.
 """
 
 

@@ -145,8 +145,8 @@ def kernel_lift(
         hx, hy = silverman_bandwidth(xs), silverman_bandwidth(ys)
     else:
         hx, hy = float(bandwidth_rule[0]), float(bandwidth_rule[1])
-        if hx <= 0 or hy <= 0:
-            raise ValueError("fixed bandwidths must be positive")
+        if not (0 < hx < math.inf and 0 < hy < math.inf):
+            raise ValueError("fixed bandwidths must be positive and finite")
 
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)

@@ -204,16 +204,14 @@ def mi_curve(
     The heap is seeded with one cell between each pair of consecutive
     monotone-piece bounds of the branches (domain ends included) inside
     ``support_x``, so no node falls on a fold, where ``phi_n'`` vanishes.
-    The pieces are found once per call and also serve the on-curve Y-marginal
-    (:meth:`CurveSingularJoint.on_curve_marginal_y`).
+    The pieces are found once per law (``dist.pieces``) and also serve the
+    on-curve Y-marginal (:meth:`CurveSingularJoint.on_curve_marginal_y`).
 
     Raises UndefinedAtPoint if ``log L`` is evaluated where the Y-marginal
     vanishes on a positive-density part of the X support.
     """
-    pieces = dist.branch_pieces()
-    rho_y = dist.on_curve_marginal_y(pieces)
     lo, hi = dist.support_x
-    breaks = {end for branch_pieces in pieces for piece in branch_pieces for end in piece[:2]}
+    breaks = {end for pieces in dist.pieces for piece in pieces for end in piece[:2]}
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
@@ -228,7 +226,7 @@ def mi_curve(
                 continue
             x_in = x[inside]
             slope = np.asarray(branch.dphi(x_in), dtype=float)
-            dens_y = rho_y(n, x_in)
+            dens_y = dist.on_curve_marginal_y(n, x_in)
             if np.any((dens_y <= 0) & (rho[inside] > 0)):
                 raise UndefinedAtPoint(
                     "Y-marginal vanishes on the curve over a positive-density x set"
@@ -252,22 +250,6 @@ def mi_curve(
 # ---------------------------------------------------------------------------
 # Convergence-in-law counterexample
 # ---------------------------------------------------------------------------
-
-
-def _identity_curve() -> dm.CurveSingularJoint:
-    """X standard normal, Y = X with probability one."""
-    branch = dm.CurveBranch(
-        phi=lambda x: np.asarray(x, dtype=float),
-        dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        domain=(-8.0, 8.0),
-        weight=1.0,
-    )
-    return dm.CurveSingularJoint(
-        marginal_x=dm.standard_normal_pdf,
-        support_x=(-8.0, 8.0),
-        branches=(branch,),
-        marginal_y=dm.standard_normal_pdf,
-    )
 
 
 @dataclass(frozen=True)
@@ -300,7 +282,7 @@ def convergence_counterexample(r_schedule) -> ConvergenceReport:
         raise DegenerateCorrelation("every scheduled correlation needs |r| < 1")
     if any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError("r_schedule must be strictly increasing")
-    limit = mi_curve(_identity_curve()).value
+    limit = mi_curve(dm.named_curve("curve-normal-identity")).value
     rows = []
     for r in schedule:
         mi = mi_bvn_closed_form(r).value

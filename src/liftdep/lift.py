@@ -183,8 +183,11 @@ def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
 
     Pointwise failures (off-support labels, vanishing marginals, folds of a
     curve branch) become Undefined cells instead of raising. Grids must be
-    strictly increasing and free of NaN, or ValueError is raised.
+    strictly increasing and free of NaN, and ``tol`` positive and finite
+    (a NaN or infinite one labels every cell Neutral), or ValueError is raised.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
     if grid_x.size < 1 or grid_y.size < 1:
@@ -206,8 +209,10 @@ def region_summary(dist, tol: float = ANALYTIC_TOL) -> RegionSummary:
     summed exactly. Continuous joints are evaluated on a quantile-spaced grid
     so every cell carries identical product mass; the only error is
     boundary-cell misclassification. Curve-singular joints raise
-    CurveSingularHasNoDensity.
+    CurveSingularHasNoDensity; ``tol`` must be positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     values, weights = dist.lift_cells()
     weights = np.broadcast_to(weights, values.shape)
     lift_mass = float(weights[values > 1.0 + tol].sum())

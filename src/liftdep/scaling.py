@@ -198,7 +198,11 @@ class WeierstrassCurve:
 def weierstrass_eval(curve: WeierstrassCurve, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
     n = np.arange(1, curve.n_terms + 1)
-    terms = np.cos(2.0 * math.pi * np.multiply.outer(x, 3.0**n)) / 2.0**n
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = 2.0 * math.pi * np.multiply.outer(x, 3.0**n)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"n_terms={curve.n_terms}: the phase 2 pi 3^n x is not finite")
+    terms = np.cos(phase) / 2.0**n
     out = terms.sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 

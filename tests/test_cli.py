@@ -361,6 +361,39 @@ class TestMalformedInput:
         assert all(r[3] == "Zero" for r in rows if r not in on_curve)
 
 
+    @pytest.mark.parametrize("command", ["regions", "lift-grid"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_must_be_positive_and_finite(self, capsys, command, tol):
+        code, out, err = run(capsys, command, "--dist", "bvn", "--r", "0.6", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol must be positive and finite" in err
+
+    def test_non_finite_bandwidth_is_domain_error(self, capsys, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+        code, out, err = run(
+            capsys, "estimate-lift", "--samples-file", str(samples), "--bandwidth-x", "nan",
+            "--bandwidth-y", "1", "--nx", "3", "--ny", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "ValueError" in err and "bandwidths must be positive and finite" in err
+
+    def test_weierstrass_phase_overflow_is_domain_error(self):
+        # a subprocess, so that a RuntimeWarning would reach the real stderr
+        src = str(Path(liftdep.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "liftdep.cli", "weierstrass", "--n-points", "5",
+             "--n-terms", "700"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ValueError: n_terms=700")
+        assert "RuntimeWarning" not in proc.stderr
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         """Neither the import nor a bvn `regions` or `lift-grid` command loads

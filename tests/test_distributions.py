@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import liftdep as ld
-from liftdep.cli import CURVE_SPECS, _make_curve
-from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces
+from liftdep.distributions import CURVE_SPECS, PROBE_GRID_SIZE, monotone_pieces, named_curve
 from liftdep.quadrature import adaptive_quad_2d
 
 import oracles
@@ -227,7 +226,7 @@ class TestOnCurveMarginalY:
     def test_matches_the_pushforward_on_each_branch(self, name, tent_curve):
         dist = {"parabola": _parabola(), "tent": tent_curve,
                 "partial-domain": _partial_domain_curve()}[name]
-        on_curve = dist.on_curve_marginal_y()
+        on_curve = dist.on_curve_marginal_y
         rho_y = ld.pushforward_density_fn(dist)
         for n, branch in enumerate(dist.branches):
             lo, hi = branch.domain
@@ -237,26 +236,57 @@ class TestOnCurveMarginalY:
 
     @pytest.mark.parametrize("spec", CURVE_SPECS)
     def test_bit_equal_on_the_cli_curves(self, spec):
-        dist = _make_curve(spec)
+        dist = named_curve(spec)
         lo, hi = dist.support_x
         x = np.concatenate([np.linspace(lo, hi, 1001)[1:],
                             np.random.default_rng(1111).uniform(lo, hi, 10_000)])
-        got = dist.on_curve_marginal_y()(0, x)
+        got = dist.on_curve_marginal_y(0, x)
         assert got.tobytes() == ld.pushforward_density_fn(dist)(dist.branches[0].phi(x)).tobytes()
 
     def test_keeps_the_shape_of_x(self, tent_curve):
         x = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert tent_curve.on_curve_marginal_y()(1, x) == pytest.approx(np.ones((2, 2)), abs=1e-12)
+        assert tent_curve.on_curve_marginal_y(1, x) == pytest.approx(np.ones((2, 2)), abs=1e-12)
 
     def test_supplied_marginal_is_used(self):
-        dist = _make_curve("curve-normal-double")
+        dist = named_curve("curve-normal-double")
         dist = ld.CurveSingularJoint(dist.marginal_x, dist.support_x, dist.branches,
                                      marginal_y=lambda y: np.full_like(y, 0.25))
-        assert dist.on_curve_marginal_y()(0, np.array([0.3, -1.0])).tolist() == [0.25, 0.25]
+        assert dist.on_curve_marginal_y(0, np.array([0.3, -1.0])).tolist() == [0.25, 0.25]
 
     def test_fold_raises(self):
         with pytest.raises(ld.DerivativeVanishes):
-            _parabola().on_curve_marginal_y()(0, np.array([0.5, 0.0]))
+            _parabola().on_curve_marginal_y(0, np.array([0.5, 0.0]))
+
+
+class TestPiecesOncePerLaw:
+    def test_every_use_shares_one_search_per_branch(self, tent_curve, monkeypatch):
+        calls = []
+
+        def counting(branch):
+            calls.append(branch)
+            return monotone_pieces(branch)
+
+        monkeypatch.setattr("liftdep.distributions.monotone_pieces", counting)
+        dist = tent_curve
+        ld.mi_curve(dist)
+        ld.lift_grid(dist, np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
+        for point in ((0.2, 0.3), (0.5, 0.5), (0.9, 0.1)):
+            ld.sibuya_omega_at(dist, point)
+        ld.pushforward_density_fn(dist)(np.linspace(0.1, 0.9, 5))
+        ld.derive_pushforward_density(dist, 0.4)
+        assert calls == list(dist.branches)
+
+    def test_a_non_monotone_piece_raises_on_every_use(self):
+        branch = ld.CurveBranch(
+            phi=lambda x: np.asarray(x, dtype=float) ** 2,
+            dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+            domain=(-1.0, 1.0),
+            breakpoints=(0.5,),  # wrong: dphi flips sign at 0, inside (-1, 0.5)
+        )
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
+        for _ in range(2):
+            with pytest.raises(ld.NonMonotonePiece):
+                ld.derive_pushforward_density(dist, 0.25)
 
 
 class TestSample:

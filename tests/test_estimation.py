@@ -101,6 +101,14 @@ class TestKernelLift:
         est = ld.kernel_lift(pts, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3), (0.25, 0.5))
         assert est.bandwidth_x == 0.25 and est.bandwidth_y == 0.5
 
+    @pytest.mark.parametrize("bandwidths", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0)])
+    def test_fixed_bandwidths_must_be_positive_and_finite(self, bandwidths):
+        # a NaN bandwidth used to give an all-Undefined field
+        pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
+        grid = np.linspace(-1, 1, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            ld.kernel_lift(pts, grid, grid, bandwidths)
+
     def test_min_sample_size(self):
         pts = ld.sample(ld.BivariateNormal(0.0), 19, seed=4)
         with pytest.raises(ld.MinSampleSize):

@@ -302,6 +302,14 @@ class TestLiftGrid:
             with pytest.raises(ValueError, match="NaN"):
                 ld.lift_grid(dist, grid_x, grid_y)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol, dep_pmf):
+        # a NaN or infinite tolerance used to label every cell Neutral
+        grid = np.linspace(-2.0, 2.0, 5)
+        for dist in (ld.BivariateNormal(0.6), dep_pmf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                ld.lift_grid(dist, grid, grid, tol=tol)
+
 
 class TestRegionSummary:
     def test_independent_product(self):
@@ -323,6 +331,12 @@ class TestRegionSummary:
         assert 0.0 < summary.mass_inhibit < 1.0
         total = summary.mass_lift + summary.mass_inhibit + summary.mass_neutral
         assert total == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol, dep_pmf):
+        for dist in (ld.BivariateNormal(0.6), dep_pmf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                ld.region_summary(dist, tol=tol)
 
 
 class TestPropertySuite:

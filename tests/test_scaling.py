@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -203,6 +204,14 @@ class TestWeierstrass:
         curve = ld.WeierstrassCurve(n_terms=30)
         grid = ld.weierstrass_grid(curve, 10_000)
         assert np.max(np.abs(grid[:, 1])) <= 1.0
+
+    def test_phase_overflow_raises_without_warnings(self):
+        # 2 pi 3^n x overflows from n = 646 at x = 1/2
+        assert math.isfinite(ld.weierstrass_eval(ld.WeierstrassCurve(n_terms=645), 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_terms=700"):
+                ld.weierstrass_eval(ld.WeierstrassCurve(n_terms=700), np.array([0.0, 0.5]))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
