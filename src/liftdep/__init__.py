@@ -26,6 +26,7 @@ from .distributions import (
     read_pmf_csv,
     read_samples_csv,
     sample,
+    standard_normal_cdf,
     standard_normal_pdf,
     standard_normal_quantile,
     uniform_pdf,

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -59,11 +62,41 @@ def _grids(args):
 
 @contextlib.contextmanager
 def _out(path: str):
+    """The output stream: stdout for ``-``. A regular file (or a new path) is
+    written to a sibling temporary file, with the permissions a plain ``open``
+    would give, that replaces it only when the command succeeds, so a failing
+    command leaves the file as it was. Anything else, such as a device or a
+    FIFO, is opened directly."""
     if path == "-":
         yield sys.stdout
-    else:
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", newline="") as f:
             yield f
+        return
+    directory, name = os.path.split(target)
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        if mode is not None:
+            os.chmod(fd, stat.S_IMODE(mode))
+        with open(fd, "w", newline="") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ region cells, ``lift_cells()``; the CDFs of Sibuya's ratio,
   ``sample(n, rng)``. The defaults sit on :class:`ContinuousFamily`
   (density-ratio lift, CDFs and rates by quadrature over the box, quantiles
   tabulated over it, no sampler); each family overrides what it has in closed
-  form, so its formulas live in one place.
+  form, so its formulas live in one place. The bivariate normal and the
+  Circular Cauchy also declare the conditional law of Y given X
+  (``conditional_cdf_y`` with the marginal CDFs ``cdf_x``/``cdf_y``; the
+  normal also ``conditional_map_y``), and then the Sibuya CDFs, the rates and
+  the MI are integrals of it instead of the joint density: untruncated, one
+  dimension fewer or free of the ridge ``y ~ x``.
 * :class:`CurveSingularJoint` -- mass concentrated on the graphs of smooth
   branches ``y = phi_n(x)`` with absolutely continuous marginals. Its CDFs
   are X-marginal masses of sublevel sets of the branches. It has no density
@@ -51,6 +56,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +73,7 @@ from .errors import (
     NotSampleable,
     OutOfSupport,
     TargetHasZeroMass,
+    UndefinedAtPoint,
 )
 from .quadrature import adaptive_quad_1d, adaptive_quad_2d
 
@@ -97,6 +104,7 @@ __all__ = [
     "TabulatedInverseCdf",
     "tabulated_inverse_cdf",
     "standard_normal_pdf",
+    "standard_normal_cdf",
     "standard_normal_quantile",
     "uniform_pdf",
     "read_pmf_csv",
@@ -122,6 +130,15 @@ PROBE_GRID_SIZE = 1024
 REGION_GRID_N = 1024
 CSV_BLOCK_ROWS = 65536
 CSV_FLOAT = "%.17g"
+# Relative tolerance and evaluation budget of the conditional Sibuya integral,
+# and the largest gap from 1 of its two sides' sum when both are integrated.
+SIBUYA_RTOL = 1e-11
+SIBUYA_BUDGET = 2**14
+SIBUYA_MASS_TOL = 1e-9
+# The largest finite Sibuya coordinate: beyond it the sinh map's reach, ~5e12
+# times the coordinate, squares past the double range, and the Cauchy density
+# underflows there while still carrying mass.
+SIBUYA_MAX_COORD = 1e100
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +149,18 @@ CSV_FLOAT = "%.17g"
 def standard_normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def standard_normal_cdf(x):
+    """``Phi(x) = erfc(-x / sqrt 2) / 2``, elementwise, from the C library's
+    ``erfc``: relative accuracy in the lower tail down to the underflow near
+    ``x = -38`` (within about ``x^2`` ulps, from the rounding of ``x / sqrt 2``),
+    and exactly 0 and 1 at ``-inf`` and ``inf``."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * np.asarray(_erfc(x * -math.sqrt(0.5)), dtype=float)
 
 
 # Numerator and denominator coefficients, constant term first, of the three
@@ -282,6 +311,14 @@ def _cauchy_pdf(x):
     return 1.0 / (math.pi * (1.0 + x * x))
 
 
+def _cauchy_cdf(x):
+    """``1/2 + atan(x) / pi``, taken as ``atan(-1 / x) / pi`` below 0, where the
+    sum would cancel."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):  # -1 / x at x >= 0 is discarded
+        return np.where(x < 0.0, np.arctan(-1.0 / x) / math.pi, 0.5 + np.arctan(x) / math.pi)
+
+
 # ---------------------------------------------------------------------------
 # Distribution classes
 # ---------------------------------------------------------------------------
@@ -393,7 +430,27 @@ class ContinuousFamily:
     which must capture essentially all of the mass and may have infinite
     ends; every quadrature in the package integrates over it. It overrides
     ``lift``, the quantiles or ``sample`` where it has them in closed form.
+
+    A family may also declare the conditional law of Y given X (the
+    Rosenblatt transform), each member elementwise:
+
+    * ``conditional_cdf_y(x, y) = P(Y <= y | X = x)``, exactly 0 and 1 at
+      ``y = -inf`` and ``inf``, together with the closed-form marginal CDFs
+      ``cdf_x`` and ``cdf_y``. The Sibuya CDFs and the targeting rates then
+      come from it. The law must be centrally symmetric, ``(X, Y) ~ (-X, -Y)``,
+      so an upper tail ``1 - C(y | x)`` is ``C(-y | -x)`` without cancellation,
+      and ``rho_X(s) C(y | s)`` unimodal in ``s`` (see :meth:`sibuya_parts`).
+    * ``conditional_map_y(x, w)``, which carries a standard normal ``w`` to
+      ``Y | X = x``. :func:`~liftdep.information.mi_continuous` then
+      integrates over ``(x, w)``, the integration box read as an
+      ``(x, w)`` box.
+
+    Either member is None where a family does not declare it, and the
+    defaults below integrate the joint density instead.
     """
+
+    conditional_cdf_y = None
+    conditional_map_y = None
 
     def lift(self, x, y):
         """Elementwise density ratio ``rho / (rho_X rho_Y)``, the marginals taken
@@ -414,39 +471,118 @@ class ContinuousFamily:
         return np.asarray(self.lift(gx[:, None], gy), dtype=float), REGION_GRID_N**-2.0
 
     def sibuya_parts(self, x: float, y: float) -> tuple[float, float, float]:
-        """The CDFs ``(F(x, y), G(x), H(y))`` by adaptive quadrature over the box
-        below and left of the point (infinite ends through the sinh map).
-        ``F`` is 0, not integrated, where ``G`` or ``H`` is below DENSITY_FLOOR:
-        the quadrant may then have zero width.
+        """The CDFs ``(F(x, y), G(x), H(y))``.
 
-        These are the CDFs of the law truncated to the box, so near the lower
-        edge of a finite box ``F / (G H)`` carries the truncation bias: for
-        ``BivariateNormal(0.6)`` (box edge -8) it is 4.6e-5 low at (-6, -6),
-        0.97% low at (-7, -7) and 10.9% low at (-7.5, -7.5). The quadrature
-        itself matches the exact truncated-box ratio there to about 4e-12, so
-        its absolute 1e-8 tolerance on ``F`` is not the cause.
+        With ``conditional_cdf_y``, ``G`` and ``H`` are the closed-form
+        marginal CDFs and ``F = int_{-inf}^x rho_X(s) C(y | s) ds`` is an
+        adaptive 1D integral, divided by ``H`` and held to ``SIBUYA_RTOL``
+        relative, so ``F / (G H)`` is relative-accurate however large or small
+        it is. The integral is taken on the side of ``x`` that does not hold
+        the mode of the unimodal ``rho_X(s) C(y | s)``: over ``(-inf, x]``
+        where the integrand rises through ``x``, as ``H - int_x^inf`` where it
+        falls. Either way it is monotone with its mass at the end ``x``, so a
+        narrow peak away from ``x`` (X given ``Y <= y`` at ``r = 0.99``) cannot
+        fall between the nodes; the heap is seeded at distances
+        ``1e-3, 1e-2, ..., 10 max(1, |x|, |y|)`` from ``x``, so a mass within
+        any of them of ``x`` meets nodes too. Each half line is integrated in
+        units of ``max(1, |x|, |y|)``, the scale of the Cauchy's conditional
+        law, so the sinh map does not cut its tail short. Where the
+        integrand is flat at ``x``, has underflowed there or peaks there, both
+        half lines are integrated and their sum must be 1 within
+        ``SIBUYA_MASS_TOL``. Raises UndefinedAtPoint when that fails, when an
+        integral does not converge within ``SIBUYA_BUDGET`` evaluations, when
+        ``F`` is below DENSITY_FLOOR, or at a finite coordinate beyond
+        ``SIBUYA_MAX_COORD``.
+
+        Otherwise it integrates the joint density by adaptive quadrature over
+        the box below and left of the point (infinite ends through the sinh
+        map); these are the CDFs of the law truncated to the box. ``F`` is 0,
+        not integrated, where ``G`` or ``H`` is below DENSITY_FLOOR: the
+        quadrant may then have zero width.
         """
-        x_lo, x_hi, y_lo, y_hi = self.integration_box
-        g = _interval_mass(self.marginal_x, x_lo, min(x, x_hi))
-        h = _interval_mass(self.marginal_y, y_lo, min(y, y_hi))
-        if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
+        if self.conditional_cdf_y is None:
+            x_lo, x_hi, y_lo, y_hi = self.integration_box
+            g = _interval_mass(self.marginal_x, x_lo, min(x, x_hi))
+            h = _interval_mass(self.marginal_y, y_lo, min(y, y_hi))
+            if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
+                return 0.0, g, h
+            quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
+            return adaptive_quad_2d(self.joint_density, quadrant, tol=1e-8).value, g, h
+        g, h = float(self.cdf_x(x)), float(self.cdf_y(y))
+        if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
             return 0.0, g, h
-        quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
-        return adaptive_quad_2d(self.joint_density, quadrant, tol=1e-8).value, g, h
+        if x == math.inf or y == math.inf:
+            return min(g, h), g, h
+        if max(abs(x), abs(y)) > SIBUYA_MAX_COORD:
+            raise UndefinedAtPoint(
+                f"({x:.6g}, {y:.6g}) lies beyond {SIBUYA_MAX_COORD:g}, where the integrand "
+                "of F leaves the range of doubles"
+            )
+
+        def scaled(s):  # rho_X(s) C(y | s) / H, whose integral over the line is 1
+            cond = np.asarray(self.conditional_cdf_y(s, y), dtype=float)
+            return np.asarray(self.marginal_x(s), dtype=float) * (cond / h)
+
+        # s = x + scale v: the sinh map of v reaches 5e12 scale beyond x. Y given
+        # X = s spreads over ~|s| for the Cauchy, so the mass of its conditional
+        # CDF past |s| = S is about |y| / S of H, below 2e-13 at this scale.
+        scale = max(1.0, abs(x), abs(y))
+        ladder = [10.0**k / scale for k in range(-3, int(math.log10(scale)) + 2)]
+
+        def half_line(sign):
+            return adaptive_quad_1d(
+                lambda v: scale * scaled(x + scale * v), *sorted((0.0, sign * math.inf)),
+                tol=0.0, budget=SIBUYA_BUDGET, breaks=[sign * b for b in ladder], rtol=SIBUYA_RTOL,
+            )
+
+        # beyond |s| ~ 1e154 the densities square s to inf, and give 0 as they should
+        with np.errstate(over="ignore"):
+            step = 1e-6 * max(1.0, abs(x))
+            before, at, after = scaled(np.array([x - step, x, x + step]))
+            rising, falling = before < at < after, before > at > after
+            if rising or falling:
+                part = half_line(-1.0 if rising else 1.0)
+                parts, f_over_h = [part], part.value if rising else 1.0 - part.value
+            else:  # at a mode, flat or underflowed: take both sides, check their sum
+                left, right = parts = [half_line(-1.0), half_line(1.0)]
+                f_over_h = left.value if left.value <= 0.5 else 1.0 - right.value
+                if abs(left.value + right.value - 1.0) > SIBUYA_MASS_TOL:
+                    f_over_h = math.nan
+        f_joint = f_over_h * h
+        if not (all(p.converged for p in parts) and f_joint >= DENSITY_FLOOR):
+            raise UndefinedAtPoint(
+                f"F({x:.6g}, {y:.6g}) did not converge, underflows or misses mass "
+                f"after {sum(p.n_evals for p in parts)} evaluations"
+            )
+        return f_joint, g, h
 
     def target_rates(self, target, x_grid):
         """``(x_grid, P(Y in target | X = x), P(Y in target))`` for an interval
-        ``(lo, hi)`` clipped to the box, rate ``-inf`` where ``rho_X`` is 0; the
-        default grid is 201 points over the X range of the box."""
+        ``(lo, hi)``, rate ``-inf`` where ``rho_X`` is 0; the default grid is
+        201 points over the X range of the box.
+
+        With ``conditional_cdf_y`` the rates are one vectorized
+        ``C(hi | x) - C(lo | x)`` and the baseline a difference of ``cdf_y``,
+        each taken on the side of the median where it does not cancel (see
+        :func:`_cdf_gap`). Otherwise the target is clipped to the box, each
+        rate is a strip integral of the joint density over ``(lo, hi)``
+        divided by ``rho_X``, and the baseline the integral of ``marginal_y``.
+        """
         if not (isinstance(target, (tuple, list)) and len(target) == 2):
             raise TypeError("continuous targeting requires a (lo, hi) target interval")
         lo, hi = float(target[0]), float(target[1])
         if not lo < hi:
             raise ValueError("target interval must satisfy lo < hi")
-        _, _, y_lo, y_hi = self.integration_box
         if x_grid is None:
             x_grid = np.linspace(*self.bounded_axis("x"), 201)
         x_grid = np.asarray(x_grid, dtype=float)
+        if self.conditional_cdf_y is not None:
+            baseline = float(_cdf_gap(lambda _, y: self.cdf_y(y), 0.0, lo, hi))
+            if baseline <= 0.0:
+                raise TargetHasZeroMass(f"target interval [{lo}, {hi}] carries no mass")
+            rates = _cdf_gap(self.conditional_cdf_y, x_grid, lo, hi)
+            return x_grid, np.where(self.marginal_x(x_grid) > 0.0, rates, -np.inf), baseline
+        _, _, y_lo, y_hi = self.integration_box
         lo_c, hi_c = max(lo, y_lo), min(hi, y_hi)
         baseline = _interval_mass(self.marginal_y, lo_c, hi_c)
         if baseline <= 0.0:
@@ -510,6 +646,7 @@ class BivariateNormal(ContinuousFamily):
 
     integration_box = (-8.0, 8.0, -8.0, 8.0)
     marginal_x = marginal_y = staticmethod(standard_normal_pdf)
+    cdf_x = cdf_y = staticmethod(standard_normal_cdf)
 
     def __post_init__(self):
         if not abs(self.r) < 1:
@@ -517,6 +654,16 @@ class BivariateNormal(ContinuousFamily):
 
     def joint_density(self, x, y):
         return bvn_density(self.r, (x, y))
+
+    def conditional_cdf_y(self, x, y):
+        """``Phi((y - r x) / sqrt(1 - r^2))``: ``Y | X = x`` is ``N(r x, 1 - r^2)``."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return standard_normal_cdf((y - self.r * x) / math.sqrt(1.0 - self.r * self.r))
+
+    def conditional_map_y(self, x, w):
+        """``r x + sqrt(1 - r^2) w``."""
+        x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+        return self.r * x + math.sqrt(1.0 - self.r * self.r) * w
 
     def lift(self, x, y):
         """Closed form
@@ -546,9 +693,20 @@ class CircularCauchy(ContinuousFamily):
 
     integration_box = (-math.inf, math.inf, -math.inf, math.inf)
     marginal_x = marginal_y = staticmethod(_cauchy_pdf)
+    cdf_x = cdf_y = staticmethod(_cauchy_cdf)
 
     def joint_density(self, x, y):
         return circular_cauchy_density((x, y))
+
+    def conditional_cdf_y(self, x, y):
+        """``(1 + y / h) / 2`` with ``a = sqrt(1 + x^2)`` and ``h = sqrt(a^2 + y^2)``,
+        taken below 0 as ``a^2 / (2 h (h - y))``, where the sum would cancel."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        a = np.hypot(1.0, x)
+        h = np.hypot(a, y)
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf / inf at y = inf
+            upper = np.where(y == math.inf, 1.0, 0.5 + 0.5 * (y / h))
+            return np.where(y < 0.0, 0.5 * (a / h) * (a / (h - y)), upper)
 
     def quantile_x(self, u):
         return np.tan(math.pi * (np.asarray(u) - 0.5))
@@ -741,6 +899,16 @@ def _interval_mass(pdf: Evaluator, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     return adaptive_quad_1d(pdf, lo, hi, tol=1e-10).value
+
+
+def _cdf_gap(cdf, x, lo: float, hi: float):
+    """``cdf(x, hi) - cdf(x, lo)``, elementwise in ``x``. Where ``lo`` lies above
+    the median (``cdf(x, lo) > 1/2``) it is the difference of the upper tails,
+    ``cdf(-x, -lo) - cdf(-x, -hi)`` by central symmetry, so that a far upper
+    target such as ``(10, 11)`` does not cancel to 0."""
+    x = np.asarray(x, dtype=float)
+    at_lo = np.asarray(cdf(x, lo), dtype=float)
+    return np.where(at_lo > 0.5, cdf(-x, -lo) - cdf(-x, -hi), cdf(x, hi) - at_lo)
 
 
 def _density_or_nan(dist: CurveSingularJoint, n: int, x: float) -> float:

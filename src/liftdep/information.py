@@ -6,7 +6,10 @@ nats throughout. Four evaluation routes exist:
 * ``ExactSum`` -- finite sums for discrete joints;
 * ``ClosedForm`` -- ``-0.5 * log(1 - r^2)`` for the bivariate normal;
 * ``Quadrature`` -- adaptive 2D quadrature of ``rho * log L`` over the
-  integration box, infinite ends through the sinh map of ``quadrature``;
+  integration box, infinite ends through the sinh map of ``quadrature``; a
+  family that declares ``conditional_map_y`` (the bivariate normal) is
+  integrated in conditional coordinates ``(x, w)`` instead, as
+  ``rho_X(x) phi(w) log L(x, conditional_map_y(x, w))``, which has no ridge;
 * ``CurveQuadrature`` -- a 1D integral of
   ``rho_X(x) * sum_n a_n log L(x, phi_n(x))`` for curve-singular joints.
 
@@ -149,6 +152,19 @@ def _mi_integrand(dist: dm.ContinuousFamily):
     return integrand
 
 
+def _conditional_mi_integrand(dist: dm.ContinuousFamily):
+    """``rho_X(x) phi(w) log L(x, conditional_map_y(x, w))`` over ``(x, w)``: the
+    Jacobian of the map cancels against the conditional density of Y."""
+
+    def integrand(x, w):
+        weight = dist.marginal_x(x) * dm.standard_normal_pdf(w)
+        lift = np.asarray(dist.lift(x, dist.conditional_map_y(x, w)), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((weight > 0) & (lift > 0), weight * np.log(lift), 0.0)
+
+    return integrand
+
+
 def mi_continuous(
     dist,
     tol: float = 1e-6,
@@ -159,6 +175,12 @@ def mi_continuous(
 ) -> MiReport:
     """Adaptive 2D quadrature of ``rho * log L`` over the integration box.
 
+    A family that declares ``conditional_map_y`` is integrated over ``(x, w)``
+    (see :func:`_conditional_mi_integrand`): the bivariate normal's ridge
+    ``y ~ x`` at ``|r|`` near 1 becomes a product of two standard normals
+    times a smooth ``log L``, so r = 0.999 is exact instead of 0.030 nats low.
+    The circular Cauchy stays on ``(x, y)``: over ``(x, w)`` it took three to
+    seven times its 86,072 evaluations and was 4e-8 off instead of 3e-11.
     A finite box is seeded as a core square plus tail bands; a box with an
     infinite end (a heavy-tailed family) is integrated through
     ``x = c + sinh t`` (see :func:`adaptive_quad_2d`). If the budget runs
@@ -166,7 +188,11 @@ def mi_continuous(
     Monte Carlo fallback kicks in (when requested and the family is
     sampleable) or QuadratureNotConverged is raised.
     """
-    result = adaptive_quad_2d(_mi_integrand(dist), dist.integration_box, tol=tol, budget=budget)
+    if dist.conditional_map_y is None:
+        integrand = _mi_integrand(dist)
+    else:
+        integrand = _conditional_mi_integrand(dist)
+    result = adaptive_quad_2d(integrand, dist.integration_box, tol=tol, budget=budget)
     if result.budget_exhausted and result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
             return replace(

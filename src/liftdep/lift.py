@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import io
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -157,18 +158,23 @@ def sibuya_omega_at(dist, point) -> float:
     """Sibuya's dependence ratio ``F(x, y) / (G(x) H(y))``.
 
     The joint and marginal CDFs are the class's ``sibuya_parts``: partial
-    sums (discrete), adaptive quadrature over the box (continuous) or
-    X-marginal masses of sublevel sets of the branches (curve-singular).
+    sums (discrete); for a continuous family that declares
+    ``conditional_cdf_y`` (bivariate normal, circular Cauchy) the closed-form
+    marginal CDFs and the conditional CDF integrated over a half line,
+    relative-accurate and untruncated, else adaptive quadrature over the box;
+    or X-marginal masses of sublevel sets of the branches (curve-singular).
 
     Raises ValueError for a NaN coordinate; ``±inf`` is a valid coordinate.
     Raises UndefinedAtPoint where ``G`` or ``H`` is below DENSITY_FLOOR or
-    their product underflows to 0.
+    their product is below ``sys.float_info.min``, where it has lost digits;
+    on the conditional route also where ``F`` cannot be found to its
+    tolerance (see ``ContinuousFamily.sibuya_parts``).
     """
     x, y = float(point[0]), float(point[1])
     if math.isnan(x) or math.isnan(y):
         raise ValueError(f"Sibuya ratio needs a point without NaN, got ({x}, {y})")
     f_joint, g, h = dist.sibuya_parts(x, y)
-    if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h == 0.0:
+    if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
         raise UndefinedAtPoint(f"G(x) H(y) vanishes at ({x:.6g}, {y:.6g})")
     return f_joint / (g * h)
 

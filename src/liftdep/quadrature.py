@@ -127,9 +127,9 @@ def _eval_cells(f, cells):
     return fine.tolist(), np.abs(fine - coarse).tolist()
 
 
-def _adaptive_heap(f, seeds, split, tol: float, budget: int) -> QuadResult:
-    """Refine the worst cells until the summed error is at most ``tol`` or
-    ``budget`` evaluations are spent.
+def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) -> QuadResult:
+    """Refine the worst cells until the summed error is at most
+    ``max(tol, rtol * |total|)`` or ``budget`` evaluations are spent.
 
     ``seeds`` are cell bounds; ``split(*bounds)`` gives the bounds of a
     cell's children. Each step is one call of ``f``: the seeds first, then
@@ -150,8 +150,9 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int) -> QuadResult:
             total += v
             err += e
             heapq.heappush(heap, (-e, next(tick), bounds, v, e))
-        # pop until the popped errors reach half of the excess over tol
-        batch, excess, popped, nodes = [], err - tol, 0.0, 0
+        # pop until the popped errors reach half of the excess over the bound
+        bound = max(tol, rtol * abs(total))
+        batch, excess, popped, nodes = [], err - bound, 0.0, 0
         while heap and 2.0 * popped < excess and n_evals < budget:
             _, _, bounds, v, e = heap[0]
             children = split(*bounds)
@@ -165,7 +166,7 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int) -> QuadResult:
             nodes += n
             batch += children
     return QuadResult(
-        total, err, n_evals, len(heap), err <= tol, n_steps, err > tol and n_evals >= budget
+        total, err, n_evals, len(heap), err <= bound, n_steps, err > bound and n_evals >= budget
     )
 
 
@@ -279,9 +280,11 @@ def adaptive_quad_1d(
     tol: float = 1e-9,
     budget: int = 2**18,
     breaks: Iterable[float] = (),
+    rtol: float = 0.0,
 ) -> QuadResult:
     """Adaptive 1D integral of a vectorized integrand over [a, b]; an infinite
-    end is integrated through the sinh map of the module docstring.
+    end is integrated through the sinh map of the module docstring. The heap
+    stops once its error estimate is at most ``max(tol, rtol * |value|)``.
 
     The heap is seeded with one cell between each pair of consecutive points
     of ``a``, ``b`` and the ``breaks`` strictly between them, like QUADPACK's
@@ -291,7 +294,8 @@ def adaptive_quad_1d(
     g, t_bounds = _sinh_map(f, (a, b))
     seeds = [t_bounds]
     # tested first: the set and sort add ~1 us, which callers making many
-    # one-strip calls (target_profile) would pay on every call
+    # one-strip calls (the targeting rates of a ContinuousJoint) would pay on
+    # every call
     cuts = sorted({float(p) for p in breaks if a < p < b}) if breaks else ()
     if cuts:
         if g is not f:  # the breaks in t, about the centre the sinh map chose
@@ -299,4 +303,4 @@ def adaptive_quad_1d(
             cuts = [math.asinh(p - c) for p in cuts]
         ends = [t_bounds[0], *cuts, t_bounds[1]]
         seeds = list(zip(ends[:-1], ends[1:]))
-    return _adaptive_heap(g, seeds, _split_1d, tol, budget)
+    return _adaptive_heap(g, seeds, _split_1d, tol, budget, rtol)

@@ -1,14 +1,16 @@
 """Independent brute-force oracles used to check the library.
 
-Everything here is written with plain loops and scipy reference routines,
-deliberately avoiding the library's own code paths, so that an agreement
-between an oracle and the library is a genuine dual-route check.
+Everything here is written with plain loops, scipy reference routines and
+mpmath at 40 significant digits, deliberately avoiding the library's own code
+paths, so that an agreement between an oracle and the library is a genuine
+dual-route check.
 """
 
 import functools
 import heapq
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -82,6 +84,67 @@ def circular_cauchy_cdf(x, y):
     """F(x, y) = P(X <= x, Y <= y)."""
     s = math.atan(x) + math.atan(y) + math.atan(x * y / math.sqrt(1.0 + x * x + y * y))
     return 0.25 + s / (2.0 * math.pi)
+
+
+MP_DIGITS = 40
+
+
+def _owen_t(h, a):
+    """Owen's T(h, a) = (1 / 2 pi) int_0^a exp(-h^2 (1 + t^2) / 2) / (1 + t^2) dt."""
+    if a == 0:
+        return mpmath.mpf(0)
+    if mpmath.isinf(a):
+        return mpmath.sign(a) * mpmath.ncdf(-abs(h)) / 2
+    integrand = lambda t: mpmath.exp(-h * h * (1 + t * t) / 2) / (1 + t * t)  # noqa: E731
+    return mpmath.quad(integrand, [0, a]) / (2 * mpmath.pi)
+
+
+def bvn_cdf_mp(r, h, k):
+    """P(X <= h, Y <= k) for the standard bivariate normal, by Owen's formula
+    (Ann. Math. Statist. 27 (1956) 1075-1090)
+    ``(Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta``, which does not
+    integrate ``phi(s) Phi((k - r s) / sqrt(1 - r^2))`` as the library does.
+    Its terms are at most 1, so a result near ``10^-d`` cancels about ``d``
+    digits: the working precision is raised until it covers them and leaves
+    MP_DIGITS significant digits."""
+    digits = MP_DIGITS + 10
+    while True:
+        with mpmath.workdps(digits):
+            rr, hh, kk = mpmath.mpf(r), mpmath.mpf(h), mpmath.mpf(k)
+            s = mpmath.sqrt(1 - rr * rr)
+            if hh == 0 and kk == 0:
+                a_h = a_k = mpmath.sqrt((1 - rr) / (1 + rr))
+            else:
+                a_h = (kk - rr * hh) / (hh * s) if hh != 0 else mpmath.sign(kk) * mpmath.inf
+                a_k = (hh - rr * kk) / (kk * s) if kk != 0 else mpmath.sign(hh) * mpmath.inf
+            beta = 0 if (hh * kk > 0 or (hh * kk == 0 and hh + kk >= 0)) else mpmath.mpf(1) / 2
+            cdf = (mpmath.ncdf(hh) + mpmath.ncdf(kk)) / 2 - beta
+            cdf -= _owen_t(hh, a_h) + _owen_t(kk, a_k)
+            lost = int(-mpmath.log10(cdf)) if cdf > 0 else digits
+            if cdf > 0 and lost + MP_DIGITS + 5 <= digits:
+                return cdf
+        digits = max(2 * digits, lost + MP_DIGITS + 20)
+
+
+def bvn_sibuya_mp(r, x, y):
+    """Sibuya's ``F / (G H)`` of the standard bivariate normal, untruncated."""
+    with mpmath.workdps(MP_DIGITS):
+        return float(bvn_cdf_mp(r, x, y) / (mpmath.ncdf(x) * mpmath.ncdf(y)))
+
+
+def bvn_conditional_rate_mp(r, x, lo, hi):
+    """P(lo < Y <= hi | X = x) for the standard bivariate normal: a difference
+    of lower tails, or of upper tails ``erfc(z / sqrt 2) / 2`` where ``lo`` lies
+    above the conditional mean, so that neither is a difference of numbers
+    near 1."""
+    with mpmath.workdps(MP_DIGITS):
+        s = mpmath.sqrt(1 - mpmath.mpf(r) ** 2)
+        mean = mpmath.mpf(r) * mpmath.mpf(x)
+        z_lo, z_hi = (lo - mean) / s, (hi - mean) / s
+        if z_lo > 0:
+            root2 = mpmath.sqrt(2)
+            return float((mpmath.erfc(z_lo / root2) - mpmath.erfc(z_hi / root2)) / 2)
+        return float(mpmath.ncdf(z_hi) - mpmath.ncdf(z_lo))
 
 
 def bvn_orthant_lower(r):

@@ -394,6 +394,62 @@ class TestMalformedInput:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestOutFile:
+    """``--out PATH`` replaces the file only when the command succeeds."""
+
+    def _failing_estimate(self, capsys, tmp_path, out):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+        return run(
+            capsys, "estimate-lift", "--samples-file", str(samples), "--bandwidth-x", "nan",
+            "--bandwidth-y", "1", "--nx", "3", "--ny", "3", "--out", out,
+        )
+
+    @pytest.mark.parametrize("error", ["domain", "usage"])
+    def test_failing_command_keeps_the_file(self, capsys, tmp_path, error):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"keep\n")
+        if error == "domain":
+            code, _, _ = self._failing_estimate(capsys, tmp_path, str(out))
+            assert code == 1
+        else:
+            code, _, _ = run(capsys, "mi", "--dist", "bvn", "--out", str(out))
+            assert code == 2
+        assert out.read_bytes() == b"keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["out.csv"] + (["samples.csv"] if error == "domain" else [])
+        )
+
+    def test_failing_command_creates_no_file(self, capsys, tmp_path):
+        code, _, _ = self._failing_estimate(capsys, tmp_path, str(tmp_path / "new.csv"))
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv"]
+
+    def test_success_replaces_the_file_and_keeps_its_mode(self, capsys, tmp_path):
+        out = tmp_path / "mi.json"
+        out.write_text("old contents that are longer than the new ones " * 10)
+        out.chmod(0o640)
+        code, stdout, _ = run(capsys, "mi", "--dist", "bvn", "--r", "0.3")
+        assert main(["mi", "--dist", "bvn", "--r", "0.3", "--out", str(out)]) == 0
+        assert out.read_text() == stdout
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["mi.json"]
+
+    def test_new_file_gets_the_mode_of_a_plain_open(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        out = tmp_path / "mi.json"
+        assert main(["mi", "--dist", "bvn", "--r", "0.3", "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == plain.stat().st_mode & 0o7777
+
+    def test_dash_writes_to_stdout(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "mi", "--dist", "bvn", "--r", "0.3", "--out", "-")
+        assert code == 0 and json.loads(out)["method"] == "ClosedForm"
+        code, out, err = self._failing_estimate(capsys, tmp_path, "-")
+        assert code == 1 and out == "" and "ValueError" in err
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         """Neither the import nor a bvn `regions` or `lift-grid` command loads

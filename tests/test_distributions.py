@@ -3,6 +3,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +329,59 @@ class TestSample:
     def test_invalid_n(self, dep_pmf):
         with pytest.raises(ValueError):
             ld.sample(dep_pmf, 0, seed=0)
+
+
+class TestConditionalLaw:
+    """The members that declare the law of Y given X, and the marginal CDFs
+    that come with them."""
+
+    @pytest.mark.parametrize("x", [-37.5, -20.0, -7.5, -1.0, 0.0, 0.5, 3.0, 8.0])
+    def test_normal_cdf_matches_mpmath(self, x):
+        """Relative in the lower tail, within about x^2 ulps: the rounding of
+        ``x / sqrt 2`` is amplified by ``d log erfc(z) / d log z ~ 2 z^2``."""
+        with mpmath.workdps(40):
+            want = float(mpmath.ncdf(x))
+        assert ld.standard_normal_cdf(x) == pytest.approx(want, rel=2e-16 * max(1.0, x * x), abs=0)
+
+    @pytest.mark.parametrize("x", [-1e300, -1e10, -20.0, -1.0, 0.0, 2.0, 1e10])
+    def test_cauchy_cdf_matches_mpmath(self, x):
+        with mpmath.workdps(340):
+            want = float(mpmath.mpf(1) / 2 + mpmath.atan(x) / mpmath.pi)
+        assert ld.CircularCauchy().cdf_x(x) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("dist", [ld.BivariateNormal(0.6), ld.CircularCauchy()])
+    def test_marginal_cdfs_are_exact_at_infinity(self, dist):
+        assert dist.cdf_x(-math.inf) == 0.0 and dist.cdf_y(math.inf) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.floats(-0.95, 0.95).map(ld.BivariateNormal), st.just(ld.CircularCauchy())),
+        st.floats(-30.0, 30.0),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+    )
+    def test_conditional_cdf_is_a_cdf_in_y(self, dist, x, ys):
+        """In [0, 1], nondecreasing in y, exactly 0 and 1 at -inf and inf, and
+        centrally symmetric: C(-y | -x) = 1 - C(y | x)."""
+        y = np.sort(np.concatenate([[-math.inf], ys, [math.inf]]))
+        c = dist.conditional_cdf_y(np.full_like(y, x), y)
+        assert ((c >= 0.0) & (c <= 1.0)).all()
+        assert (np.diff(c) >= 0.0).all()
+        assert c[0] == 0.0 and c[-1] == 1.0
+        mirror = dist.conditional_cdf_y(np.full_like(y, -x), -y)
+        np.testing.assert_allclose(mirror, 1.0 - c, rtol=0.0, atol=4e-16)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(st.floats(-0.95, 0.95).map(ld.BivariateNormal), st.just(ld.CircularCauchy())),
+        st.floats(-6.0, 6.0),
+    )
+    def test_conditional_cdf_integrates_to_the_marginal_cdf(self, dist, y):
+        """int rho_X(s) C(y | s) ds over the line is H(y), by scipy's quad."""
+        total = oracles.quad_1d(
+            lambda s: float(dist.marginal_x(s)) * float(dist.conditional_cdf_y(s, y)),
+            -math.inf, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400,
+        )
+        assert total == pytest.approx(float(dist.cdf_y(y)), abs=1e-9)
 
 
 class TestClassInvariants:

@@ -195,6 +195,23 @@ class TestTargeting:
         assert result.x_opt == pytest.approx(best)
         assert result.boosted_rate == pytest.approx(cond_rate(best), abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "target", [(1.0, 2.0), (10.0, 11.0), (-11.0, -10.0), (2.0, math.inf), (-math.inf, -3.0)]
+    )
+    def test_bvn_rates_match_the_mpmath_oracle(self, target):
+        """One vectorized C(hi | x) - C(lo | x), each difference on the side
+        of the median where it does not cancel: (10, 11), outside the [-8, 8]
+        box and a difference of two numbers within 1e-23 of 1, is still 1e-12
+        relative."""
+        xs = np.linspace(-3.0, 3.0, 61)
+        profiles, rates, baseline = ld.BivariateNormal(0.6).target_rates(target, xs)
+        np.testing.assert_array_equal(profiles, xs)
+        want = [oracles.bvn_conditional_rate_mp(0.6, x, *target) for x in xs]
+        np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0.0)
+        assert baseline == pytest.approx(
+            oracles.bvn_conditional_rate_mp(0.0, 0.0, *target), rel=1e-12
+        )
+
     def test_circular_cauchy_half_line_target(self):
         # P(Y >= 1) = 1/4 and P(Y >= 1 | X = x) = (1 - 1/sqrt(2 + x^2)) / 2,
         # largest at the grid ends; ties go to the smaller x

@@ -41,7 +41,7 @@ RECIPES = [
     ("mi-bvn", ["mi", "--dist", "bvn", "--r", "0.6"], None,
      "aa204526a8abe3c90583e4522ecec808c7a8009efd3d37f5b1bcb44afddbb65b"),
     ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
-     None, "93094d8c31f31458fcdfff41e251e424b894d511882a1ef36c0e6d68229fe336"),
+     None, "318eb9576a82deb01c8510ca1b33940b48eadd26e0b57143427ad435e3a95c1f"),
     ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
      "475ce805d9126d447daa1293837a63615dc773f4a155787ef14f3e04acbc1409"),
     ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
@@ -65,10 +65,10 @@ RECIPES = [
      "a2e721a07bc8490a98385c8e2a40af6df2e8986b1253221e8de1d5f11f92428a"),
     ("sibuya", ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0",
                 "--point", "-6", "-6"], None,
-     "42c54d5e0c97fb986541ec548c971f14be2a7d4c7c4c23e2af0a30b191eb410b"),
+     "696e117f0a7e956493ed2799e0c92b562ad3dd97ed6d33c223992f9f49dc6ad2"),
     ("target", ["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1",
                 "--target-hi", "2"], None,
-     "3ef14613dab00ad1eab97f8135f6a0bbc79806bfe1123c1797007f050ffc58ea"),
+     "9a4013c865d1091af2513f3524b2c1fcbea7f6568f20b62f395712dbba586d80"),
     ("lhat.csv", ["estimate-lift", "--samples-file", "{dir}/line.csv", "--estimator", "kernel",
                   "--xmin", "0", "--xmax", "1", "--nx", "41", "--ymin", "0", "--ymax", "1",
                   "--ny", "41", "--out", "{dir}/lhat.csv"], "lhat.csv",
@@ -89,10 +89,10 @@ EXTRA = [
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
      "5f2050e8fc6cedc92dc71a4f0dba8ec8bd2a9d2de2cd4d4ff3e01ff38574dd49"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
-     "aebb70659ad5758d0a410c34d0269eec9e0c79930d45296635e92cca0afe80d4"),
+     "c0a18e2653ffa7b544d5b8c461742aa3a81092dbfcf74eb94d4cab909d7b8bdf"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
-     "e129d583b525e120493762c89f389cb59e3d8791797963a38cfdd545719d8429"),
+     "72e82efbaf3df51a776a40bc1781934cb6c4fa3f3845f5960157f090025e8a3f"),
     ("sibuya-curve-uniform-square", ["sibuya", "--dist", "curve-uniform-square",
                                      "--point", "0.5", "0.16", "--point", "0.3", "0.81"],
      "faf71302f451b5c65b432affdc5874fd6f84dc0663ee319cd71108c6aa784829"),

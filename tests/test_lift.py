@@ -141,9 +141,10 @@ class TestSibuyaOmega:
 
     @pytest.mark.parametrize("t", [-6.0, -7.0, -7.5])
     def test_bvn_lower_tail_is_the_truncated_box_ratio(self, t):
-        """Near the -8 edge of the box omega is F/(G H) of the law truncated to
-        the box, 4.6e-5 to 11% below the untruncated ratio; the truncated
-        ratio itself comes out to 1e-9."""
+        """A ContinuousJoint view of the bivariate normal declares no
+        conditional CDF, so its CDFs are those of the law truncated to the
+        [-8, 8]^2 box: near the -8 edge omega is 4.6e-5 to 11% below the
+        untruncated ratio, and the truncated ratio itself comes out to 1e-9."""
         from scipy.special import ndtr
 
         r, s = 0.6, math.sqrt(1 - 0.36)
@@ -152,9 +153,63 @@ class TestSibuyaOmega:
             -8.0, t, epsabs=0.0, epsrel=1e-12, limit=200,
         )
         g = ndtr(t) - ndtr(-8.0)
-        assert ld.sibuya_omega_at(ld.BivariateNormal(r), (t, t)) == pytest.approx(
-            f / (g * g), rel=1e-9
+        view = ld.as_continuous(ld.BivariateNormal(r))
+        assert ld.sibuya_omega_at(view, (t, t)) == pytest.approx(f / (g * g), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [-6.0, -7.0, -7.5, -10.0])
+    def test_bvn_lower_tail_matches_the_untruncated_oracle(self, t):
+        """The bivariate normal integrates its conditional CDF over the whole
+        line: omega on the diagonal, up to ~1e17 at -10, to 1e-10 relative of
+        Owen's formula in mpmath."""
+        want = oracles.bvn_sibuya_mp(0.6, t, t)
+        assert ld.sibuya_omega_at(ld.BivariateNormal(0.6), (t, t)) == pytest.approx(
+            want, rel=1e-10
         )
+
+    @pytest.mark.parametrize("t", [-15.0, -20.0, -25.0])
+    def test_bvn_far_diagonal_is_exact_or_undefined(self, t):
+        """omega reaches 2e102 at -25; a value is within 1e-10 of the oracle, or
+        the point raises UndefinedAtPoint, never a wrong number."""
+        try:
+            got = ld.sibuya_omega_at(ld.BivariateNormal(0.6), (t, t))
+        except ld.UndefinedAtPoint:
+            return
+        assert got == pytest.approx(oracles.bvn_sibuya_mp(0.6, t, t), rel=1e-10)
+
+    SEEDED_POINTS = [
+        *map(tuple, np.random.default_rng(832).uniform(-3.0, 3.0, (20, 2)).tolist()),
+        (3.0, -12.0),
+        (-12.0, 3.0),
+    ]
+
+    @pytest.mark.parametrize("name", ["bvn", "cauchy"])
+    def test_conditional_ratio_is_exact_in_few_evaluations(self, name, monkeypatch):
+        """Over 20 seeded points in [-3, 3]^2 and two points whose mass sits
+        far from x, omega is within 1e-10 relative of the oracle (Owen's
+        formula for the bivariate normal, the closed-form CDF ratio for the
+        Cauchy), each call at most 2,000 nodes of 1D quadrature and no 2D."""
+        from liftdep import distributions as dm
+
+        evals, quad_1d = [], dm.adaptive_quad_1d
+
+        def counted(*args, **kwargs):
+            result = quad_1d(*args, **kwargs)
+            evals.append(result.n_evals)
+            return result
+
+        monkeypatch.setattr(dm, "adaptive_quad_1d", counted)
+        monkeypatch.setattr(dm, "adaptive_quad_2d", None)
+        dist = ld.BivariateNormal(0.6) if name == "bvn" else ld.CircularCauchy()
+        for x, y in self.SEEDED_POINTS:
+            if name == "bvn":
+                want = oracles.bvn_sibuya_mp(0.6, x, y)
+            else:
+                want = oracles.circular_cauchy_cdf(x, y) / (
+                    oracles.cauchy_cdf(x) * oracles.cauchy_cdf(y)
+                )
+            evals.clear()
+            assert ld.sibuya_omega_at(dist, (x, y)) == pytest.approx(want, rel=1e-10)
+            assert 0 < sum(evals) <= 2000
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0))
@@ -203,9 +258,23 @@ class TestSibuyaOmega:
         "point", [(-9.0, 0.0), (0.0, -9.0), (-8.0, 1.0), (1.0, -8.0), (-math.inf, 0.0)]
     )
     def test_bvn_point_left_of_or_below_the_box_is_undefined(self, point):
-        """G or H is 0 at or beyond the -8 edge of the box."""
+        """A ContinuousJoint view has G or H = 0 at or beyond the -8 edge of
+        its box."""
         with pytest.raises(ld.UndefinedAtPoint):
-            ld.sibuya_omega_at(ld.BivariateNormal(0.6), point)
+            ld.sibuya_omega_at(ld.as_continuous(ld.BivariateNormal(0.6)), point)
+
+    @pytest.mark.parametrize("point", [(-9.0, 0.0), (0.0, -9.0), (-8.0, 1.0), (1.0, -8.0)])
+    def test_bvn_point_beyond_the_box_edge_matches_the_oracle(self, point):
+        """The bivariate normal takes G and H from Phi, so points beyond the
+        -8 edge of its box are defined."""
+        want = oracles.bvn_sibuya_mp(0.6, *point)
+        assert ld.sibuya_omega_at(ld.BivariateNormal(0.6), point) == pytest.approx(
+            want, rel=1e-10
+        )
+
+    def test_bvn_minus_infinite_coordinate_is_undefined(self):
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.sibuya_omega_at(ld.BivariateNormal(0.6), (-math.inf, 0.0))
 
     def test_curve_singular_omega(self, uniform_identity_curve):
         # F(x,y) = min(x, y), G(x) = x, H(y) = y on [0,1]

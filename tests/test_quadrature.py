@@ -230,6 +230,19 @@ def test_1d_breaks_on_a_mapped_axis():
     assert cut.n_evals < adaptive_quad_1d(step, -math.inf, 5.0, tol=1e-10).n_evals
 
 
+@pytest.mark.parametrize("scale", [1e-40, 1.0, 1e40])
+def test_1d_relative_tolerance_scales_with_the_value(scale):
+    """With ``rtol`` the heap stops at the same relative error whatever the
+    magnitude of the integral, in the same cells: an absolute ``tol`` of 0
+    alone runs the budget out."""
+    f = INTEGRANDS_1D["cauchy"]
+    res = adaptive_quad_1d(lambda x: scale * f(x), -math.inf, 0.3, tol=0.0, rtol=1e-12)
+    assert res.converged
+    assert res.value == pytest.approx(scale * oracles.cauchy_cdf(0.3), rel=1e-12)
+    assert res.n_evals == adaptive_quad_1d(f, -math.inf, 0.3, tol=0.0, rtol=1e-12).n_evals
+    assert adaptive_quad_1d(f, -math.inf, 0.3, tol=0.0, budget=2000).budget_exhausted
+
+
 SPANS = st.tuples(st.floats(-50.0, 50.0), st.floats(1e-3, 20.0))
 
 
