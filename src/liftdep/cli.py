@@ -257,7 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_flags(p)
     p.add_argument("--method", choices=("auto", "quadrature"), default="auto")
     p.add_argument(
-        "--budget", type=int, help="quadrature evaluation budget (default 2**22)"
+        "--budget",
+        type=int,
+        help="quadrature evaluation budget (default 2**22); it counts the evaluations "
+        "of the folded box, a quadrant for cauchy-circular and a half for bvn",
     )
 
     p = new("regions", _cmd_regions, "lift/inhibition region masses (JSON)")

@@ -447,10 +447,19 @@ class ContinuousFamily:
 
     Either member is None where a family does not declare it, and the
     defaults below integrate the joint density instead.
+
+    ``reflections`` lists the coordinate reflections that leave the law
+    invariant (the joint density and both marginals): ``"x"`` is
+    ``(x, y) -> (-x, y)``, ``"y"`` is ``(x, y) -> (x, -y)`` and ``"xy"`` is
+    ``(x, y) -> (-x, -y)``. It is a mathematical fact about the family, and
+    :func:`~liftdep.information.mi_continuous` integrates only the part of
+    the box they fold onto. A family with ``conditional_map_y`` may declare
+    only ``"xy"``, and its map must then be odd, ``m(-x, -w) = -m(x, w)``.
     """
 
     conditional_cdf_y = None
     conditional_map_y = None
+    reflections: tuple[str, ...] = ()
 
     def lift(self, x, y):
         """Elementwise density ratio ``rho / (rho_X rho_Y)``, the marginals taken
@@ -645,6 +654,7 @@ class BivariateNormal(ContinuousFamily):
     r: float
 
     integration_box = (-8.0, 8.0, -8.0, 8.0)
+    reflections = ("xy",)
     marginal_x = marginal_y = staticmethod(standard_normal_pdf)
     cdf_x = cdf_y = staticmethod(standard_normal_cdf)
 
@@ -692,6 +702,7 @@ class CircularCauchy(ContinuousFamily):
     """
 
     integration_box = (-math.inf, math.inf, -math.inf, math.inf)
+    reflections = ("x", "y")
     marginal_x = marginal_y = staticmethod(_cauchy_pdf)
     cdf_x = cdf_y = staticmethod(_cauchy_cdf)
 

@@ -9,7 +9,10 @@ nats throughout. Four evaluation routes exist:
   integration box, infinite ends through the sinh map of ``quadrature``; a
   family that declares ``conditional_map_y`` (the bivariate normal) is
   integrated in conditional coordinates ``(x, w)`` instead, as
-  ``rho_X(x) phi(w) log L(x, conditional_map_y(x, w))``, which has no ridge;
+  ``rho_X(x) phi(w) log L(x, conditional_map_y(x, w))``, which has no ridge.
+  Only the part of the box left after folding on the family's declared
+  ``reflections`` is integrated: a quadrant for the circular Cauchy, a half
+  for the bivariate normal;
 * ``CurveQuadrature`` -- a 1D integral of
   ``rho_X(x) * sum_n a_n log L(x, phi_n(x))`` for curve-singular joints.
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import distributions as dm
 from .errors import DegenerateCorrelation, QuadratureNotConverged, UndefinedAtPoint
-from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_2d
+from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_2d, check_quad_args
 
 __all__ = [
     "MiMethod",
@@ -165,6 +168,49 @@ def _conditional_mi_integrand(dist: dm.ContinuousFamily):
     return integrand
 
 
+def _own_mi_integrand(dist: dm.ContinuousFamily):
+    """The MI integrand in the family's own coordinates: ``(x, w)`` where it
+    declares ``conditional_map_y``, ``(x, y)`` otherwise."""
+    if dist.conditional_map_y is None:
+        return _mi_integrand(dist)
+    return _conditional_mi_integrand(dist)
+
+
+# the axes (0 is x, 1 is y) each reflection negates, and the reflections that
+# fold each axis onto its nonnegative half
+_NEGATED_AXES = {"x": (0,), "y": (1,), "xy": (0, 1)}
+_FOLDS = ((0, {"x", "xy"}), (1, {"y"}))
+
+
+def _folded_box(dist: dm.ContinuousFamily) -> tuple[tuple[float, ...], int]:
+    """``(box, k)``: the integration box cut to ``x >= 0`` where ``dist``
+    declares ``"x"`` or ``"xy"`` and to ``y >= 0`` where it declares ``"y"``,
+    and the number ``k`` of axes cut, so the MI over the box is ``2^k`` times
+    the MI over the cut box.
+
+    Raises ValueError for an unknown reflection, for one other than ``"xy"``
+    on a family integrated over ``(x, w)``, and for a box that is not
+    symmetric about 0 on an axis a declared reflection negates.
+    """
+    box = list(dist.integration_box)
+    declared = set(dist.reflections)
+    if not declared <= _NEGATED_AXES.keys():
+        raise ValueError(f"unknown reflections {sorted(declared - _NEGATED_AXES.keys())}")
+    if dist.conditional_map_y is not None and declared - {"xy"}:
+        raise ValueError("a family with conditional_map_y may declare only the reflection 'xy'")
+    for axis in {a for name in declared for a in _NEGATED_AXES[name]}:
+        lo, hi = box[2 * axis : 2 * axis + 2]
+        if lo != -hi:
+            raise ValueError(
+                f"the integration box ({lo}, {hi}) of axis {'xy'[axis]} is not symmetric "
+                "about 0, so it cannot be folded"
+            )
+    cut = [axis for axis, names in _FOLDS if declared & names]
+    for axis in cut:
+        box[2 * axis] = 0.0
+    return tuple(box), len(cut)
+
+
 def mi_continuous(
     dist,
     tol: float = 1e-6,
@@ -180,19 +226,30 @@ def mi_continuous(
     ``y ~ x`` at ``|r|`` near 1 becomes a product of two standard normals
     times a smooth ``log L``, so r = 0.999 is exact instead of 0.030 nats low.
     The circular Cauchy stays on ``(x, y)``: over ``(x, w)`` it took three to
-    seven times its 86,072 evaluations and was 4e-8 off instead of 3e-11.
+    seven times the evaluations and was 4e-8 off instead of 3e-11.
+
+    The box is first folded on the family's ``reflections`` (see
+    :func:`_folded_box`): ``k`` halved axes leave ``2^-k`` of it, the heap
+    runs there with ``tol / 2^k``, and the value and error estimate are
+    multiplied by ``2^k``, so the error bound is still ``tol``; ``n_evals``,
+    ``n_cells`` and ``budget`` count the folded work. The circular Cauchy
+    folds onto its first quadrant (21,576 evaluations instead of 86,072,
+    3.3e-11 from ``log(8 pi) - 3`` either way), the bivariate normal onto
+    ``x >= 0`` of its ``(x, w)`` box (about half the evaluations); a family
+    that declares no reflection is integrated over its whole box.
     A finite box is seeded as a core square plus tail bands; a box with an
     infinite end (a heavy-tailed family) is integrated through
-    ``x = c + sinh t`` (see :func:`adaptive_quad_2d`). If the budget runs
+    ``x = c + sinh t`` (see :func:`adaptive_quad_2d`). ValueError is raised
+    for a tolerance or budget :func:`~liftdep.quadrature.check_quad_args`
+    refuses and for a box the reflections cannot fold. If the budget runs
     out with the nested-rule error estimate still above 1e-3, either the
     Monte Carlo fallback kicks in (when requested and the family is
     sampleable) or QuadratureNotConverged is raised.
     """
-    if dist.conditional_map_y is None:
-        integrand = _mi_integrand(dist)
-    else:
-        integrand = _conditional_mi_integrand(dist)
-    result = adaptive_quad_2d(integrand, dist.integration_box, tol=tol, budget=budget)
+    check_quad_args(tol, budget)  # before the fold divides tol
+    box, k = _folded_box(dist)
+    folded = adaptive_quad_2d(_own_mi_integrand(dist), box, tol=tol / 2**k, budget=budget)
+    result = replace(folded, value=folded.value * 2**k, error=folded.error * 2**k)
     if result.budget_exhausted and result.error > CONVERGENCE_FAILURE_TOL:
         if monte_carlo_fallback:
             return replace(

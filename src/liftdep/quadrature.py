@@ -127,6 +127,17 @@ def _eval_cells(f, cells):
     return fine.tolist(), np.abs(fine - coarse).tolist()
 
 
+def check_quad_args(tol: float, budget: int, rtol: float = 0.0) -> None:
+    """Raise ValueError unless ``0 <= tol < inf``, ``0 <= rtol < inf`` and
+    ``budget >= 1``. A NaN tolerance would stop the heap at once and a
+    negative one never, so both are refused, as is a budget that allows no
+    evaluation."""
+    if not (0.0 <= tol < math.inf and 0.0 <= rtol < math.inf):
+        raise ValueError(f"tol and rtol must be finite and nonnegative, got {tol} and {rtol}")
+    if not budget >= 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+
+
 def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) -> QuadResult:
     """Refine the worst cells until the summed error is at most
     ``max(tol, rtol * |total|)`` or ``budget`` evaluations are spent.
@@ -136,6 +147,7 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) 
     the children of the cells popped by the batch pop rule (see the module
     docstring).
     """
+    check_quad_args(tol, budget, rtol)
     heap: list = []
     total = err = 0.0
     n_evals = n_steps = 0
@@ -266,7 +278,8 @@ def adaptive_quad_2d(
 
     A finite box is seeded by :func:`_core_tail_cells`. A box with an infinite
     end is integrated over its ``t``-box (see the module docstring), seeded in
-    quarters; ``f`` still receives ``x`` and ``y``.
+    quarters; ``f`` still receives ``x`` and ``y``. Raises ValueError on a
+    ``tol`` or ``budget`` that :func:`check_quad_args` refuses.
     """
     g, t_box = _sinh_map(f, box)
     cells = _core_tail_cells(box) if g is f else _quarters(*t_box)
@@ -289,7 +302,8 @@ def adaptive_quad_1d(
     The heap is seeded with one cell between each pair of consecutive points
     of ``a``, ``b`` and the ``breaks`` strictly between them, like QUADPACK's
     ``points``: no node falls on a break, so an integrand may be singular or
-    undefined there.
+    undefined there. Raises ValueError on a ``tol``, ``rtol`` or ``budget``
+    that :func:`check_quad_args` refuses.
     """
     g, t_bounds = _sinh_map(f, (a, b))
     seeds = [t_bounds]

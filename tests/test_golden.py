@@ -41,9 +41,9 @@ RECIPES = [
     ("mi-bvn", ["mi", "--dist", "bvn", "--r", "0.6"], None,
      "aa204526a8abe3c90583e4522ecec808c7a8009efd3d37f5b1bcb44afddbb65b"),
     ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
-     None, "318eb9576a82deb01c8510ca1b33940b48eadd26e0b57143427ad435e3a95c1f"),
+     None, "a08dd314e1e13dd08ef91d96278afa2866519851ffe96f6b4711831a6ee40d33"),
     ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
-     "475ce805d9126d447daa1293837a63615dc773f4a155787ef14f3e04acbc1409"),
+     "10065dd85ffad6f927ddb60694b030f69630c76ed0f1596e4933dae80be16052"),
     ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
                          "--out", "{dir}/cauchy_grid.csv"], "cauchy_grid.csv",
      "95b9f6919d6a0fb3a270662086a01eef004e019091ddcb0269d0fafdca82dfa5"),
@@ -89,7 +89,7 @@ EXTRA = [
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
      "5f2050e8fc6cedc92dc71a4f0dba8ec8bd2a9d2de2cd4d4ff3e01ff38574dd49"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
-     "c0a18e2653ffa7b544d5b8c461742aa3a81092dbfcf74eb94d4cab909d7b8bdf"),
+     "bc43787b7366f240af3051ed855a3e0a669ce7ed05d031a03c285b99e6111e48"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
      "72e82efbaf3df51a776a40bc1781934cb6c4fa3f3845f5960157f090025e8a3f"),

@@ -10,7 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liftdep as ld
-from liftdep.information import MiMethod, _conditional_mi_integrand, _mi_integrand
+from liftdep.distributions import named_curve
+from liftdep.information import (
+    MiMethod,
+    _conditional_mi_integrand,
+    _folded_box,
+    _mi_integrand,
+    _own_mi_integrand,
+)
 
 import oracles
 
@@ -91,6 +98,16 @@ class TestMiContinuous:
         assert report.converged
         # a tenth of the 1,153,736 evaluations the [-1e5, 1e5]^2 box took
         assert report.n_evals <= 115_373
+        # folded onto one quadrant: a quarter of the plane's 86,072, plus one cell
+        assert report.value == pytest.approx(oracles.MI_CIRCULAR_CAUCHY, abs=1e-9)
+        assert report.n_evals <= 25_000
+
+    # with the near-singular test above: r = 0, +-0.3, ..., +-0.99999
+    @pytest.mark.parametrize("r", [0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9, 0.99, -0.99, -0.99999])
+    def test_folded_bvn_matches_closed_form(self, r):
+        report = ld.mi_continuous(ld.BivariateNormal(r))
+        assert report.value == pytest.approx(ld.mi_bvn_closed_form(r).value, abs=1e-9)
+        assert report.converged
 
     @pytest.mark.parametrize("r", [0.6, 0.9])
     def test_wide_box_with_tail_bands(self, r):
@@ -281,6 +298,129 @@ def test_mi_integrand_equals_masked_expression(name, points):
         dist.joint_density(x, y), dist.marginal_x(x), dist.marginal_y(y)
     )
     assert _mi_integrand(dist)(x, y).tobytes() == want.tobytes()
+
+
+REFLECTING = {
+    "cauchy": ld.CircularCauchy(),
+    **{f"bvn-{r}": ld.BivariateNormal(r) for r in (0.0, 0.6, -0.6, 0.99, -0.999)},
+}
+REFLECT = {"x": (-1.0, 1.0), "y": (1.0, -1.0), "xy": (-1.0, -1.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFLECTING)),
+    points=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)), min_size=1,
+                    max_size=50),
+)
+def test_mi_integrand_is_invariant_under_declared_reflections(name, points):
+    """In the family's own coordinates, ``(x, w)`` for the bivariate normal, the
+    integrand takes the same value at each mirror image of a point of the
+    bivariate normal's box."""
+    dist = REFLECTING[name]
+    f = _own_mi_integrand(dist)
+    u, v = np.array(points).T
+    assert dist.reflections
+    for reflection in dist.reflections:
+        su, sv = REFLECT[reflection]
+        np.testing.assert_array_equal(f(su * u, sv * v), f(u, v))
+
+
+def _declaring(reflections, box, r=0.0):
+    """The bivariate normal as plain evaluators over ``box`` that declare
+    ``reflections``."""
+    cls = type("Declaring", (ld.ContinuousJoint,), {"reflections": reflections})
+    return cls(ld.BivariateNormal(r).joint_density, ld.standard_normal_pdf,
+               ld.standard_normal_pdf, box)
+
+
+class TestFold:
+    def test_declared_fold_on_plain_evaluators(self):
+        """A family without conditional coordinates folds its ``(x, y)`` box."""
+        dist = _declaring(("xy",), (-40.0, 40.0, -40.0, 40.0), r=0.9)
+        assert _folded_box(dist) == ((0.0, 40.0, -40.0, 40.0), 1)
+        report = ld.mi_continuous(dist)
+        assert report.value == pytest.approx(ld.mi_bvn_closed_form(0.9).value, abs=1e-10)
+        assert report.n_evals < ld.mi_continuous(ld.as_continuous(dist)).n_evals
+
+    def test_folded_boxes_of_the_named_families(self):
+        inf = math.inf
+        assert _folded_box(ld.CircularCauchy()) == ((0.0, inf, 0.0, inf), 2)
+        assert _folded_box(ld.BivariateNormal(0.6)) == ((0.0, 8.0, -8.0, 8.0), 1)
+        plain = ld.as_continuous(ld.CircularCauchy())
+        assert _folded_box(plain) == (plain.integration_box, 0)
+
+    @pytest.mark.parametrize(
+        "reflections,box",
+        [
+            (("x",), (-1.0, 2.0, -8.0, 8.0)),
+            (("y",), (-8.0, 8.0, 0.0, 8.0)),
+            # "xy" negates y too, though it cuts only x
+            (("xy",), (-8.0, 8.0, -8.0, 9.0)),
+            (("x", "y"), (-math.inf, math.inf, -1.0, math.inf)),
+        ],
+    )
+    def test_asymmetric_box_is_refused(self, reflections, box):
+        with pytest.raises(ValueError, match="not symmetric"):
+            ld.mi_continuous(_declaring(reflections, box))
+
+    def test_unknown_reflection_is_refused(self):
+        with pytest.raises(ValueError, match="unknown"):
+            ld.mi_continuous(_declaring(("diagonal",), (-8.0, 8.0, -8.0, 8.0)))
+
+    def test_conditional_coordinates_allow_only_the_point_reflection(self):
+        class Reflected(ld.BivariateNormal):
+            reflections = ("x", "xy")
+
+        with pytest.raises(ValueError, match="only the reflection 'xy'"):
+            ld.mi_continuous(Reflected(0.0))
+
+
+def _wide_box_bvn(r):
+    return ld.ContinuousJoint(ld.BivariateNormal(r).joint_density, ld.standard_normal_pdf,
+                              ld.standard_normal_pdf, (-40.0, 40.0, -40.0, 40.0))
+
+
+# families that declare no reflection, with the (value, abs_error_estimate,
+# n_evals, n_cells) they gave before the fold existed: they integrate the
+# whole box as before
+UNFOLDED = {
+    "wide-0.6": (_wide_box_bvn(0.6), (0.22314355131395344, 9.92526877243808e-07, 22968, 299)),
+    "wide-0.9": (_wide_box_bvn(0.9), (0.8303656034097269, 9.990741971022913e-07, 45472, 590)),
+    "independent": (ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf),
+                    (4.9198177643744886e-18, 4.919817636578364e-18, 232, 4)),
+    "view-0.6": (ld.as_continuous(ld.BivariateNormal(0.6)),
+                 (0.2231435513139531, 9.925268769107412e-07, 22736, 295)),
+    "view-0.99": (ld.as_continuous(ld.BivariateNormal(0.99)),
+                  (1.9585177736405412, 9.971520484558294e-07, 161936, 2095)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFOLDED))
+def test_undeclared_families_keep_their_bits(name):
+    dist, pin = UNFOLDED[name]
+    report = ld.mi_continuous(dist)
+    assert (report.value, report.abs_error_estimate, report.n_evals, report.n_cells) == pin
+
+
+class TestMalformedQuadratureArguments:
+    @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
+                                        {"budget": 0}, {"budget": -5}])
+    def test_mi_continuous_refuses(self, kwargs):
+        with pytest.raises(ValueError):
+            ld.mi_continuous(ld.BivariateNormal(0.6), **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
+                                        {"budget": 0}])
+    def test_mi_curve_refuses(self, kwargs):
+        """A NaN tolerance stopped the heap at once: 0.6115, not 0.6208."""
+        with pytest.raises(ValueError):
+            ld.mi_curve(named_curve("curve-normal-identity"), **kwargs)
+
+    def test_zero_tolerance_spends_the_budget(self):
+        report = ld.mi_continuous(ld.BivariateNormal(0.6), tol=0.0, budget=20_000)
+        assert report.budget_exhausted
+        assert report.value == pytest.approx(ld.mi_bvn_closed_form(0.6).value, abs=1e-9)
 
 
 class TestConvergenceCounterexample:

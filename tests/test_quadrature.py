@@ -115,7 +115,7 @@ def test_bad_box_rejected():
 PROPERTY = settings(max_examples=40, deadline=None)
 TOLS = st.integers(4, 12).map(lambda k: 10.0**-k)
 # small budgets stop before or soon after the seeds, large ones mostly converge
-BUDGETS = st.one_of(st.integers(0, 3000), st.integers(3000, 40000))
+BUDGETS = st.one_of(st.integers(1, 3000), st.integers(3000, 40000))
 
 INTEGRANDS_2D = {
     "polynomial": lambda x, y: x**8 - 3.0 * x * y**5 + 2.0 * y**2 + 1.0,
@@ -351,6 +351,40 @@ def test_mapped_box_is_the_reference_heap_on_the_t_box():
     res = adaptive_quad_2d(CIRCULAR_CAUCHY, (-INF, INF, -INF, INF))
     assert res == QuadResult(*expected)
     assert res.converged
+
+
+MALFORMED = [
+    {"tol": math.nan},
+    {"tol": -1.0},
+    {"tol": math.inf},
+    {"rtol": math.nan},
+    {"rtol": -1e-9},
+    {"rtol": math.inf},
+    {"budget": 0},
+    {"budget": -1},
+]
+
+
+@pytest.mark.parametrize("kwargs", MALFORMED)
+def test_malformed_arguments_raise(kwargs):
+    """A NaN tolerance stopped the heap after its seeds and a negative one ran
+    the whole budget; a zero budget still evaluated the seeds."""
+    with pytest.raises(ValueError):
+        adaptive_quad_1d(np.exp, 0.0, 1.0, **kwargs)
+    kwargs_2d = {k: v for k, v in kwargs.items() if k != "rtol"}
+    if kwargs_2d:
+        with pytest.raises(ValueError):
+            adaptive_quad_2d(lambda x, y: x * y, (0.0, 1.0, 0.0, 1.0), **kwargs_2d)
+
+
+def test_zero_tolerance_is_legal_with_rtol_or_a_budget():
+    rel = adaptive_quad_1d(np.exp, 0.0, 1.0, tol=0.0, rtol=1e-12)
+    assert rel.converged
+    assert rel.value == pytest.approx(math.e - 1.0, rel=1e-12)
+    spent = adaptive_quad_2d(lambda x, y: np.sqrt(x * y), (0.0, 1.0, 0.0, 1.0), tol=0.0,
+                             budget=1000)
+    assert spent.budget_exhausted
+    assert spent.value == pytest.approx(4.0 / 9.0, abs=1e-3)
 
 
 def test_bad_infinite_ends_raise():
