@@ -677,12 +677,16 @@ class BivariateNormal(ContinuousFamily):
 
     def lift(self, x, y):
         """Closed form
-        ``(1 - r^2)^(-1/2) exp(-(x^2 + y^2 - 2 r x y)/(2 (1 - r^2)) + (x^2 + y^2)/2)``."""
+        ``(1 - r^2)^(-1/2) exp(-(x^2 + y^2 - 2 r x y)/(2 (1 - r^2)) + (x^2 + y^2)/2)``.
+
+        A lift beyond the largest double is ``inf``, without a warning: it is
+        the correctly rounded value, and its label (Lift) is right."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         r = self.r
         expo = -(x * x + y * y - 2.0 * r * x * y) / (2.0 * (1.0 - r * r)) + (x * x + y * y) / 2.0
-        return np.exp(expo) / math.sqrt(1.0 - r * r)
+        with np.errstate(over="ignore"):
+            return np.exp(expo) / math.sqrt(1.0 - r * r)
 
     quantile_x = quantile_y = staticmethod(standard_normal_quantile)
 

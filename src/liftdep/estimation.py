@@ -25,7 +25,7 @@ import numpy as np
 from . import distributions as dm
 from .errors import DegenerateSample, MinSampleSize, TargetHasZeroMass
 from .information import MiReport, mi_discrete
-from .lift import ESTIMATED_TOL, LiftField, classify_values, discrete_lift
+from .lift import ESTIMATED_TOL, LiftField, check_grids, classify_values, discrete_lift
 
 __all__ = [
     "ContingencyTable",
@@ -118,10 +118,6 @@ class KernelLiftEstimate:
     n: int
 
 
-def _gaussian_profile(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-
-
 def kernel_lift(
     samples,
     grid_x,
@@ -132,7 +128,8 @@ def kernel_lift(
 
     Joint density and the two marginals are estimated separately (marginals
     in 1D) and their ratio forms the lift. ``bandwidth_rule`` is either the
-    string ``"silverman"`` or a fixed ``(h_x, h_y)`` pair.
+    string ``"silverman"`` or a fixed ``(h_x, h_y)`` pair. The grids must pass
+    :func:`~liftdep.lift.check_grids`, or ValueError is raised.
     """
     pts = np.asarray(samples, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
@@ -148,15 +145,14 @@ def kernel_lift(
         if not (0 < hx < math.inf and 0 < hy < math.inf):
             raise ValueError("fixed bandwidths must be positive and finite")
 
-    grid_x = np.asarray(grid_x, dtype=float)
-    grid_y = np.asarray(grid_y, dtype=float)
+    grid_x, grid_y = check_grids(grid_x, grid_y)
     joint = np.zeros((grid_x.size, grid_y.size))
     marg_x = np.zeros(grid_x.size)
     marg_y = np.zeros(grid_y.size)
     for start in range(0, n, KDE_CHUNK):
         chunk = slice(start, min(start + KDE_CHUNK, n))
-        kx = _gaussian_profile((grid_x[:, None] - xs[chunk]) / hx) / hx
-        ky = _gaussian_profile((grid_y[:, None] - ys[chunk]) / hy) / hy
+        kx = dm.standard_normal_pdf((grid_x[:, None] - xs[chunk]) / hx) / hx
+        ky = dm.standard_normal_pdf((grid_y[:, None] - ys[chunk]) / hy) / hy
         joint += kx @ ky.T
         marg_x += kx.sum(axis=1)
         marg_y += ky.sum(axis=1)

@@ -16,8 +16,9 @@ nats throughout. Four evaluation routes exist:
 * ``CurveQuadrature`` -- a 1D integral of
   ``rho_X(x) * sum_n a_n log L(x, phi_n(x))`` for curve-singular joints.
 
-A ``MonteCarlo`` fallback (sample mean of ``log L`` with a CLT error bar) can
-be requested for integrands whose quadrature budget runs out.
+A quadrature whose budget runs out with its error estimate above
+``CONVERGENCE_FAILURE_TOL`` raises QuadratureNotConverged; there is no
+sampling route.
 
 Everywhere ``0 * log 0`` is taken as zero. Curve-singular mutual information
 can legitimately be negative; nonnegativity is only an invariant of the
@@ -57,7 +58,6 @@ class MiMethod(str, enum.Enum):
     QUADRATURE = "Quadrature"
     CLOSED_FORM = "ClosedForm"
     CURVE_QUADRATURE = "CurveQuadrature"
-    MONTE_CARLO = "MonteCarlo"
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,8 @@ class MiReport:
 
     ``converged`` (the quadrature's error estimate met its tolerance),
     ``n_cells`` (cells in its final partition) and ``budget_exhausted`` (the
-    evaluation budget stopped it) describe the quadrature routes; the exact
-    routes keep the defaults, and the Monte Carlo fallback, which runs only
-    after the quadrature failed, reports ``converged=False`` and no cells.
-    They are not part of the JSON output.
+    evaluation budget stopped it) describe the quadrature routes, and the
+    exact routes keep the defaults. They are not part of the JSON output.
     """
 
     value: float
@@ -135,22 +133,17 @@ def mi_bvn_closed_form(r: float) -> MiReport:
     )
 
 
-def _log_lift(dist: dm.ContinuousFamily, x, y):
-    """``(rho, log L, ok)`` at the points: ``log L = log rho - log rho_X -
-    log rho_Y`` is meaningful only where ``ok``, i.e. all three are positive."""
-    rho = np.asarray(dist.joint_density(x, y), dtype=float)
-    mx = np.asarray(dist.marginal_x(x), dtype=float)
-    my = np.asarray(dist.marginal_y(y), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_l = np.log(rho) - np.log(mx) - np.log(my)
-    return rho, log_l, (rho > 0) & (mx > 0) & (my > 0)
-
-
 def _mi_integrand(dist: dm.ContinuousFamily):
+    """``rho log L`` over ``(x, y)``, with ``log L = log rho - log rho_X -
+    log rho_Y``; 0 where any of the three vanishes."""
+
     def integrand(x, y):
-        rho, log_l, ok = _log_lift(dist, x, y)
-        with np.errstate(invalid="ignore"):
-            return np.where(ok, rho * log_l, 0.0)
+        rho = np.asarray(dist.joint_density(x, y), dtype=float)
+        mx = np.asarray(dist.marginal_x(x), dtype=float)
+        my = np.asarray(dist.marginal_y(y), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_l = np.log(rho) - np.log(mx) - np.log(my)
+            return np.where((rho > 0) & (mx > 0) & (my > 0), rho * log_l, 0.0)
 
     return integrand
 
@@ -211,14 +204,7 @@ def _folded_box(dist: dm.ContinuousFamily) -> tuple[tuple[float, ...], int]:
     return tuple(box), len(cut)
 
 
-def mi_continuous(
-    dist,
-    tol: float = 1e-6,
-    budget: int = DEFAULT_BUDGET_2D,
-    monte_carlo_fallback: bool = False,
-    mc_samples: int = 2**20,
-    seed: int = 42,
-) -> MiReport:
+def mi_continuous(dist, tol: float = 1e-6, budget: int = DEFAULT_BUDGET_2D) -> MiReport:
     """Adaptive 2D quadrature of ``rho * log L`` over the integration box.
 
     A family that declares ``conditional_map_y`` is integrated over ``(x, w)``
@@ -242,39 +228,19 @@ def mi_continuous(
     ``x = c + sinh t`` (see :func:`adaptive_quad_2d`). ValueError is raised
     for a tolerance or budget :func:`~liftdep.quadrature.check_quad_args`
     refuses and for a box the reflections cannot fold. If the budget runs
-    out with the nested-rule error estimate still above 1e-3, either the
-    Monte Carlo fallback kicks in (when requested and the family is
-    sampleable) or QuadratureNotConverged is raised.
+    out with the nested-rule error estimate still above 1e-3,
+    QuadratureNotConverged is raised.
     """
     check_quad_args(tol, budget)  # before the fold divides tol
     box, k = _folded_box(dist)
     folded = adaptive_quad_2d(_own_mi_integrand(dist), box, tol=tol / 2**k, budget=budget)
     result = replace(folded, value=folded.value * 2**k, error=folded.error * 2**k)
     if result.budget_exhausted and result.error > CONVERGENCE_FAILURE_TOL:
-        if monte_carlo_fallback:
-            return replace(
-                _mi_monte_carlo(dist, mc_samples, seed),
-                converged=False,
-                budget_exhausted=result.budget_exhausted,
-            )
         raise QuadratureNotConverged(
             f"error estimate {result.error:.3g} > {CONVERGENCE_FAILURE_TOL:g} "
             f"after {result.n_evals} evaluations"
         )
     return _quad_report(result, MiMethod.QUADRATURE)
-
-
-def _mi_monte_carlo(dist: dm.ContinuousFamily, n: int, seed: int) -> MiReport:
-    pts = dm.sample(dist, n, seed)
-    _, log_l, ok = _log_lift(dist, pts[:, 0], pts[:, 1])
-    log_l = log_l[ok]
-    stderr = float(np.std(log_l, ddof=1) / math.sqrt(log_l.size))
-    return MiReport(
-        value=float(np.mean(log_l)),
-        method=MiMethod.MONTE_CARLO,
-        abs_error_estimate=stderr,
-        n_evals=n,
-    )
 
 
 def mi_curve(

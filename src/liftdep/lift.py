@@ -184,16 +184,9 @@ def sibuya_omega_at(dist, point) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
-    """Evaluate the lift on a rectangular grid with region labels.
-
-    Pointwise failures (off-support labels, vanishing marginals, folds of a
-    curve branch) become Undefined cells instead of raising. Grids must be
-    strictly increasing and free of NaN, and ``tol`` positive and finite
-    (a NaN or infinite one labels every cell Neutral), or ValueError is raised.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+def check_grids(grid_x, grid_y) -> tuple[np.ndarray, np.ndarray]:
+    """The two axes of a lift grid as float arrays. Raises ValueError unless
+    each is nonempty, free of NaN and strictly increasing."""
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
     if grid_x.size < 1 or grid_y.size < 1:
@@ -202,7 +195,20 @@ def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
         raise ValueError("grids must not contain NaN")
     if any(np.any(g[1:] <= g[:-1]) for g in (grid_x, grid_y)):
         raise ValueError("grids must be strictly increasing")
+    return grid_x, grid_y
 
+
+def lift_grid(dist, grid_x, grid_y, tol: float = ANALYTIC_TOL) -> LiftField:
+    """Evaluate the lift on a rectangular grid with region labels.
+
+    Pointwise failures (off-support labels, vanishing marginals, folds of a
+    curve branch) become Undefined cells instead of raising. Grids must pass
+    :func:`check_grids`, and ``tol`` must be positive and finite (a NaN or
+    infinite one labels every cell Neutral), or ValueError is raised.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    grid_x, grid_y = check_grids(grid_x, grid_y)
     values = np.asarray(dist.lift(grid_x[:, None], grid_y), dtype=float)
     return LiftField(grid_x, grid_y, values, classify_values(values, tol), tol)
 

@@ -99,24 +99,15 @@ def _eval_cells(f, cells):
     """Integrate f over each cell with the rule pair of its dimension, all
     cells in one call of ``f``.
 
-    A cell is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. The nodes of
-    all cells come from one broadcast and are reduced as one row sum per cell,
-    so a cell gets the same bits in any batch. Returns
+    A cell is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. Every batch,
+    one cell or many, takes the same path: the nodes of all cells come from
+    one broadcast and are reduced as one row sum per cell, so a cell gets the
+    same bits in any batch. A cell whose integrand is non-finite at a node
+    gets a NaN error, without a warning. Returns
     ``(fine values, |fine - coarse| errors)``, lists in cell order.
     """
     dim = len(cells[0]) // 2
     units, weights, k = _rule_tables(dim)
-    if len(cells) == 1:  # cheaper set-up in Python floats, same bits as a batch
-        [bounds] = cells
-        nodes, scale = [], 1.0
-        for j, unit in enumerate(units):
-            lo, hi = bounds[2 * j], bounds[2 * j + 1]
-            h = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + h * unit[0])
-            scale *= h
-        fw = np.asarray(f(*nodes), dtype=float).reshape(weights.size) * weights
-        coarse, fine = scale * float(np.add.reduce(fw[:k])), scale * float(np.add.reduce(fw[k:]))
-        return [fine], [abs(fine - coarse)]
     b = np.array(cells).T
     c, h = 0.5 * (b[0::2] + b[1::2]), 0.5 * (b[1::2] - b[0::2])
     nodes = (c[:, :, None] + h[:, :, None] * units).reshape(dim, -1)
@@ -124,7 +115,8 @@ def _eval_cells(f, cells):
     scale = reduce(np.multiply, h)
     coarse = scale * block[:, :k].sum(axis=1)
     fine = scale * block[:, k:].sum(axis=1)
-    return fine.tolist(), np.abs(fine - coarse).tolist()
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite cell
+        return fine.tolist(), np.abs(fine - coarse).tolist()
 
 
 def check_quad_args(tol: float, budget: int, rtol: float = 0.0) -> None:
@@ -307,10 +299,7 @@ def adaptive_quad_1d(
     """
     g, t_bounds = _sinh_map(f, (a, b))
     seeds = [t_bounds]
-    # tested first: the set and sort add ~1 us, which callers making many
-    # one-strip calls (the targeting rates of a ContinuousJoint) would pay on
-    # every call
-    cuts = sorted({float(p) for p in breaks if a < p < b}) if breaks else ()
+    cuts = sorted({float(p) for p in breaks if a < p < b})
     if cuts:
         if g is not f:  # the breaks in t, about the centre the sinh map chose
             c = a if math.isfinite(a) else b if math.isfinite(b) else 0.0

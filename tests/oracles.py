@@ -58,6 +58,15 @@ def bvn_pdf(r, x, y):
     return math.exp(-q) / (2 * math.pi * math.sqrt(1 - r * r))
 
 
+def bvn_lift_mp(r, x, y):
+    """The bivariate-normal lift ``rho / (phi(x) phi(y))`` in closed form at
+    MP_DIGITS digits, rounded to a double (``inf`` past the largest one)."""
+    with mpmath.workdps(MP_DIGITS):
+        rr, xx, yy = mpmath.mpf(r), mpmath.mpf(x), mpmath.mpf(y)
+        q = (xx * xx + yy * yy - 2 * rr * xx * yy) / (2 * (1 - rr * rr))
+        return float(mpmath.exp((xx * xx + yy * yy) / 2 - q) / mpmath.sqrt(1 - rr * rr))
+
+
 def lift_label(value, tol):
     """Region label of one lift value under the documented tolerance rule."""
     if math.isnan(value):

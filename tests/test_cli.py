@@ -181,6 +181,41 @@ class TestOutputs:
         assert out == ""
         assert "ValueError" in err and "NaN" in err
 
+    @pytest.mark.parametrize("xmin,xmax", [("nan", "1"), ("1", "0")])
+    def test_estimate_lift_rejects_a_nan_or_decreasing_grid(self, capsys, tmp_path, xmin, xmax):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+        out_file = tmp_path / "lhat.csv"
+        for out in ("-", str(out_file)):
+            code, stdout, err = run(
+                capsys, "estimate-lift", "--samples-file", str(samples), "--xmin", xmin,
+                "--xmax", xmax, "--nx", "3", "--ny", "3", "--out", out,
+            )
+            assert code == 1
+            assert stdout == ""
+            assert "ValueError" in err and "grids must" in err
+        assert not out_file.exists()
+
+    def test_bvn_lift_past_the_largest_double_is_inf_without_a_warning(self, capsys):
+        # in process, so pytest's warnings-as-errors turns an overflow warning
+        # into a failure
+        code, out, _ = run(
+            capsys, "lift-grid", "--dist", "bvn", "--r", "-0.6", "--xmin", "63", "--xmax", "64",
+            "--nx", "2", "--ymin", "-38", "--ymax", "-37", "--ny", "2",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(float(x), float(y)) for x, y, _, _ in rows] == [
+            (63, -38), (63, -37), (64, -38), (64, -37)
+        ]
+        for x, y, value, label in rows:
+            expected = oracles.bvn_lift_mp(-0.6, float(x), float(y))
+            if float(y) == -38:  # log L = 722 at (63, -38)
+                assert value == "inf" and expected == math.inf
+            else:
+                assert float(value) == pytest.approx(expected, rel=1e-12)
+            assert label == "Lift"
+
     def test_sibuya_nan_point_is_an_error_and_inf_is_valid(self, capsys):
         code, out, err = run(capsys, "sibuya", "--dist", "bvn", "--r", "0.6", "--point", "nan", "0")
         assert code == 1

@@ -109,6 +109,15 @@ class TestKernelLift:
         with pytest.raises(ValueError, match="positive and finite"):
             ld.kernel_lift(pts, grid, grid, bandwidths)
 
+    @pytest.mark.parametrize("grid", [[-1.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0], []])
+    def test_grid_must_be_a_nonempty_increasing_grid_without_nan(self, grid):
+        # a NaN or decreasing grid used to give NaN or mirrored cells, no error
+        pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
+        with pytest.raises(ValueError, match="grids must"):
+            ld.kernel_lift(pts, grid, np.linspace(-1, 1, 3))
+        with pytest.raises(ValueError, match="grids must"):
+            ld.kernel_lift(pts, np.linspace(-1, 1, 3), grid)
+
     def test_min_sample_size(self):
         pts = ld.sample(ld.BivariateNormal(0.0), 19, seed=4)
         with pytest.raises(ld.MinSampleSize):

@@ -7,8 +7,11 @@ Weierstrass pins equal the ``GOLDEN`` pins of ``bench/checks.py``. The
 instead of the README's 1e6 rows to keep the suite short; the benchmark pins
 the 1e6-row outputs. ``EXTRA`` pins quadrature paths the recipes do not
 reach: the curve-singular MIs (1D heap), the r = 0.99 bivariate-normal MI by
-quadrature, the circular-Cauchy and curve-singular Sibuya ratios, and the
-Sibuya ratio and targeting of a pmf table (``PMF``, written per test).
+quadrature, the circular-Cauchy and curve-singular Sibuya ratios, the
+Sibuya ratio and targeting of a pmf table (``PMF``, written per test), and
+the routes of a family that declares no conditional law (``indep-normal``):
+the single-seed 1D heaps of its marginal masses and targeting strips, and
+its 2D heaps over the box.
 
 The ``lhat.csv`` pin depends on the number of BLAS threads: ``kernel_lift``'s
 ``kx @ ky.T`` gives different last bits under one and two OpenBLAS threads,
@@ -100,6 +103,16 @@ EXTRA = [
      "5aca7226ebc1c9ebcf218ca97c634f11f21f9d1b9393be4c2f2dcb007bf8b519"),
     ("target-pmf", ["target", "--pmf-file", "{pmf}", "--target-y", "1"],
      "3c5d9da8e271a7de24b76d5fcacd94050d295cab37b04db2387a55207b9b7047"),
+    ("sibuya-indep-normal", ["sibuya", "--dist", "indep-normal", "--point", "0.5", "1.5",
+                             "--point", "-2", "0.3", "--point", "-7.5", "-7.5"],
+     "6f7e626c4a03247fa4f93e245f8713fbaef19665fdc6d16fe12a930bfcc0935b"),
+    ("target-indep-normal", ["target", "--dist", "indep-normal", "--target-lo", "1",
+                             "--target-hi", "2"],
+     "b5696e7d51dc72571fa76f2e67507cf6a1c1b4bf5c9fd4beb91a0597cdd4ad2c"),
+    ("mi-indep-normal", ["mi", "--dist", "indep-normal"],
+     "3a418966b6d8c60abd4baf85fff08e0ef91cb8cda16a37f9ea0c4b860e1917cc"),
+    ("regions-indep-normal", ["regions", "--dist", "indep-normal"],
+     "713bf10d6196ee1d0b51b64bffd1aa0d80343c931168323a380cd8734f76de0f"),
 ]
 
 

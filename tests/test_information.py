@@ -158,16 +158,6 @@ class TestMiContinuous:
         assert not report.budget_exhausted
         assert report.value == pytest.approx(ld.mi_bvn_closed_form(0.6).value, abs=0.01)
 
-    def test_monte_carlo_fallback(self):
-        report = ld.mi_continuous(
-            ld.BivariateNormal(0.6), budget=64, monte_carlo_fallback=True, mc_samples=200_000
-        )
-        assert report.method == MiMethod.MONTE_CARLO
-        assert not report.converged
-        assert report.budget_exhausted
-        assert report.value == pytest.approx(0.22314355131420974, abs=0.01)
-        assert report.abs_error_estimate > 0
-
 
 class TestMiCurve:
     def test_normal_identity_singular_limit(self, normal_identity_curve):
