@@ -51,13 +51,20 @@ def _build_dist(args, parser):
     return dm.named_curve(spec)
 
 
+def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
+    """``n`` evenly spaced points from ``lo`` to ``hi``. ValueError unless
+    ``hi - lo`` is finite: an infinite or NaN end, or a span past the largest
+    double, would make numpy fill the axis with NaN and warn."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name} must have finite ends, not NaN, and a finite span: {lo}, {hi}")
+    return np.linspace(lo, hi, n)
+
+
 def _grids(args):
     if args.nx < 2 or args.ny < 2:
         raise ValueError("grid counts must be >= 2")
-    return (
-        np.linspace(args.xmin, args.xmax, args.nx),
-        np.linspace(args.ymin, args.ymax, args.ny),
-    )
+    return (_axis(args.xmin, args.xmax, args.nx, "grids"),
+            _axis(args.ymin, args.ymax, args.ny, "grids"))
 
 
 @contextlib.contextmanager
@@ -157,7 +164,7 @@ def _cmd_target(args, f, parser):
     else:
         if args.target_lo is None or args.target_hi is None:
             parser.error("continuous targeting requires --target-lo and --target-hi")
-        x_grid = np.linspace(args.xmin, args.xmax, args.nx)
+        x_grid = _axis(args.xmin, args.xmax, args.nx, "the profile grid")
         result = est.target_profile(dist, (args.target_lo, args.target_hi), x_grid)
     result.to_json(f)
 
@@ -240,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--seed", type=int, default=42)
         return p
 
     p = new("lift-grid", _cmd_lift_grid, "evaluate the lift on a grid (CSV)")
@@ -317,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("sample", _cmd_sample, "draw sample pairs (CSV)")
     _add_dist_flags(p)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=42)
 
     return parser
 

@@ -35,7 +35,7 @@ region cells, ``lift_cells()``; the CDFs of Sibuya's ratio,
   bisection on the monotone pieces of each branch, found once per law
   (``pieces``). At an on-curve point ``y = phi_n(x)`` the point's own ``x``
   is the preimage on its piece, and only the other pieces are bisected
-  (``on_curve_marginal_y``).
+  (``on_curve_marginal_y``). A y with a preimage at a fold is a NaN element.
 
 Density and marginal evaluators must be pure, vectorized functions: they take
 scalars or ndarrays and return values of the same shape. All distribution
@@ -414,11 +414,7 @@ class DiscreteJoint:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Inverse CDF on the flattened pmf."""
-        cum = np.cumsum(self.pmf.ravel())
-        cum /= cum[-1]
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        idx = np.minimum(idx, cum.size - 1)
-        ix, iy = np.unravel_index(idx, self.pmf.shape)
+        ix, iy = np.unravel_index(_draw_indices(self.pmf.ravel(), n, rng), self.pmf.shape)
         return np.column_stack([self.x_support[ix], self.y_support[iy]])
 
 
@@ -693,9 +689,7 @@ class BivariateNormal(ContinuousFamily):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """The two-independent-normals transform."""
         z = rng.standard_normal((n, 2))
-        x = z[:, 0]
-        y = self.r * z[:, 0] + math.sqrt(1.0 - self.r * self.r) * z[:, 1]
-        return np.column_stack([x, y])
+        return np.column_stack([z[:, 0], self.conditional_map_y(z[:, 0], z[:, 1])])
 
 
 @dataclass(frozen=True)
@@ -829,7 +823,9 @@ class CurveSingularJoint:
         It uses the supplied Y-marginal when there is one. Otherwise it sums
         the pushforward over the preimages of ``phi_n(x)``: ``x`` itself is
         the one on its own piece of branch n, and only the other pieces and
-        branches are solved by bisection.
+        branches are solved by bisection. The sum is NaN, not raised, at an
+        element with a preimage at a fold (``|phi'| < DERIVATIVE_FLOOR``)
+        where ``rho_X > 0``, so the other elements keep their values.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(self.branches[n].phi(x), dtype=float)
@@ -840,10 +836,9 @@ class CurveSingularJoint:
     def lift(self, x, y):
         """Elementwise lift: ``2 a_n / (pi rho_Y(phi_n(x)) sqrt(1 + phi_n'(x)^2))``
         where ``|y - phi_n(x)| <= ON_CURVE_TOL`` (the smallest such n wins),
-        zero off the branches. Each branch evaluates ``rho_Y`` once, on its
-        on-curve points (see :meth:`on_curve_marginal_y`), or point by point
-        if a fold (a preimage with a flat slope) makes that raise
-        DerivativeVanishes. NaN at a fold or where ``rho_Y`` is below
+        zero off the branches. Each branch evaluates ``rho_Y`` once, on all
+        its on-curve points (see :meth:`on_curve_marginal_y`). NaN at a fold
+        (a preimage with a flat slope) or where ``rho_Y`` is below
         DENSITY_FLOOR."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         values = np.zeros(np.broadcast_shapes(x.shape, y.shape))
@@ -854,15 +849,10 @@ class CurveSingularJoint:
             phi_x[inside] = branch.phi(x[inside])
             at = (np.abs(y - phi_x) <= ON_CURVE_TOL) & (values == 0.0)
             x_at = np.broadcast_to(x, values.shape)[at]
-            try:
-                dens = self.on_curve_marginal_y(n, x_at)
-            except DerivativeVanishes:
-                dens = np.array([_density_or_nan(self, n, v) for v in x_at])
+            dens = self.on_curve_marginal_y(n, x_at)
+            dens = np.where(dens < DENSITY_FLOOR, np.nan, dens)  # undefined there, as at a fold
             slope = np.asarray(branch.dphi(x_at), dtype=float)
-            with np.errstate(divide="ignore"):
-                val = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
-            val[dens < DENSITY_FLOOR] = np.nan
-            values[at] = val
+            values[at] = 2.0 * branch.weight / (math.pi * dens * np.hypot(1.0, slope))
         return values
 
     def sibuya_parts(self, x: float, y: float) -> tuple[float, float, float]:
@@ -896,17 +886,21 @@ class CurveSingularJoint:
         """X from a tabulated inverse CDF, a branch by weight, the on-curve y."""
         inv_x = tabulated_inverse_cdf(self.marginal_x, self.support_x)
         x = inv_x(rng.random(n))
-        weights = np.array([b.weight for b in self.branches])
-        cum = np.cumsum(weights)
-        cum /= cum[-1]
-        branch_idx = np.searchsorted(cum, rng.random(n), side="right")
-        branch_idx = np.minimum(branch_idx, len(self.branches) - 1)
+        branch_idx = _draw_indices([b.weight for b in self.branches], n, rng)
         y = np.empty(n)
         for k, branch in enumerate(self.branches):
             mask = branch_idx == k
             if np.any(mask):
                 y[mask] = np.asarray(branch.phi(x[mask]), dtype=float)
         return np.column_stack([x, y])
+
+
+def _draw_indices(weights, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` indices into ``weights``, each drawn with probability proportional
+    to its weight, by inverse CDF on their cumulative sum."""
+    cum = np.cumsum(weights)
+    cum /= cum[-1]
+    return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), cum.size - 1)
 
 
 def _interval_mass(pdf: Evaluator, lo: float, hi: float) -> float:
@@ -924,13 +918,6 @@ def _cdf_gap(cdf, x, lo: float, hi: float):
     x = np.asarray(x, dtype=float)
     at_lo = np.asarray(cdf(x, lo), dtype=float)
     return np.where(at_lo > 0.5, cdf(-x, -lo) - cdf(-x, -hi), cdf(x, hi) - at_lo)
-
-
-def _density_or_nan(dist: CurveSingularJoint, n: int, x: float) -> float:
-    try:
-        return float(dist.on_curve_marginal_y(n, x))
-    except DerivativeVanishes:
-        return math.nan
 
 
 NamedFamily = Union[BivariateNormal, CircularCauchy, IndependentProduct]
@@ -1055,41 +1042,31 @@ def _preimage_sum(dist: CurveSingularJoint, y: np.ndarray, own=None) -> np.ndarr
     Each piece is solved with one elementwise bisection, and a preimage shared
     by two adjacent pieces counts once. With ``own = (n, x)``, ``y`` is
     ``phi_n(x)``: on the first piece of branch n that holds ``x``, ``x`` is
-    the preimage and only the other elements are bisected.
+    the preimage and only the other elements are bisected. An element with a
+    preimage at a fold (``|phi_n'| < DERIVATIVE_FLOOR``) where ``rho_X > 0``
+    is NaN.
     """
     total = np.zeros(y.shape)
     for n, (branch, pieces) in enumerate(zip(dist.branches, dist.pieces)):
-        unclaimed = None
-        if own is not None and own[0] == n:
-            x_own = own[1]
-            unclaimed = np.ones(y.shape, dtype=bool)
+        # on any other branch no element has its own preimage
+        x_own = own[1] if own is not None and own[0] == n else np.full(y.shape, np.nan)
+        unclaimed = np.ones(y.shape, dtype=bool)
         roots = []
         for a, b, _sign in pieces:
-            if unclaimed is None:
-                root = bisect_roots(branch.phi, y, a, b)
-            else:
-                mine = unclaimed & (x_own >= a) & (x_own <= b)
-                unclaimed &= ~mine
-                root = np.array(x_own)
-                if not mine.all():
-                    rest = ~mine
-                    root[rest] = bisect_roots(branch.phi, y[rest], a, b)
+            mine = unclaimed & (x_own >= a) & (x_own <= b)
+            unclaimed &= ~mine
+            root = np.array(x_own)
+            if not mine.all():  # bisecting an empty remainder costs a call per piece
+                rest = ~mine
+                root[rest] = bisect_roots(branch.phi, y[rest], a, b)
             for earlier in roots:
                 root[np.abs(root - earlier) <= 1e-9] = np.nan
             roots.append(root)
             idx = np.flatnonzero(~np.isnan(root))
             rho = np.asarray(dist.marginal_x(root[idx]), dtype=float)
             idx, rho = idx[rho != 0.0], rho[rho != 0.0]
-            x = root[idx]
-            slope = np.abs(np.asarray(branch.dphi(x), dtype=float))
-            flat_slope = slope < DERIVATIVE_FLOOR
-            if np.any(flat_slope):
-                k = int(np.argmax(flat_slope))
-                raise DerivativeVanishes(
-                    f"|phi'({x[k]:.6g})| < {DERIVATIVE_FLOOR:g} at a preimage of "
-                    f"y={y[idx[k]]:.6g}"
-                )
-            total[idx] += branch.weight * rho / slope
+            slope = np.abs(np.asarray(branch.dphi(root[idx]), dtype=float))
+            total[idx] += branch.weight * rho / np.where(slope < DERIVATIVE_FLOOR, np.nan, slope)
     return total
 
 
@@ -1100,12 +1077,17 @@ def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
     every branch. The monotone pieces of each branch are found once per law
     (``dist.pieces``); each evaluation then solves for all its ys on a piece
     with one elementwise bisection. A preimage shared by two adjacent pieces
-    counts once.
+    counts once. An evaluation raises DerivativeVanishes if any of its ys
+    has a preimage at a fold (``|phi_n'| < DERIVATIVE_FLOOR``) where
+    ``rho_X > 0``.
     """
 
     def rho_y(y):
         y = np.asarray(y, dtype=float)
         total = _preimage_sum(dist, y.ravel())
+        if np.isnan(total).any():
+            bad = y.ravel()[np.isnan(total)][0]
+            raise DerivativeVanishes(f"|phi'| < {DERIVATIVE_FLOOR:g} at a preimage of y={bad:.6g}")
         return float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
 
     return rho_y

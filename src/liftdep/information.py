@@ -35,7 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import distributions as dm
-from .errors import DegenerateCorrelation, QuadratureNotConverged, UndefinedAtPoint
+from .errors import (
+    DegenerateCorrelation, DerivativeVanishes, QuadratureNotConverged, UndefinedAtPoint
+)
 from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_2d, check_quad_args
 
 __all__ = [
@@ -256,8 +258,9 @@ def mi_curve(
     The pieces are found once per law (``dist.pieces``) and also serve the
     on-curve Y-marginal (:meth:`CurveSingularJoint.on_curve_marginal_y`).
 
-    Raises UndefinedAtPoint if ``log L`` is evaluated where the Y-marginal
-    vanishes on a positive-density part of the X support.
+    Where ``rho_X > 0`` at a node, raises DerivativeVanishes if the derived
+    Y-marginal is NaN there (a preimage of ``phi_n(x)`` lies at a fold), and
+    else UndefinedAtPoint if the Y-marginal is 0, negative or NaN there.
     """
     lo, hi = dist.support_x
     breaks = {end for pieces in dist.pieces for piece in pieces for end in piece[:2]}
@@ -276,20 +279,18 @@ def mi_curve(
             x_in = x[inside]
             slope = np.asarray(branch.dphi(x_in), dtype=float)
             dens_y = dist.on_curve_marginal_y(n, x_in)
-            if np.any((dens_y <= 0) & (rho[inside] > 0)):
-                raise UndefinedAtPoint(
-                    "Y-marginal vanishes on the curve over a positive-density x set"
-                )
-            log_l = np.where(
-                dens_y > 0,
+            positive = rho[inside] > 0
+            if dist.marginal_y is None and np.any(np.isnan(dens_y) & positive):
+                raise DerivativeVanishes("Y-marginal is NaN on the curve where rho_X > 0: a fold")
+            if np.any(~(dens_y > 0) & positive):
+                raise UndefinedAtPoint("Y-marginal is 0 or NaN on the curve where rho_X > 0")
+            # dens_y > 0 wherever rho_X > 0, and rho_X = 0 drops the rest
+            log_l = (
                 math.log(2.0 * branch.weight / math.pi)
                 - np.log(np.where(dens_y > 0, dens_y, 1.0))
-                - 0.5 * np.log1p(slope * slope),
-                0.0,
+                - 0.5 * np.log1p(slope * slope)
             )
-            contrib = np.zeros_like(x)
-            contrib[inside] = branch.weight * log_l
-            total += contrib
+            total[inside] += branch.weight * log_l
         return np.where(rho > 0, rho * total, 0.0)
 
     result = adaptive_quad_1d(integrand, lo, hi, tol=tol, budget=budget, breaks=breaks)

@@ -85,6 +85,13 @@ class TestMi:
         assert out == ""
         assert "--budget" in err and "--method quadrature" in err
 
+    def test_seed_is_a_usage_error(self, capsys):
+        """Only ``sample`` draws at random, so only it takes --seed."""
+        code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.6", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
     def test_budget_reaches_the_quadrature(self, capsys):
         code, _, err = run(capsys, "mi", "--dist", "cauchy-circular", "--budget", "1000")
         assert code == 1
@@ -194,6 +201,26 @@ class TestOutputs:
             assert code == 1
             assert stdout == ""
             assert "ValueError" in err and "grids must" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "2",
+          "--xmin=-1e308", "--xmax", "1e308"], "grids must"),
+        (["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1", "--target-hi", "2",
+          "--xmin=-inf"], "profile grid"),
+        (["estimate-lift", "--samples-file", "{samples}", "--nx", "3", "--ny", "3",
+          "--ymax", "inf"], "grids must"),
+    ], ids=["lift-grid", "target", "estimate-lift"])
+    def test_an_infinite_grid_end_or_span_is_an_error(self, capsys, tmp_path, argv, message):
+        # in process, so a numpy warning from the grid would be an error here
+        samples = tmp_path / "samples.csv"
+        samples.write_text("x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+        out_file = tmp_path / "out"
+        argv = [arg.replace("{samples}", str(samples)) for arg in argv]
+        code, stdout, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 1
+        assert stdout == ""
+        assert "ValueError" in err and message in err
         assert not out_file.exists()
 
     def test_bvn_lift_past_the_largest_double_is_inf_without_a_warning(self, capsys):

@@ -254,9 +254,19 @@ class TestOnCurveMarginalY:
                                      marginal_y=lambda y: np.full_like(y, 0.25))
         assert dist.on_curve_marginal_y(0, np.array([0.3, -1.0])).tolist() == [0.25, 0.25]
 
-    def test_fold_raises(self):
-        with pytest.raises(ld.DerivativeVanishes):
-            _parabola().on_curve_marginal_y(0, np.array([0.5, 0.0]))
+    def test_fold_is_nan(self):
+        # x = 0 is a preimage at the fold; x = 0.5 keeps rho_Y(0.25) = 1
+        got = _parabola().on_curve_marginal_y(0, np.array([0.5, 0.0]))
+        assert got[0] == 1.0 and np.isnan(got[1])
+
+    def test_lift_batch_through_a_fold_keeps_every_other_point(self):
+        dist = _parabola()
+        x = np.linspace(-1.0, 1.0, 401)  # an odd count holds the fold at 0
+        y = dist.branches[0].phi(x)
+        batch = dist.lift(x, y)
+        assert x[200] == 0.0 and np.isnan(batch[200])
+        alone = np.array([dist.lift(x[i], y[i]) for i in range(x.size)])
+        assert np.delete(batch, 200).tobytes() == np.delete(alone, 200).tobytes()
 
 
 class TestPiecesOncePerLaw:

@@ -11,7 +11,9 @@ quadrature, the circular-Cauchy and curve-singular Sibuya ratios, the
 Sibuya ratio and targeting of a pmf table (``PMF``, written per test), and
 the routes of a family that declares no conditional law (``indep-normal``):
 the single-seed 1D heaps of its marginal masses and targeting strips, and
-its 2D heaps over the box.
+its 2D heaps over the box; and two ``curve-uniform-square`` lift grids that
+hold the fold at (0, 0), where the lift is NaN and every other on-curve cell
+keeps its value.
 
 The ``lhat.csv`` pin depends on the number of BLAS threads: ``kernel_lift``'s
 ``kx @ ky.T`` gives different last bits under one and two OpenBLAS threads,
@@ -113,6 +115,12 @@ EXTRA = [
      "3a418966b6d8c60abd4baf85fff08e0ef91cb8cda16a37f9ea0c4b860e1917cc"),
     ("regions-indep-normal", ["regions", "--dist", "indep-normal"],
      "713bf10d6196ee1d0b51b64bffd1aa0d80343c931168323a380cd8734f76de0f"),
+    ("lift-grid-curve-uniform-square", ["lift-grid", "--dist", "curve-uniform-square", *GRID],
+     "45552d8ad1b95e1026ff7fd6c008c40274437f53f906e1a73b22f34da813067d"),
+    ("lift-grid-curve-uniform-square-3x3", ["lift-grid", "--dist", "curve-uniform-square",
+                                            "--xmin", "-1", "--xmax", "1", "--nx", "3",
+                                            "--ymin", "0", "--ymax", "1", "--ny", "3"],
+     "4eb2e4881575b899eb4d14879f630ac37ed86ccbe79c1a736ce0528f2bb59790"),
 ]
 
 

@@ -244,6 +244,22 @@ class TestMiCurve:
         expected = oracles.quad_1d(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
         assert ld.mi_curve(dist).value == pytest.approx(expected, abs=1e-8)
 
+    def test_nan_supplied_marginal_y_is_undefined(self):
+        # a NaN rho_Y over half the support must not count as log L = 0
+        base = named_curve("curve-uniform-identity")
+        dist = ld.CurveSingularJoint(base.marginal_x, (0.0, 1.0), base.branches,
+                                     marginal_y=lambda y: np.where(y > 0.5, np.nan, 1.0))
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.mi_curve(dist)
+
+    def test_interior_fold_raises(self):
+        # X ~ U(0, 3), Y = sin X: near the fold at pi/2 the partner preimage
+        # rounds onto the fold, so the derived rho_Y is NaN there
+        branch = ld.CurveBranch(phi=np.sin, dphi=np.cos, domain=(0.0, 3.0))
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 3.0), (0.0, 3.0), (branch,))
+        with pytest.raises(ld.DerivativeVanishes):
+            ld.mi_curve(dist)
+
     def test_convergence_facts(self, normal_identity_curve):
         report = ld.mi_curve(normal_identity_curve)
         assert report.converged
