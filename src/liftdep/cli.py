@@ -18,18 +18,24 @@ import sys
 
 import numpy as np
 
-from . import distributions as dm
-from . import estimation as est
-from . import information as info
-from . import lift as lf
-from . import scaling as sc
 from .errors import LiftDepError
-from .quadrature import DEFAULT_BUDGET_2D
 
-DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + dm.CURVE_SPECS
+# Each handler imports the modules it uses, so a process loads only those of
+# its subcommand; building the parser loads none of them.
+
+CURVE_SPECS = (
+    "curve-normal-identity",
+    "curve-uniform-identity",
+    "curve-normal-double",
+    "curve-uniform-square",
+)
+DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + CURVE_SPECS
+GRID_FLAGS = ("xmin", "xmax", "nx", "ymin", "ymax", "ny")
 
 
 def _build_dist(args, parser):
+    from . import distributions as dm
+
     has_file = getattr(args, "pmf_file", None) is not None
     has_named = getattr(args, "dist", None) is not None
     if has_file and has_named:
@@ -51,6 +57,17 @@ def _build_dist(args, parser):
     return dm.named_curve(spec)
 
 
+def _given(args, names):
+    """The first flag of ``names`` (argument names) given on the command line,
+    or None. A flag that some route of a subcommand does not read defaults to
+    None, and that route refuses it instead of ignoring it."""
+    return next((f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None), None)
+
+
+def _default(value, default):
+    return default if value is None else value
+
+
 def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     """``n`` evenly spaced points from ``lo`` to ``hi``. ValueError unless
     ``hi - lo`` is finite: an infinite or NaN end, or a span past the largest
@@ -60,11 +77,23 @@ def _axis(lo: float, hi: float, n: int, name: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _grids(args):
-    if args.nx < 2 or args.ny < 2:
+def _grids(args, default_n: int):
+    """The axes of the grid flags; one not given is -4 or 4, or ``default_n``
+    points."""
+    nx, ny = _default(args.nx, default_n), _default(args.ny, default_n)
+    if nx < 2 or ny < 2:
         raise ValueError("grid counts must be >= 2")
-    return (_axis(args.xmin, args.xmax, args.nx, "grids"),
-            _axis(args.ymin, args.ymax, args.ny, "grids"))
+    return (_axis(_default(args.xmin, -4.0), _default(args.xmax, 4.0), nx, "grids"),
+            _axis(_default(args.ymin, -4.0), _default(args.ymax, 4.0), ny, "grids"))
+
+
+def _tol(args, parser) -> float:
+    from .lift import ANALYTIC_TOL
+
+    tol = _default(args.tol, ANALYTIC_TOL)
+    if not 0 < tol < math.inf:
+        parser.error("--tol must be positive and finite")
+    return tol
 
 
 @contextlib.contextmanager
@@ -112,16 +141,24 @@ def _out(path: str):
 
 
 def _cmd_lift_grid(args, f, parser):
-    if not 0 < args.tol < math.inf:
-        parser.error("--tol must be positive and finite")
+    from . import lift as lf
+
+    tol = _tol(args, parser)
+    flag = _given(args, GRID_FLAGS) if args.grid_default else None
+    if flag:
+        parser.error(f"{flag} conflicts with --grid-default")
     dist = _build_dist(args, parser)
     if args.grid_default and args.pmf_file is None:
         parser.error("--grid-default needs --pmf-file")
-    gx, gy = (dist.x_support, dist.y_support) if args.grid_default else _grids(args)
-    lf.lift_grid(dist, gx, gy, tol=args.tol).to_csv(f)
+    gx, gy = (dist.x_support, dist.y_support) if args.grid_default else _grids(args, 201)
+    lf.lift_grid(dist, gx, gy, tol=tol).to_csv(f)
 
 
 def _cmd_mi(args, f, parser):
+    from . import distributions as dm
+    from . import information as info
+    from .quadrature import DEFAULT_BUDGET_2D
+
     if args.budget is not None and args.budget <= 0:
         parser.error("--budget must be positive")
     dist = _build_dist(args, parser)
@@ -130,8 +167,7 @@ def _cmd_mi(args, f, parser):
             parser.error("--budget with --dist bvn needs --method quadrature")
         report = info.mi_bvn_closed_form(dist.r)
     elif isinstance(dist, dm.ContinuousFamily):
-        budget = DEFAULT_BUDGET_2D if args.budget is None else args.budget
-        report = info.mi_continuous(dist, budget=budget)
+        report = info.mi_continuous(dist, budget=_default(args.budget, DEFAULT_BUDGET_2D))
     elif args.method == "quadrature" or args.budget is not None:
         parser.error("--method quadrature and --budget need a continuous --dist")
     elif isinstance(dist, dm.DiscreteJoint):
@@ -142,36 +178,53 @@ def _cmd_mi(args, f, parser):
 
 
 def _cmd_regions(args, f, parser):
-    if not 0 < args.tol < math.inf:
-        parser.error("--tol must be positive and finite")
+    from . import codec
+    from . import lift as lf
+
+    tol = _tol(args, parser)
     dist = _build_dist(args, parser)
-    dm.write_json(f, lf.region_summary(dist, tol=args.tol).to_dict())
+    codec.write_json(f, lf.region_summary(dist, tol=tol).to_dict())
 
 
 def _cmd_sibuya(args, f, parser):
+    from . import codec
+    from . import lift as lf
+
     dist = _build_dist(args, parser)
     points = [(float(x), float(y)) for x, y in args.point]
     omega = [lf.sibuya_omega_at(dist, point) for point in points]
-    dm.write_csv(f, ("x", "y", "omega"), *zip(*points), omega)
+    codec.write_csv(f, ("x", "y", "omega"), *zip(*points), omega)
 
 
 def _cmd_target(args, f, parser):
+    from . import distributions as dm
+    from . import estimation as est
+
     dist = _build_dist(args, parser)
     if isinstance(dist, dm.DiscreteJoint):
+        flag = _given(args, ("target_lo", "target_hi", "xmin", "xmax", "nx"))
+        if flag:
+            parser.error(f"{flag} needs a continuous --dist")
         if args.target_y is None:
             parser.error("discrete targeting requires --target-y")
         result = est.target_profile(dist, args.target_y)
     else:
+        if args.target_y is not None:
+            parser.error("--target-y needs --pmf-file")
         if args.target_lo is None or args.target_hi is None:
             parser.error("continuous targeting requires --target-lo and --target-hi")
-        x_grid = _axis(args.xmin, args.xmax, args.nx, "the profile grid")
+        x_grid = _axis(_default(args.xmin, -3.0), _default(args.xmax, 3.0),
+                       _default(args.nx, 201), "the profile grid")
         result = est.target_profile(dist, (args.target_lo, args.target_hi), x_grid)
     result.to_json(f)
 
 
 def _cmd_scaling(args, f, parser):
+    from . import codec
+    from . import scaling as sc
+
     with open(args.samples_file, newline="") as sf:
-        points = dm.read_samples_csv(sf)
+        points = codec.read_samples_csv(sf)
     estimate = sc.scaling_exponent(
         points,
         (args.center_x, args.center_y),
@@ -183,23 +236,37 @@ def _cmd_scaling(args, f, parser):
 
 
 def _cmd_weierstrass(args, f, parser):
+    from . import codec
+    from . import scaling as sc
+
     curve = sc.WeierstrassCurve(n_terms=args.n_terms)
-    dm.write_csv(f, ("x", "w"), *sc.weierstrass_grid(curve, args.n_points).T)
+    codec.write_csv(f, ("x", "w"), *sc.weierstrass_grid(curve, args.n_points).T)
 
 
 def _cmd_counterexample(args, f, parser):
+    from . import information as info
+
     schedule = [float(tok) for tok in args.r_schedule.split(",") if tok.strip()]
     info.convergence_counterexample(schedule).to_csv(f)
 
 
 def _cmd_estimate_lift(args, f, parser):
+    from . import codec
+    from . import estimation as est
+
+    if args.estimator == "empirical":
+        flag = _given(args, (*GRID_FLAGS, "bandwidth_x", "bandwidth_y"))
+        if flag:
+            parser.error(f"{flag} needs --estimator kernel")
+    elif args.smoothing is not None:
+        parser.error("--smoothing needs --estimator empirical")
     with open(args.samples_file, newline="") as sf:
-        points = dm.read_samples_csv(sf)
+        points = codec.read_samples_csv(sf)
     if args.estimator == "empirical":
         table = est.ContingencyTable.from_samples(points)
-        field = est.empirical_discrete_lift(table, smoothing=args.smoothing)
+        field = est.empirical_discrete_lift(table, smoothing=_default(args.smoothing, 0.5))
     else:
-        gx, gy = _grids(args)
+        gx, gy = _grids(args, 101)
         if (args.bandwidth_x is None) != (args.bandwidth_y is None):
             parser.error("--bandwidth-x and --bandwidth-y must be given together")
         rule = (
@@ -212,6 +279,8 @@ def _cmd_estimate_lift(args, f, parser):
 
 
 def _cmd_sample(args, f, parser):
+    from . import distributions as dm
+
     dist = _build_dist(args, parser)
     dm.write_samples_csv(f, dm.sample(dist, args.n, args.seed))
 
@@ -227,13 +296,11 @@ def _add_dist_flags(p):
     p.add_argument("--pmf-file", help="CSV pmf table instead of a named family")
 
 
-def _add_grid_flags(p, default_n=201):
-    p.add_argument("--xmin", type=float, default=-4.0)
-    p.add_argument("--xmax", type=float, default=4.0)
-    p.add_argument("--nx", type=int, default=default_n)
-    p.add_argument("--ymin", type=float, default=-4.0)
-    p.add_argument("--ymax", type=float, default=4.0)
-    p.add_argument("--ny", type=int, default=default_n)
+def _add_grid_flags(p):
+    for axis in "xy":
+        p.add_argument(f"--{axis}min", type=float)
+        p.add_argument(f"--{axis}max", type=float)
+        p.add_argument(f"--n{axis}", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("lift-grid", _cmd_lift_grid, "evaluate the lift on a grid (CSV)")
     _add_dist_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--tol", type=float, default=lf.ANALYTIC_TOL)
+    p.add_argument("--tol", type=float)
     p.add_argument(
         "--grid-default",
         action="store_true",
@@ -271,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("regions", _cmd_regions, "lift/inhibition region masses (JSON)")
     _add_dist_flags(p)
-    p.add_argument("--tol", type=float, default=lf.ANALYTIC_TOL)
+    p.add_argument("--tol", type=float)
 
     p = new("sibuya", _cmd_sibuya, "Sibuya dependence ratio at points (CSV)")
     _add_dist_flags(p)
@@ -289,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-y", type=float, help="discrete target label")
     p.add_argument("--target-lo", type=float, help="continuous target lower edge")
     p.add_argument("--target-hi", type=float, help="continuous target upper edge")
-    p.add_argument("--xmin", type=float, default=-3.0)
-    p.add_argument("--xmax", type=float, default=3.0)
-    p.add_argument("--nx", type=int, default=201)
+    p.add_argument("--xmin", type=float)
+    p.add_argument("--xmax", type=float)
+    p.add_argument("--nx", type=int)
 
     p = new("scaling", _cmd_scaling, "local scaling exponent from samples (JSON)")
     p.add_argument("--samples-file", required=True)
@@ -315,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("estimate-lift", _cmd_estimate_lift, "empirical or kernel lift from samples (CSV)")
     p.add_argument("--samples-file", required=True)
     p.add_argument("--estimator", choices=("empirical", "kernel"), default="kernel")
-    p.add_argument("--smoothing", type=float, default=0.5)
-    _add_grid_flags(p, default_n=101)
+    p.add_argument("--smoothing", type=float)
+    _add_grid_flags(p)
     p.add_argument("--bandwidth-x", type=float)
     p.add_argument("--bandwidth-y", type=float)
 

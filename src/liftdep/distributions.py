@@ -52,19 +52,16 @@ a default targeting grid) raise ValueError on an unbounded axis.
 
 from __future__ import annotations
 
-import contextlib
 import io
-import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Union
 
 import numpy as np
 
+from .codec import _csv_float, _read_csv, read_samples_csv, write_csv, write_samples_csv
 from .errors import (
     CurveSingularHasNoDensity,
     DegenerateCorrelation,
@@ -98,7 +95,6 @@ __all__ = [
     "derive_pushforward_density",
     "pushforward_density_fn",
     "monotone_pieces",
-    "CURVE_SPECS",
     "named_curve",
     "sample",
     "TabulatedInverseCdf",
@@ -111,9 +107,6 @@ __all__ = [
     "write_pmf_csv",
     "read_samples_csv",
     "write_samples_csv",
-    "write_csv",
-    "csv_floats",
-    "write_json",
 ]
 
 Interval = tuple[float, float]
@@ -128,8 +121,6 @@ ON_CURVE_TOL = 1e-9
 INVERSE_CDF_RESOLUTION = 4096
 PROBE_GRID_SIZE = 1024
 REGION_GRID_N = 1024
-CSV_BLOCK_ROWS = 65536
-CSV_FLOAT = "%.17g"
 # Relative tolerance and evaluation budget of the conditional Sibuya integral,
 # and the largest gap from 1 of its two sides' sum when both are integrated.
 SIBUYA_RTOL = 1e-11
@@ -1098,17 +1089,10 @@ def derive_pushforward_density(dist: CurveSingularJoint, y: float) -> float:
     return pushforward_density_fn(dist)(float(y))
 
 
-CURVE_SPECS = (
-    "curve-normal-identity",
-    "curve-uniform-identity",
-    "curve-normal-double",
-    "curve-uniform-square",
-)
-
-
 def named_curve(spec: str) -> CurveSingularJoint:
-    """The named law of ``CURVE_SPECS``: one branch ``y = phi(x)`` over the
-    whole X support, with the Y-marginal derived."""
+    """The named curve law ``spec`` (the CLI's ``--dist curve-*`` names): one
+    branch ``y = phi(x)`` over the whole X support, with the Y-marginal
+    derived. KeyError for any other name."""
     normal = (standard_normal_pdf, (-8.0, 8.0))
     uniform = (uniform_pdf(0.0, 1.0), (0.0, 1.0))
     marginal_x, support, phi, dphi = {
@@ -1158,77 +1142,10 @@ def tabulated_inverse_cdf(pdf: Evaluator, support: Interval) -> TabulatedInverse
 
 
 # ---------------------------------------------------------------------------
-# File formats
+# File formats: the pmf table here, since it builds a DiscreteJoint; the
+# sample files and the CSV and JSON writers are in liftdep.codec, and the
+# sample reader and writer are re-exported from here.
 # ---------------------------------------------------------------------------
-
-
-def write_csv(f: io.TextIOBase, header, *columns) -> None:
-    """Write a header line, then one row per index of the equal-length columns.
-
-    Float columns are written ``%.17g``, which reads back to the same double;
-    any other column is written with ``str`` (a StrEnum as its value). Rows
-    are formatted CSV_BLOCK_ROWS at a time, one ``%`` per block, so memory
-    stays bounded however long the columns are.
-    """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join(CSV_FLOAT if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
-    f.write(",".join(header) + "\n")
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in columns]
-        f.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
-
-
-def csv_floats(values) -> np.ndarray:
-    """The ``write_csv`` text of each float, as an object column that it writes
-    as is, so a value repeated over many rows is formatted once."""
-    return np.array([CSV_FLOAT % v for v in np.asarray(values, dtype=float).tolist()], dtype=object)
-
-
-def write_json(f: io.TextIOBase, obj) -> None:
-    """Write ``obj`` as JSON indented by two spaces, ending with a newline."""
-    json.dump(obj, f, indent=2)
-    f.write("\n")
-
-
-def _csv_float(cell: str, where: str) -> float:
-    """``float(cell)`` under the rules of numpy's parser: ASCII, no underscores."""
-    if cell.isascii() and "_" not in cell:
-        with contextlib.suppress(ValueError):
-            return float(cell)
-    raise ValueError(f"{where}: not a number: {cell.strip()!r}")
-
-
-def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
-    """The header cells and the body of a CSV of floats as wide as its header.
-
-    ``np.loadtxt`` (numpy's C parser, correctly rounded like ``float``) reads
-    the body; blank lines are skipped. Only if it fails, or the body has the
-    wrong width or a non-finite value, does a line scan run to raise
-    ValueError naming the first bad line.
-    """
-    if not f.seekable():  # a pipe: the scan needs to read the body again
-        f = io.StringIO(f.read())
-    header = [c.strip() for c in f.readline().rstrip("\r\n").split(",")]
-    width, start = len(header), f.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        if body.size == 0 or (body.shape[1] == width and np.isfinite(body).all()):
-            return header, body.reshape(-1, width)
-    except ValueError:
-        pass
-    f.seek(start)
-    for line_no, line in enumerate(f, start=2):
-        cells = line.rstrip("\r\n").split(",")
-        where = f"{what} csv line {line_no}"
-        if cells == [""]:
-            continue
-        if len(cells) != width:
-            raise ValueError(f"{where}: expected {width} cells, got {len(cells)}")
-        if not all(math.isfinite(_csv_float(c, where)) for c in cells):
-            raise ValueError(f"{where}: non-finite value")
-    raise ValueError(f"{what} csv: unreadable body")
 
 
 def write_pmf_csv(f: io.TextIOBase, dist: DiscreteJoint) -> None:
@@ -1247,20 +1164,3 @@ def read_pmf_csv(f: io.TextIOBase) -> DiscreteJoint:
         raise ValueError("pmf csv needs a header 'x,y:<label>,...' with at least one y label")
     y = [_csv_float(cell[2:], "pmf csv line 1") for cell in header[1:]]
     return DiscreteJoint(body[:, 0], np.array(y), body[:, 1:])
-
-
-def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=float)
-    write_csv(f, ("x", "y"), samples[:, 0], samples[:, 1])
-
-
-def read_samples_csv(f: io.TextIOBase) -> np.ndarray:
-    """Parse ``x,y`` sample rows into an (n, 2) array; blank lines are skipped.
-
-    A row without exactly two cells, a cell that is not a number, or a
-    non-finite value raises ValueError naming its line.
-    """
-    header, body = _read_csv(f, "sample")
-    if header != ["x", "y"]:
-        raise ValueError("sample csv must start with header 'x,y'")
-    return body

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from . import distributions as dm
 from .errors import DegenerateSample, MinSampleSize, TargetHasZeroMass
 from .information import MiReport, mi_discrete
@@ -199,7 +200,7 @@ class TargetingResult:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        dm.write_json(f, self.to_dict())
+        codec.write_json(f, self.to_dict())
 
 
 def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import codec
 from . import distributions as dm
 from .errors import (
     DegenerateCorrelation, DerivativeVanishes, QuadratureNotConverged, UndefinedAtPoint
@@ -95,7 +96,7 @@ class MiReport:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        dm.write_json(f, self.to_dict())
+        codec.write_json(f, self.to_dict())
 
 
 def _quad_report(result, method: MiMethod) -> MiReport:
@@ -317,7 +318,7 @@ class ConvergenceReport:
     def to_csv(self, f: io.TextIOBase) -> None:
         r, mi, exceeds = zip(*self.rows) if self.rows else ((), (), ())
         limit, flags = np.full(len(r), self.limit_mi), [str(e).lower() for e in exceeds]
-        dm.write_csv(f, ("r", "mi", "limit_mi", "exceeds"), r, mi, limit, flags)
+        codec.write_csv(f, ("r", "mi", "limit_mi", "exceeds"), r, mi, limit, flags)
 
 
 def convergence_counterexample(r_schedule) -> ConvergenceReport:

@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import codec
 from . import distributions as dm
 from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
 from .errors import UndefinedAtPoint
@@ -87,9 +88,9 @@ class LiftField:
     def to_csv(self, f: io.TextIOBase) -> None:
         """Row-major ``x,y,L,label`` rows with 17-significant-digit floats; each
         grid coordinate is formatted once, not once per row or column."""
-        gx, gy = dm.csv_floats(self.grid_x), dm.csv_floats(self.grid_y)
+        gx, gy = codec.csv_floats(self.grid_x), codec.csv_floats(self.grid_y)
         x, y = np.repeat(gx, gy.size), np.tile(gy, gx.size)
-        dm.write_csv(f, ("x", "y", "L", "label"), x, y, self.values.ravel(), self.labels.ravel())
+        codec.write_csv(f, ("x", "y", "L", "label"), x, y, self.values.ravel(), self.labels.ravel())
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import distributions as dm
+from . import codec
 from .errors import InsufficientRadii
 
 __all__ = [
@@ -93,7 +93,7 @@ class BallDensityProfile:
         return (self.counts / self.n) / (math.pi * self.radii**2)
 
     def to_csv(self, f: io.TextIOBase) -> None:
-        dm.write_csv(f, ("eps", "count", "rho_eps"), self.radii, self.counts, self.densities)
+        codec.write_csv(f, ("eps", "count", "rho_eps"), self.radii, self.counts, self.densities)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class ScalingEstimate:
         }
 
     def to_json(self, f: io.TextIOBase) -> None:
-        dm.write_json(f, self.to_dict())
+        codec.write_json(f, self.to_dict())
 
 
 def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI surface: grammar, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -456,6 +457,52 @@ class TestMalformedInput:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestUnreadFlags:
+    """A flag that the route a command takes never reads is a usage error
+    that names it, not a setting silently ignored; no ``--out`` is written."""
+
+    PMF = "x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n"
+    GRID = [["--xmin", "0"], ["--xmax", "1"], ["--nx", "5"], ["--ymin", "0"], ["--ymax", "1"],
+            ["--ny", "5"]]
+    CASES = {
+        "estimate-lift-empirical": (
+            ["estimate-lift", "--samples-file", "s.csv", "--estimator", "empirical"],
+            [*GRID, ["--bandwidth-x", "1"], ["--bandwidth-y", "1"]],
+        ),
+        "estimate-lift-kernel": (
+            ["estimate-lift", "--samples-file", "s.csv", "--nx", "3", "--ny", "3"],
+            [["--smoothing", "0.1"]],
+        ),
+        "target-discrete": (
+            ["target", "--pmf-file", "pmf.csv", "--target-y", "1"],
+            [["--target-lo", "0"], ["--target-hi", "1"], ["--xmin", "0"], ["--xmax", "1"],
+             ["--nx", "5"]],
+        ),
+        "target-continuous": (
+            ["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1", "--target-hi", "2"],
+            [["--target-y", "1"]],
+        ),
+        "lift-grid-default": (
+            ["lift-grid", "--pmf-file", "pmf.csv", "--grid-default"],
+            GRID,
+        ),
+    }
+    PARAMS = [(base, flag) for base, flags in CASES.values() for flag in flags]
+    IDS = [f"{case}{flag[0]}" for case, (_, flags) in CASES.items() for flag in flags]
+
+    @pytest.mark.parametrize(("base", "flag"), PARAMS, ids=IDS)
+    def test_unread_flag_is_a_usage_error(self, capsys, tmp_path, monkeypatch, base, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pmf.csv").write_text(self.PMF)
+        (tmp_path / "s.csv").write_text("x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30)))
+        assert run(capsys, *base)[0] == 0
+        code, out, err = run(capsys, *base, *flag, "--out", "out.csv")
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag[0]} " in err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestOutFile:
     """``--out PATH`` replaces the file only when the command succeeds."""
 
@@ -535,6 +582,77 @@ class TestImport:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "[0, 0] []"]
+
+    LOADS = {
+        ("weierstrass", "--n-points", "5"): ["codec", "scaling"],
+        ("scaling", "--samples-file", "line.csv", "--center-x", "0.5", "--center-y", "0.5"):
+            ["codec", "scaling"],
+        ("sample", "--dist", "bvn", "--r", "0.6", "--n", "5"):
+            ["codec", "distributions", "quadrature"],
+        ("mi", "--dist", "bvn", "--r", "0.6"):
+            ["codec", "distributions", "information", "quadrature"],
+        ("counterexample", "--r-schedule", "0.9"):
+            ["codec", "distributions", "information", "quadrature"],
+        ("lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "3"):
+            ["codec", "distributions", "lift", "quadrature"],
+        ("regions", "--dist", "bvn", "--r", "0.6"):
+            ["codec", "distributions", "lift", "quadrature"],
+        ("sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0"):
+            ["codec", "distributions", "lift", "quadrature"],
+        ("target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1", "--target-hi", "2"):
+            ["codec", "distributions", "estimation", "information", "lift", "quadrature"],
+        ("estimate-lift", "--samples-file", "line.csv", "--nx", "3", "--ny", "3"):
+            ["codec", "distributions", "estimation", "information", "lift", "quadrature"],
+    }
+
+    @pytest.mark.parametrize("argv", list(LOADS), ids=[argv[0] for argv in LOADS])
+    def test_a_command_loads_only_its_modules(self, tmp_path, argv):
+        """Each subcommand loads the liftdep modules it uses, besides `cli`
+        and `errors`, and no scipy."""
+        xs = [i / 1999 for i in range(2000)]
+        (tmp_path / "line.csv").write_text("x,y\n" + "".join(f"{x!r},{x!r}\n" for x in xs))
+        code = (
+            "import contextlib, io, json, sys, liftdep.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = liftdep.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([status, sorted(m for m in sys.modules\n"
+            "                                 if m.startswith(('liftdep.', 'scipy')))]))\n"
+        )
+        src = str(Path(liftdep.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        status, loaded = json.loads(done.stdout)
+        assert status == 0, done.stderr
+        assert loaded == sorted(f"liftdep.{m}" for m in ["cli", "errors", *self.LOADS[argv]])
+
+
+class TestHelp:
+    """``--help`` bytes at 80 columns, pinned before the parser stopped
+    importing the library: the layout is argparse's on Python 3.11."""
+
+    PINS = {
+        None: "5314893fdee7296b9034a6aa1ce378505091f2e313faf284f632fb62f2b11ff9",
+        "lift-grid": "0674f2b63748924da818d79f643ed7525a89c0a033915a16b6a7f806c5b573cb",
+        "mi": "b49483f4d1a52f9dd01a6d315ab002f64c2727b8955496e7a75d7704565c734c",
+        "regions": "38d7c9f88335da63761f125dc68fd1c6948dc2737628edee9679be82cb5fb608",
+        "sibuya": "3305593dde2d34b1c72946648db7372082bba91648d226a2cde79b7eb0f7e1d6",
+        "target": "dd20b465b59d7efc0d712c27c85a045aad770bd12a3a5140088ad6593a4bf160",
+        "scaling": "5c6310ffec1ec00565e42621184a2e3fd3d9d9dbe04736b03d523660c766481d",
+        "weierstrass": "fee83a08fad5ee62e21e9a46209ff6c029fdebacc1776e8c7d88f959e1e9b84f",
+        "counterexample": "69e4a282912369cff8255db58a3d3b4b98e06d7cb0913ba563ce674bfae82222",
+        "estimate-lift": "80c84af36fc618f98d965603083003e71d0630fc19442c7f924015566b9c71c4",
+        "sample": "99f5b33a5829eacaefdc646d731660ca9243d0cd5d653c5d7230caab1d9ddaad",
+    }
+
+    @pytest.mark.parametrize("command", list(PINS), ids=[c or "liftdep" for c in PINS])
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *([command] if command else []), "--help")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[command]
 
 
 class TestDeterminism:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import liftdep as ld
-from liftdep.distributions import CURVE_SPECS, PROBE_GRID_SIZE, monotone_pieces, named_curve
+from liftdep.cli import CURVE_SPECS
+from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces, named_curve
 from liftdep.quadrature import adaptive_quad_2d
 
 import oracles

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import liftdep as ld
 import oracles
-from liftdep.distributions import CSV_BLOCK_ROWS
+from liftdep.codec import CSV_BLOCK_ROWS
 from liftdep.lift import classify_values
 
 # Every double, NaN, +-inf, -0.0, subnormals and 1e308 included.
