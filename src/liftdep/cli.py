@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def new(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)  # a handler's usage errors print its own usage
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         return p
 
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         with _out(args.out) as f:
-            args.fn(args, f, parser)
+            args.fn(args, f, args.parser)
     except SystemExit as exc:  # parser.error from inside a subcommand
         return int(exc.code) if exc.code is not None else 0
     except LiftDepError as exc:

@@ -42,6 +42,8 @@ __all__ = [
 
 MIN_KERNEL_SAMPLE = 20
 KDE_CHUNK = 4096
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TINY = float(np.finfo(float).tiny)  # 2^-1022, the smallest normal double
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +121,38 @@ class KernelLiftEstimate:
     n: int
 
 
+def _kernel_rows(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
+    """Kernel rows ``standard_normal_pdf((grid[:, None] - data) / h) / h``,
+    bit for bit, wherever that value is at least 2^-1022 (the smallest normal
+    double), and +0.0 wherever it is smaller.
+
+    Subnormal doubles are slow: ``exp`` takes 20 to over 100 times longer
+    when its result underflows, and the product of rows that hold subnormals
+    takes microcode assists. So an exponent ``-z^2 / 2`` below
+    ``log(2^-1022 * sqrt(2 pi) * h) - 2`` is set to 0 before ``exp`` runs,
+    and its value to 0 after. That cut is safe: ``exp``'s error of one unit
+    of 2^-1074 cannot lift a value e^2 below the threshold to it, and where
+    ``h`` is so small that it could, the cut lies below log(2^-1075), where
+    ``exp`` is exactly 0. A value still below 2^-1022 is set to 0 last.
+    """
+    z = grid[:, None] - data
+    z /= h
+    e = -0.5 * z
+    e *= z  # standard_normal_pdf's -0.5 * z * z, in its order
+    keep = e >= math.log(_TINY) + math.log(_SQRT_2PI) + math.log(h) - 2.0
+    # Masks zero the bits: an integer product by 0 or 1 gives +0.0 from any
+    # double, where a float product gives NaN from an overflowed z's -inf
+    # exponent, or from the inf that exp(0) / h is for a subnormal h.
+    bits = e.view(np.int64)
+    bits *= keep
+    k = np.exp(e, out=e)
+    k /= _SQRT_2PI
+    k /= h
+    keep &= k >= _TINY
+    bits *= keep
+    return k
+
+
 def kernel_lift(
     samples,
     grid_x,
@@ -130,9 +164,16 @@ def kernel_lift(
     Joint density and the two marginals are estimated separately (marginals
     in 1D) and their ratio forms the lift. ``bandwidth_rule`` is either the
     string ``"silverman"`` or a fixed ``(h_x, h_y)`` pair. The grids must pass
-    :func:`~liftdep.lift.check_grids`, or ValueError is raised.
+    :func:`~liftdep.lift.check_grids`, and every sample coordinate must be
+    finite, or ValueError is raised.
+
+    A kernel value below 2^-1022, the smallest normal double, counts as 0:
+    for ``h = 1`` that is from about 37.6 bandwidths out. A cell whose
+    marginal estimate has no kernel value in normal range is Undefined.
     """
     pts = np.asarray(samples, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        raise ValueError("samples must be finite: a coordinate is NaN or infinite")
     n = pts.shape[0]
     if n < MIN_KERNEL_SAMPLE:
         raise MinSampleSize(f"kernel_lift needs at least {MIN_KERNEL_SAMPLE} samples, got {n}")
@@ -152,8 +193,8 @@ def kernel_lift(
     marg_y = np.zeros(grid_y.size)
     for start in range(0, n, KDE_CHUNK):
         chunk = slice(start, min(start + KDE_CHUNK, n))
-        kx = dm.standard_normal_pdf((grid_x[:, None] - xs[chunk]) / hx) / hx
-        ky = dm.standard_normal_pdf((grid_y[:, None] - ys[chunk]) / hy) / hy
+        kx = _kernel_rows(grid_x, xs[chunk], hx)
+        ky = _kernel_rows(grid_y, ys[chunk], hy)
         joint += kx @ ky.T
         marg_x += kx.sum(axis=1)
         marg_y += ky.sum(axis=1)

@@ -118,6 +118,24 @@ class TestExitCodes:
         assert run(capsys, "no-such-command")[0] == 2
         assert run(capsys, "mi", "--dist", "bvn")[0] == 2  # bvn without --r
 
+    @pytest.mark.parametrize("argv", [
+        ["lift-grid", "--pmf-file", "pmf.csv", "--grid-default", "--ny", "5"],
+        ["mi", "--dist", "bvn"],
+        ["target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1"],
+        ["estimate-lift", "--samples-file", "s.csv", "--estimator", "kernel",
+         "--smoothing", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_handler_usage_error_prints_its_subcommand_usage(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        # it used to print the top-level "usage: liftdep [-h] {lift-grid,...}"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pmf.csv").write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: liftdep {argv[0]} ")
+        assert f"\nliftdep {argv[0]}: error: " in err
+
     def test_domain_error_is_1_with_stable_name(self, capsys):
         code, _, err = run(capsys, "mi", "--dist", "bvn", "--r", "1.5")
         assert code == 1

@@ -3,11 +3,15 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import liftdep as ld
+from liftdep.estimation import _kernel_rows
 from liftdep.lift import RegionLabel
 
 import oracles
@@ -118,6 +122,20 @@ class TestKernelLift:
         with pytest.raises(ValueError, match="grids must"):
             ld.kernel_lift(pts, np.linspace(-1, 1, 3), grid)
 
+    @pytest.mark.parametrize(
+        "row,col,value,bandwidths",
+        [(5, 0, math.nan, "silverman"), (5, 0, math.nan, (0.5, 0.5)),
+         (7, 1, math.inf, (0.5, 0.5)), (0, 1, -math.inf, (0.5, 0.5))],
+    )
+    def test_non_finite_samples_are_rejected(self, row, col, value, bandwidths):
+        # a NaN sample used to give an all-NaN field, and an infinite one with
+        # fixed bandwidths was counted in n but added no kernel mass
+        pts = ld.sample(ld.BivariateNormal(0.6), 500, seed=3)
+        pts[row, col] = value
+        grid = np.linspace(-1, 1, 3)
+        with pytest.raises(ValueError, match="finite"):
+            ld.kernel_lift(pts, grid, grid, bandwidths)
+
     def test_min_sample_size(self):
         pts = ld.sample(ld.BivariateNormal(0.0), 19, seed=4)
         with pytest.raises(ld.MinSampleSize):
@@ -127,6 +145,104 @@ class TestKernelLift:
         pts = np.column_stack([np.ones(50), np.arange(50.0)])
         with pytest.raises(ld.DegenerateSample):
             ld.kernel_lift(pts, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3))
+
+
+TINY = np.finfo(float).tiny  # 2^-1022
+
+
+def flushed_reference(grid, data, h):
+    """The unflushed kernel rows, each value below 2^-1022 replaced by +0.0,
+    and the messages of the warnings computing them raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = ld.standard_normal_pdf((grid[:, None] - data) / h) / h
+    return np.where(ref >= TINY, ref, 0.0), {str(w.message) for w in caught}
+
+
+def assert_kernel_rows_flush_only_below_tiny(grid, data, h):
+    want, ref_warnings = flushed_reference(grid, data, h)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _kernel_rows(grid, data, h)
+    assert {str(w.message) for w in caught} <= ref_warnings
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    return got
+
+
+class TestKernelRows:
+    """``_kernel_rows`` is the unflushed formula, bit for bit, wherever that
+    value is at least 2^-1022, and +0.0 elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log10_h=st.floats(-3.0, 3.0),
+        centre=st.floats(-1e3, 1e3),
+        grid_offsets=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6, unique=True),
+        data_offsets=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=60),
+    )
+    @example(log10_h=-300.0, centre=0.0, grid_offsets=[0.0, 10.0], data_offsets=[0.0, 37.6, 50.0])
+    @example(log10_h=-300.0, centre=1.0, grid_offsets=[0.0], data_offsets=[0.0, 30.0])
+    @example(log10_h=-16.0, centre=0.0, grid_offsets=[-30.0, 0.0], data_offsets=[25.0, 29.0])
+    def test_equals_the_formula_where_normal(self, log10_h, centre, grid_offsets, data_offsets):
+        h = 10.0**log10_h
+        grid = centre + np.sort(grid_offsets) * h
+        data = centre + np.array(data_offsets) * h
+        assert_kernel_rows_flush_only_below_tiny(grid, data, h)
+
+    @pytest.mark.parametrize("h", [5e-324, 1e-310, 1e-300, 1e-100, 3e-16, 1.5e-16, 1e-16,
+                                   1e-3, 0.0193, 1.0, 3.0, 1e3, 1e100, 1e300])
+    def test_a_dense_sweep_out_to_60_bandwidths(self, h):
+        # every distance from 0 to 60 bandwidths in steps of 0.003, around
+        # both grid points; the cut sits near 37.6 bandwidths for h = 1
+        data = np.linspace(-60.0, 60.0, 40001) * h
+        assert_kernel_rows_flush_only_below_tiny(np.array([-h, 0.0]), data, h)
+
+    def test_an_overflowed_z_is_zero_not_nan(self):
+        # z = +-inf gives the exponent -inf, which a float mask would make NaN
+        grid = np.array([-1e308, 0.0, 1e308])
+        data = np.array([-1e308, 0.0, 1e308, 1.0])
+        got = assert_kernel_rows_flush_only_below_tiny(grid, data, 1e-300)
+        assert not np.isnan(got).any() and (got == 0).sum() == 9
+
+
+@pytest.fixture(scope="module")
+def bvn_sample():
+    return ld.sample(ld.BivariateNormal(0.6), 10**5, seed=1)
+
+
+class TestKernelLiftOracle:
+    def test_every_cell_matches_the_direct_oracle(self, bvn_sample):
+        grid = np.linspace(-4.0, 4.0, 41)
+        est = ld.kernel_lift(bvn_sample, grid, grid)
+        want, _ = oracles.kernel_lift_direct(
+            bvn_sample, grid, grid, est.bandwidth_x, est.bandwidth_y
+        )
+        assert np.isfinite(want).all()
+        np.testing.assert_allclose(est.field.values, want, rtol=1e-9, atol=0.0)
+
+    def test_a_cell_with_no_normal_marginal_kernel_value_is_undefined(self, bvn_sample):
+        """Far-tail rule: a kernel value below 2^-1022 counts as 0, so a row or
+        column where every sample's kernel value is below it has a zero
+        marginal estimate and Undefined cells. The unflushed oracle gives
+        those cells a ratio of subnormal estimates instead. Elsewhere, where
+        the joint estimate is far above what the flushed values could add,
+        the oracle and the estimate agree."""
+        grid = np.linspace(-12.0, 12.0, 61)
+        est = ld.kernel_lift(bvn_sample, grid, grid)
+        hx, hy = est.bandwidth_x, est.bandwidth_y
+        want, joint = oracles.kernel_lift_direct(bvn_sample, grid, grid, hx, hy)
+        normal_x = oracles.gaussian_kernel_rows(grid, bvn_sample[:, 0], hx).max(axis=1) >= TINY
+        normal_y = oracles.gaussian_kernel_rows(grid, bvn_sample[:, 1], hy).max(axis=1) >= TINY
+        far = ~(normal_x[:, None] & normal_y)
+        assert far.any() and not np.isnan(want[far]).all()  # the oracle defines some of them
+        assert (est.field.labels[far] == RegionLabel.UNDEFINED).all()
+        assert np.isnan(est.field.values[far]).all()
+        # a flushed kernel value is below 2^-1022, so each term it drops from
+        # a mean is below 2^-1022 times the largest kernel value (~4): a
+        # joint mean above 1e-290 moves by far less than 1e-9 relative
+        near = ~far & (joint >= 1e-290)
+        assert near.sum() > 1000
+        np.testing.assert_allclose(est.field.values[near], want[near], rtol=1e-9, atol=0.0)
 
 
 class TestEstimatorConsistency:

@@ -15,12 +15,12 @@ its 2D heaps over the box; and two ``curve-uniform-square`` lift grids that
 hold the fold at (0, 0), where the lift is NaN and every other on-curve cell
 keeps its value.
 
-The ``lhat.csv`` pin depends on the number of BLAS threads: ``kernel_lift``'s
-``kx @ ky.T`` gives different last bits under one and two OpenBLAS threads,
-so with ``OMP_NUM_THREADS=1`` that pin fails. The pin holds for OpenBLAS's
-default thread count on a 2-CPU host (two threads); ``bench/checks.py`` pins
-the benchmark's 1e6-row ``lhat.csv`` under the one thread ``bench/run.py``
-sets.
+``kernel_lift``'s ``kx @ ky.T`` gives different last bits under one and two
+OpenBLAS threads, so the ``lhat.csv`` recipe runs in a fresh process with
+``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to
+1, as ``bench/run.py`` sets them, and its pin holds on any host and under any
+thread setting of the test run. ``bench/checks.py`` pins the benchmark's
+1e6-row ``lhat.csv`` under the same one thread.
 
 A change that is not meant to move output bytes leaves every pin unchanged.
 A change that moves bytes (a new summation order, a new rule, a numpy upgrade
@@ -32,9 +32,14 @@ reference integral) that shows the new bytes are right.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liftdep.cli
 from liftdep.cli import main
 
 GRID = ["--xmin", "-4", "--xmax", "4", "--nx", "201", "--ymin", "-4", "--ymax", "4", "--ny", "201"]
@@ -77,8 +82,10 @@ RECIPES = [
     ("lhat.csv", ["estimate-lift", "--samples-file", "{dir}/line.csv", "--estimator", "kernel",
                   "--xmin", "0", "--xmax", "1", "--nx", "41", "--ymin", "0", "--ymax", "1",
                   "--ny", "41", "--out", "{dir}/lhat.csv"], "lhat.csv",
-     "c6807d21c5781bf176a17d89c4bfced43edd5146900e9fdad3831b9d4ef4cdc4"),
+     "cea56c0d123682deac6e324caa333580e9f754a10e7ebc5ec63b9a92e1793ef7"),
 ]
+
+BLAS_THREADS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 PMF = "x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n"
@@ -129,11 +136,22 @@ def outputs(tmp_path_factory):
     """Run every recipe once, in README order; map name -> (exit code, bytes)."""
     workdir = tmp_path_factory.mktemp("golden")
     results = {}
+    src = str(Path(liftdep.cli.__file__).resolve().parents[1])
     for name, argv, out_file, _pin in RECIPES:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main([arg.replace("{dir}", str(workdir)) for arg in argv])
-        data = (workdir / out_file).read_bytes() if out_file else stdout.getvalue().encode()
+        argv = [arg.replace("{dir}", str(workdir)) for arg in argv]
+        if name == "lhat.csv":  # one BLAS thread, in a fresh process (module docs)
+            done = subprocess.run(
+                [sys.executable, "-m", "liftdep.cli", *argv],
+                env={**os.environ, **BLAS_THREADS, "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=300,
+            )
+            code, stdout = done.returncode, done.stdout
+        else:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(argv)
+            stdout = buf.getvalue()
+        data = (workdir / out_file).read_bytes() if out_file else stdout.encode()
         results[name] = (code, data)
     return results
 
