@@ -169,7 +169,9 @@ def kernel_lift(
 
     A kernel value below 2^-1022, the smallest normal double, counts as 0:
     for ``h = 1`` that is from about 37.6 bandwidths out. A cell whose
-    marginal estimate has no kernel value in normal range is Undefined.
+    marginal estimate has no kernel value in normal range is Undefined; one
+    whose two positive marginal estimates have a product below 2^-1022 is
+    divided by one at a time, so it is not.
     """
     pts = np.asarray(samples, dtype=float).reshape(-1, 2)
     if not np.isfinite(pts).all():
@@ -204,6 +206,9 @@ def kernel_lift(
     denom = np.outer(marg_x, marg_y)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.where(denom > 0, joint / denom, np.nan)
+    # two positive marginals whose product is subnormal or 0: one at a time
+    i, j = np.nonzero((denom < _TINY) & (marg_x[:, None] > 0) & (marg_y > 0))
+    values[i, j] = joint[i, j] / marg_x[i] / marg_y[j]
     field = LiftField(grid_x, grid_y, values, classify_values(values, ESTIMATED_TOL), ESTIMATED_TOL)
     return KernelLiftEstimate(bandwidth_x=hx, bandwidth_y=hy, field=field, n=n)
 

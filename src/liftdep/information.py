@@ -68,9 +68,10 @@ class MiReport:
     """A mutual-information value with its provenance and error estimate.
 
     ``converged`` (the quadrature's error estimate met its tolerance),
-    ``n_cells`` (cells in its final partition) and ``budget_exhausted`` (the
-    evaluation budget stopped it) describe the quadrature routes, and the
-    exact routes keep the defaults. They are not part of the JSON output.
+    ``n_cells`` (cells in its final partition), ``budget_exhausted`` (the
+    evaluation budget stopped it) and ``n_steps`` (heap steps, one integrand
+    call each) describe the quadrature routes, and the exact routes keep the
+    defaults. They are not part of the JSON output.
     """
 
     value: float
@@ -80,6 +81,7 @@ class MiReport:
     converged: bool = True
     n_cells: int = 0
     budget_exhausted: bool = False
+    n_steps: int = 0
 
     def __post_init__(self):
         if self.abs_error_estimate < 0:
@@ -109,6 +111,7 @@ def _quad_report(result, method: MiMethod) -> MiReport:
         converged=result.converged,
         n_cells=result.n_cells,
         budget_exhausted=result.budget_exhausted,
+        n_steps=result.n_steps,
     )
 
 

@@ -8,7 +8,7 @@ do not depend on scheduling), and worst cells are bisected until the summed
 error drops below the tolerance or the evaluation budget runs out. One heap
 driver serves 1D and 2D, and each heap step makes one integrand call: the seed
 cells at start-up, then the children of a batch of popped cells. A step pops
-cells in heap order until their errors sum to at least half of
+cells in heap order until their errors sum to at least the whole excess
 ``error - tol``, but stops before a cell whose children would take the step
 past ``STEP_NODES`` nodes or the evaluations past the budget; it always pops
 at least one cell. The cells of a step get their nodes from one broadcast and
@@ -50,6 +50,32 @@ __all__ = [
 RULE_2D = (3, 7)
 RULE_1D = (7, 15)
 
+# Gauss-Legendre nodes and weights on [-1, 1] of each rule size the pairs use,
+# the bits ``numpy.polynomial.legendre.leggauss`` returns, so that no process
+# has to import ``numpy.polynomial`` to integrate.
+GAUSS_LEGENDRE = {
+    3: (
+        (-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557),
+    ),
+    7: (
+        (-0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+         0.4058451513773972, 0.7415311855993945, 0.9491079123427586),
+        (0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+         0.3818300505051187, 0.27970539148927687, 0.12948496616886973),
+    ),
+    15: (
+        (-0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+         -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+         0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+         0.8482065834104272, 0.9372733924007058, 0.9879925180204854),
+        (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+         0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+         0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+         0.10715922046717141, 0.0703660474881084, 0.030753241996117203),
+    ),
+}
+
 # Half-width of the square that splits a finite 2D box into core and tail seeds.
 CORE_HALF = 8.0
 
@@ -89,7 +115,7 @@ def _rule_tables(dim: int) -> tuple[np.ndarray, np.ndarray, int]:
     """
     nodes, weights = [], []
     for n in RULE_1D if dim == 1 else RULE_2D:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = map(np.array, GAUSS_LEGENDRE[n])
         nodes.append([np.repeat(np.tile(x, n**j), n ** (dim - 1 - j)) for j in range(dim)])
         weights.append(reduce(np.multiply.outer, [w] * dim).ravel())
     return np.concatenate(nodes, axis=1)[:, None, :], np.concatenate(weights), weights[0].size
@@ -154,10 +180,10 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) 
             total += v
             err += e
             heapq.heappush(heap, (-e, next(tick), bounds, v, e))
-        # pop until the popped errors reach half of the excess over the bound
+        # pop until the popped errors reach the excess over the bound
         bound = max(tol, rtol * abs(total))
         batch, excess, popped, nodes = [], err - bound, 0.0, 0
-        while heap and 2.0 * popped < excess and n_evals < budget:
+        while heap and popped < excess and n_evals < budget:
             _, _, bounds, v, e = heap[0]
             children = split(*bounds)
             n = len(children) * cell_nodes

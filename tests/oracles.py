@@ -8,7 +8,9 @@ dual-route check.
 
 import functools
 import heapq
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -179,15 +181,20 @@ def gaussian_kernel_rows(grid, data, h):
 
 def kernel_lift_direct(samples, grid_x, grid_y, hx, hy):
     """The product-Gaussian kernel lift by its definition, cell by cell:
-    ``mean(kx * ky) / (mean(kx) * mean(ky))`` over the samples, NaN where the
-    denominator is 0. Returns the lift and the joint estimate ``mean(kx * ky)``."""
+    ``mean(kx * ky) / (mean(kx) * mean(ky))`` over the samples, NaN where a
+    marginal mean is 0. The ratio of the three means is taken exactly, in
+    rationals, and rounded once, so a product of marginals below the
+    smallest double does not make it NaN. Returns the lift and the joint
+    estimate ``mean(kx * ky)``."""
     pts = np.asarray(samples, dtype=float)
     kx = gaussian_kernel_rows(grid_x, pts[:, 0], hx)
     ky = gaussian_kernel_rows(grid_y, pts[:, 1], hy)
     joint = np.array([[np.mean(a * b) for b in ky] for a in kx])
-    denom = np.outer(kx.mean(axis=1), ky.mean(axis=1))
+    mx, my = kx.mean(axis=1), ky.mean(axis=1)
     lift = np.full_like(joint, np.nan)
-    lift[denom > 0] = joint[denom > 0] / denom[denom > 0]
+    for i, j in itertools.product(range(mx.size), range(my.size)):
+        if mx[i] > 0 and my[j] > 0:
+            lift[i, j] = float(Fraction(joint[i, j]) / (Fraction(mx[i]) * Fraction(my[j])))
     return lift, joint
 
 
@@ -263,10 +270,10 @@ def ball_profile_csv(radii, counts, densities):
 # reduced as ``np.sum(w * cell)`` over its flattened tensor grid. Each heap
 # uses one (coarse, fine) rule pair on every cell, fixed by its dimension, and
 # a cell is its bounds alone. A heap step pops the worst cells (ties by age)
-# until their errors sum to at least half of ``err - tol``, stopping before a
-# cell whose children would take the step past ``STEP_NODES`` nodes or the
-# evaluation count past ``budget``; it always pops at least one cell. Each
-# returns ``((value, error, n_evals, n_cells, converged, n_steps,
+# until their errors sum to at least the whole excess ``err - tol``, stopping
+# before a cell whose children would take the step past ``STEP_NODES`` nodes
+# or the evaluation count past ``budget``; it always pops at least one cell.
+# Each returns ``((value, error, n_evals, n_cells, converged, n_steps,
 # budget_exhausted), steps)``, where ``steps`` counts the steps that popped
 # cells and ``n_steps`` the integrand calls the batched driver makes (one
 # more, for the seeds).
@@ -354,7 +361,7 @@ def _batch_pop_heap(cell_fn, children_fn, cell_nodes, seeds, tol, budget):
         excess = err - tol
         popped = 0.0
         nodes = 0
-        while heap and 2.0 * popped < excess and n_evals < budget:
+        while heap and popped < excess and n_evals < budget:
             children = children_fn(*heap[0][2])
             n = len(children) * cell_nodes
             if batch and (nodes + n > STEP_NODES or n_evals + nodes + n > budget):

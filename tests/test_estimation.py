@@ -244,6 +244,24 @@ class TestKernelLiftOracle:
         assert near.sum() > 1000
         np.testing.assert_allclose(est.field.values[near], want[near], rtol=1e-9, atol=0.0)
 
+    def test_marginals_whose_product_underflows_still_define_the_cell(self, bvn_sample):
+        """Both marginal estimates positive, their product below 2^-1022: at
+        (-8, -8) it is 3.15e-298 * 4.08e-297, which is 0 in doubles. The cell
+        takes the oracle's label (Zero here, since its joint estimate is 0),
+        not Undefined."""
+        grid = np.linspace(-12.0, 12.0, 61)
+        est = ld.kernel_lift(bvn_sample, grid, grid)
+        hx, hy = est.bandwidth_x, est.bandwidth_y
+        want, _ = oracles.kernel_lift_direct(bvn_sample, grid, grid, hx, hy)
+        kx = oracles.gaussian_kernel_rows(grid, bvn_sample[:, 0], hx)
+        ky = oracles.gaussian_kernel_rows(grid, bvn_sample[:, 1], hy)
+        both = (kx.max(axis=1) >= TINY)[:, None] & (ky.max(axis=1) >= TINY)
+        under = both & (np.outer(kx.mean(axis=1), ky.mean(axis=1)) < TINY)
+        assert under.sum() > 50
+        labels = [oracles.lift_label(v, ld.ESTIMATED_TOL) for v in want[under]]
+        assert [label.value for label in est.field.labels[under]] == labels
+        assert not np.isnan(est.field.values[both]).any()
+
 
 class TestEstimatorConsistency:
     PMF3 = np.array(

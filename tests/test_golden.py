@@ -51,9 +51,9 @@ RECIPES = [
     ("mi-bvn", ["mi", "--dist", "bvn", "--r", "0.6"], None,
      "aa204526a8abe3c90583e4522ecec808c7a8009efd3d37f5b1bcb44afddbb65b"),
     ("mi-bvn-quadrature", ["mi", "--dist", "bvn", "--r", "0.6", "--method", "quadrature"],
-     None, "a08dd314e1e13dd08ef91d96278afa2866519851ffe96f6b4711831a6ee40d33"),
+     None, "2971955f7d56b20f19713609283533db80d7ad133ba38245431ebeb774c4e15f"),
     ("mi-cauchy", ["mi", "--dist", "cauchy-circular"], None,
-     "10065dd85ffad6f927ddb60694b030f69630c76ed0f1596e4933dae80be16052"),
+     "226526269e615c335ed8ee5f2a9af0b6e900f807acac3b85da320f7ef99656bf"),
     ("cauchy_grid.csv", ["lift-grid", "--dist", "cauchy-circular", *GRID,
                          "--out", "{dir}/cauchy_grid.csv"], "cauchy_grid.csv",
      "95b9f6919d6a0fb3a270662086a01eef004e019091ddcb0269d0fafdca82dfa5"),
@@ -93,15 +93,15 @@ PMF = "x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n"
 # (name, argv, sha256 of stdout); "{pmf}" in an argv entry is a file holding PMF.
 EXTRA = [
     ("mi-curve-normal-identity", ["mi", "--dist", "curve-normal-identity"],
-     "a5022b67396498f3d536a275f24a9d6a54925b0f3f8584e628f7a36098b2f102"),
+     "bef5fad638edca9cfd30825d68212c3b4f1fc407c6263ce134560231257758c8"),
     ("mi-curve-uniform-identity", ["mi", "--dist", "curve-uniform-identity"],
      "f56a5efaff26fdf4cbff90e993b897fcfacd517676fa22df4e3002c9431db3dd"),
     ("mi-curve-normal-double", ["mi", "--dist", "curve-normal-double"],
-     "917907202c24ab428efe957ef34c4736684211e5436e4d4732470455571ab5c5"),
+     "06fa7663fad826123112e8144bad8821f7db54f6838022c6c34a27746c4f43cf"),
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
      "5f2050e8fc6cedc92dc71a4f0dba8ec8bd2a9d2de2cd4d4ff3e01ff38574dd49"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
-     "bc43787b7366f240af3051ed855a3e0a669ce7ed05d031a03c285b99e6111e48"),
+     "ab2dc52d9b196e1926bf2dff1e6ba79ab1c6835d0a84c53fc51c3d0fd11a1526"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",
                        "--point", "-2", "3"],
      "72e82efbaf3df51a776a40bc1781934cb6c4fa3f3845f5960157f090025e8a3f"),

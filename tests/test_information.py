@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liftdep as ld
+from liftdep import information
 from liftdep.distributions import named_curve
 from liftdep.information import (
     MiMethod,
@@ -138,6 +139,17 @@ class TestMiContinuous:
         assert report.abs_error_estimate <= 1e-6
         assert report.n_cells > 4
 
+    @pytest.mark.parametrize(
+        "dist",
+        [ld.BivariateNormal(0.6), ld.CircularCauchy(), ld.as_continuous(ld.BivariateNormal(0.6))],
+        ids=["bvn", "cauchy", "view"],
+    )
+    def test_report_counts_its_integrand_calls(self, monkeypatch, dist):
+        calls = count_integrand_calls(monkeypatch, "adaptive_quad_2d")
+        report = ld.mi_continuous(dist)
+        assert report.n_steps == len(calls) > 1
+        assert set(report.to_dict()) == {"value", "method", "abs_error_estimate", "n_evals"}
+
     def test_budget_stopped_run_says_so(self):
         # the error estimate ends between the 1e-6 tolerance and the 1e-3
         # failure bound, so a Quadrature report comes back
@@ -159,7 +171,30 @@ class TestMiContinuous:
         assert report.value == pytest.approx(ld.mi_bvn_closed_form(0.6).value, abs=0.01)
 
 
+def count_integrand_calls(monkeypatch, quad_name):
+    """Make ``information.<quad_name>`` count the calls of its integrand;
+    returns the list each call appends to."""
+    calls = []
+    quad = getattr(information, quad_name)
+
+    def counted(f, *args, **kwargs):
+        def integrand(*xs):
+            calls.append(1)
+            return f(*xs)
+
+        return quad(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(information, quad_name, counted)
+    return calls
+
+
 class TestMiCurve:
+    @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-uniform-square"])
+    def test_report_counts_its_integrand_calls(self, monkeypatch, spec):
+        calls = count_integrand_calls(monkeypatch, "adaptive_quad_1d")
+        report = ld.mi_curve(named_curve(spec))
+        assert report.n_steps == len(calls) > 1
+
     def test_normal_identity_singular_limit(self, normal_identity_curve):
         report = ld.mi_curve(normal_identity_curve)
         assert report.value == pytest.approx(MI_CURVE_NORMAL_ID, abs=1e-6)
@@ -387,26 +422,29 @@ def _wide_box_bvn(r):
                               ld.standard_normal_pdf, (-40.0, 40.0, -40.0, 40.0))
 
 
-# families that declare no reflection, with the (value, abs_error_estimate,
-# n_evals, n_cells) they gave before the fold existed: they integrate the
-# whole box as before
+# families that declare no reflection, with their MI in closed form and the
+# (value, abs_error_estimate, n_evals, n_cells) they give: they integrate the
+# whole box, and n_evals and n_cells are those they gave before the fold existed
 UNFOLDED = {
-    "wide-0.6": (_wide_box_bvn(0.6), (0.22314355131395344, 9.92526877243808e-07, 22968, 299)),
-    "wide-0.9": (_wide_box_bvn(0.9), (0.8303656034097269, 9.990741971022913e-07, 45472, 590)),
-    "independent": (ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf),
+    "wide-0.6": (_wide_box_bvn(0.6), 0.6,
+                 (0.22314355131395341, 9.925268771980276e-07, 22968, 299)),
+    "wide-0.9": (_wide_box_bvn(0.9), 0.9,
+                 (0.8303656034097274, 9.990741972300213e-07, 45472, 590)),
+    "independent": (ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf), 0.0,
                     (4.9198177643744886e-18, 4.919817636578364e-18, 232, 4)),
-    "view-0.6": (ld.as_continuous(ld.BivariateNormal(0.6)),
-                 (0.2231435513139531, 9.925268769107412e-07, 22736, 295)),
-    "view-0.99": (ld.as_continuous(ld.BivariateNormal(0.99)),
-                  (1.9585177736405412, 9.971520484558294e-07, 161936, 2095)),
+    "view-0.6": (ld.as_continuous(ld.BivariateNormal(0.6)), 0.6,
+                 (0.22314355131395308, 9.925268768649607e-07, 22736, 295)),
+    "view-0.99": (ld.as_continuous(ld.BivariateNormal(0.99)), 0.99,
+                  (1.9585177736405386, 9.971520493917322e-07, 161936, 2095)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(UNFOLDED))
 def test_undeclared_families_keep_their_bits(name):
-    dist, pin = UNFOLDED[name]
+    dist, r, pin = UNFOLDED[name]
     report = ld.mi_continuous(dist)
     assert (report.value, report.abs_error_estimate, report.n_evals, report.n_cells) == pin
+    assert report.value == pytest.approx(ld.mi_bvn_closed_form(r).value, abs=1e-3)  # C02
 
 
 class TestMalformedQuadratureArguments:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from liftdep.quadrature import (
     DEFAULT_BUDGET_2D,
+    GAUSS_LEGENDRE,
+    RULE_1D,
     RULE_2D,
     QuadResult,
     _core_tail_cells,
@@ -18,6 +20,14 @@ from liftdep.quadrature import (
 )
 
 import oracles
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    assert sorted(GAUSS_LEGENDRE) == sorted({*RULE_1D, *RULE_2D})
+    for n, (nodes, weights) in GAUSS_LEGENDRE.items():
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array(nodes).tobytes() == x.tobytes()
+        assert np.array(weights).tobytes() == w.tobytes()
 
 
 def test_polynomial_exactness():
