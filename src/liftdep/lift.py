@@ -87,8 +87,8 @@ class LiftField:
 
     def to_csv(self, f: io.TextIOBase) -> None:
         """Row-major ``x,y,L,label`` rows with 17-significant-digit floats; each
-        grid coordinate is formatted once, not once per row or column."""
-        gx, gy = codec.csv_floats(self.grid_x), codec.csv_floats(self.grid_y)
+        grid coordinate is formatted once and its text repeated."""
+        gx, gy = codec._float_cells(self.grid_x), codec._float_cells(self.grid_y)
         x, y = np.repeat(gx, gy.size), np.tile(gy, gx.size)
         codec.write_csv(f, ("x", "y", "L", "label"), x, y, self.values.ravel(), self.labels.ravel())
 

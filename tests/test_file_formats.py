@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import liftdep as ld
 import oracles
+from liftdep import codec
 from liftdep.codec import CSV_BLOCK_ROWS
 from liftdep.lift import classify_values
 
@@ -33,6 +34,14 @@ def written(write, *args):
 
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_text(got, want):
+    """``got == want``, failing on the first line that differs: pytest's own
+    diff of two megabyte strings takes minutes."""
+    for line, (g, w) in enumerate(zip(got.splitlines(), want.splitlines()), start=1):
+        assert g == w, f"line {line}"
+    assert got == want
 
 
 @PROPERTY
@@ -77,6 +86,66 @@ def test_lift_field_csv_across_a_block_boundary():
 @example(EDGES.reshape(5, 2))
 def test_samples_csv_matches_oracle(samples):
     assert written(ld.write_samples_csv, samples) == oracles.samples_csv(samples)
+
+
+# The vectorized formatter's exact range, both signs. ANY_FLOAT mostly lands
+# outside it, where `%` formats each value.
+EXACT_RANGE = st.floats(1e-6, 1e17).flatmap(lambda v: st.sampled_from([v, -v]))
+# Enough samples that write_csv formats them in numpy rather than by `%` alone.
+VECTOR_ROWS = codec._VECTOR_MIN // 2 + 1
+
+
+@PROPERTY
+@given(hnp.arrays(float, st.integers(1, 32), elements=EXACT_RANGE))
+def test_samples_csv_in_the_exact_range_matches_oracle(values):
+    samples = np.resize(values, (VECTOR_ROWS, 2))  # drawn short, so a failure shrinks fast
+    assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+
+
+def around(value, ulps):
+    """The doubles within ``ulps`` steps of ``value``."""
+    return (np.array(value).view(np.int64) + np.arange(-ulps, ulps + 1)).view(float)
+
+
+def test_samples_csv_edge_values_match_oracle():
+    """Near every power of ten in the exact range, at the switch between
+    fixed and exponent notation after rounding, on exact ties (round half to
+    even) and at the values `%` formats alone."""
+    ties = [(2.0**52 + j) / 8 for j in range(4)]
+    values = np.concatenate(
+        [around(float(f"1e{k}"), 1000) for k in range(-6, 18)]
+        + [[9.9999999999999995e-07, 9.9999999999999999e-5, 1e-4, 99999999999999999.0, 1e17]]
+        + [ties, [0.0, 5e-324, 1e-310, 1.7976931348623157e308, np.inf, np.nan]]
+    )
+    values = np.concatenate([values, -values])
+    samples = np.resize(values, (values.size // 2 + VECTOR_ROWS, 2))
+    assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+
+
+def test_samples_csv_across_a_block_boundary():
+    """More than CSV_BLOCK_ROWS samples, with values that `%` formats alone
+    on both sides of the block edge."""
+    samples = np.random.default_rng(1021).uniform(-1.0, 1.0, (CSV_BLOCK_ROWS + 300, 2))
+    samples[CSV_BLOCK_ROWS - 2 : CSV_BLOCK_ROWS + 2] = [
+        [0.0, -0.0], [np.nan, 1e-300], [-np.inf, 2e17], [5e-324, -1.7976931348623157e308]
+    ]
+    assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+
+
+@pytest.mark.parametrize(
+    "header,columns",
+    [
+        (("a", "b"), ([1.0], [1.0, 2.0])),
+        (("a", "b", "c"), ([1.0], [2.0])),
+        (("a", "b"), ([1.0, 2.0], [1.0])),
+    ],
+    ids=["short-first-column", "header-too-wide", "long-first-column"],
+)
+def test_write_csv_rejects_a_bad_shape_before_writing(header, columns):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"lengths \[\d+, \d+\]"):
+        codec.write_csv(buf, header, *columns)
+    assert buf.getvalue() == ""
 
 
 @PROPERTY
