@@ -28,6 +28,7 @@ absolutely continuous and discrete routes.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass, replace
@@ -39,7 +40,9 @@ from . import distributions as dm
 from .errors import (
     DegenerateCorrelation, DerivativeVanishes, QuadratureNotConverged, UndefinedAtPoint
 )
-from .quadrature import DEFAULT_BUDGET_2D, adaptive_quad_1d, adaptive_quad_2d, check_quad_args
+from .quadrature import (
+    DEFAULT_BUDGET_2D, _eval_cells, adaptive_quad_1d, adaptive_quad_2d, check_quad_args
+)
 
 __all__ = [
     "MiMethod",
@@ -249,6 +252,40 @@ def mi_continuous(dist, tol: float = 1e-6, budget: int = DEFAULT_BUDGET_2D) -> M
     return _quad_report(result, MiMethod.QUADRATURE)
 
 
+@functools.cache
+def _log_end_error() -> float:
+    """The 1D rule pair's error estimate ``|fine - coarse|`` for the integral
+    of ``log t`` over (0, 1). A cell of width ``h`` that ends at a singularity
+    ``k log|x - c|`` (plus a smooth part) gets an error estimate of about
+    ``|k| h`` times it."""
+    return _eval_cells(np.log, [(0.0, 1.0)])[1][0]
+
+
+def _fold_breaks(dist: dm.CurveSingularJoint, tol: float) -> list[float]:
+    """The breaks that grade the seeds of :func:`mi_curve` toward its folds.
+
+    At a fold ``c``, ``rho_Y(phi_n(x))`` grows like ``1 / |x - c|``, so the
+    integrand has a ``rho_X(c) a_n log|x - c|`` singularity, and a cell of
+    width ``|w|`` at ``c`` has an error estimate of about
+    ``rho_X(c) a_n E |w|`` with ``E = _log_end_error()``: the heap bisects
+    that cell until this is at most ``tol``, one bisection per step.
+    """
+    breaks = []
+    for branch, pieces in zip(dist.branches, dist.pieces):
+        bounds = np.array([piece[:2] for piece in pieces], dtype=float)
+        ends, widths = bounds.ravel(), (bounds[:, ::-1] - bounds).ravel()
+        fold = np.abs(np.asarray(branch.dphi(ends), dtype=float)) < dm.DERIVATIVE_FLOOR
+        if not fold.any():
+            continue
+        rho = np.asarray(dist.marginal_x(ends[fold]), dtype=float)
+        for c, w, r in zip(ends[fold].tolist(), widths[fold].tolist(), rho.tolist()):
+            scale = r * branch.weight * _log_end_error()
+            while scale * abs(w) > tol and c + w / 2 != c:
+                w /= 2
+                breaks.append(c + w)
+    return breaks
+
+
 def mi_curve(
     dist: dm.CurveSingularJoint,
     tol: float = 1e-8,
@@ -262,12 +299,26 @@ def mi_curve(
     The pieces are found once per law (``dist.pieces``) and also serve the
     on-curve Y-marginal (:meth:`CurveSingularJoint.on_curve_marginal_y`).
 
-    Where ``rho_X > 0`` at a node, raises DerivativeVanishes if the derived
-    Y-marginal is NaN there (a preimage of ``phi_n(x)`` lies at a fold), and
-    else UndefinedAtPoint if the Y-marginal is 0, negative or NaN there.
+    A piece end ``c`` with ``|phi_n'(c)| < DERIVATIVE_FLOOR`` is a fold, where
+    the integrand has a log singularity, and the seeds are graded toward it
+    (:func:`_fold_breaks`): breaks at ``c + w/2, c + w/4, ...`` for the signed
+    width ``w`` of the piece, halving while ``rho_X(c) a_n E |w| > tol`` and
+    ``c + w/2 != c``, where ``E = |fine - coarse|`` of the 1D rule pair on
+    ``log t`` over (0, 1) (8.63e-3 for the (7, 15) pair). That is the
+    partition the heap would reach by one bisection per step, handed to it in
+    its first integrand call (``curve-uniform-square`` converges in one
+    step). A curve with no fold gets no extra break.
+
+    Raises ValueError on a ``tol`` or ``budget`` that
+    :func:`~liftdep.quadrature.check_quad_args` refuses. Where ``rho_X > 0``
+    at a node, raises DerivativeVanishes if the derived Y-marginal is NaN
+    there (a preimage of ``phi_n(x)`` lies at a fold), and else
+    UndefinedAtPoint if the Y-marginal is 0, negative or NaN there.
     """
+    check_quad_args(tol, budget)  # before tol sets the grading depth
     lo, hi = dist.support_x
     breaks = {end for pieces in dist.pieces for piece in pieces for end in piece[:2]}
+    breaks.update(_fold_breaks(dist, tol))
 
     def integrand(x):
         x = np.asarray(x, dtype=float)

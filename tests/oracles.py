@@ -87,6 +87,16 @@ def lift_label(value, tol):
 MI_CIRCULAR_CAUCHY = math.log(8.0 * math.pi) - 3.0
 
 
+def mi_scaled_parabola(a):
+    """MI of ``Y = a X^2`` with X ~ U(0, 1) or X ~ U(-1, 1), in closed form.
+
+    Either way ``rho_Y(a x^2) = 1 / (2 a |x|)`` on the curve and ``|X|`` is
+    uniform on (0, 1), so the MI is ``E log(4 a |X| / (pi sqrt(1 + 4 a^2 X^2)))``.
+    """
+    return (math.log(4.0 * a / math.pi) - 1.0
+            - 0.5 * (math.log1p(4.0 * a * a) - 2.0 + math.atan(2.0 * a) / a))
+
+
 def cauchy_cdf(x):
     return 0.5 + math.atan(x) / math.pi
 

@@ -78,7 +78,7 @@ def test_lift_field_csv_across_a_block_boundary():
     labels = classify_values(values, ld.ANALYTIC_TOL)
     field = ld.LiftField(gx, gy, values, labels, ld.ANALYTIC_TOL)
     label_text = [[label.value for label in row] for row in labels]
-    assert written(field.to_csv) == oracles.lift_field_csv(gx, gy, values, label_text)
+    assert_same_text(written(field.to_csv), oracles.lift_field_csv(gx, gy, values, label_text))
 
 
 @PROPERTY

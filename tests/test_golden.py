@@ -99,7 +99,7 @@ EXTRA = [
     ("mi-curve-normal-double", ["mi", "--dist", "curve-normal-double"],
      "06fa7663fad826123112e8144bad8821f7db54f6838022c6c34a27746c4f43cf"),
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
-     "5f2050e8fc6cedc92dc71a4f0dba8ec8bd2a9d2de2cd4d4ff3e01ff38574dd49"),
+     "d54396e78dad596d6e3887a1bff747931ab27183d01c6c8e0574bc1efd398f6d"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],
      "ab2dc52d9b196e1926bf2dff1e6ba79ab1c6835d0a84c53fc51c3d0fd11a1526"),
     ("sibuya-cauchy", ["sibuya", "--dist", "cauchy-circular", "--point", "0.5", "1.5",

@@ -188,8 +188,19 @@ def count_integrand_calls(monkeypatch, quad_name):
     return calls
 
 
+def scaled_parabola(a, lo):
+    """``Y = a X^2`` with X ~ U(lo, 1): the fold at 0 is a domain end for
+    lo = 0 and inside the domain for lo = -1."""
+    branch = ld.CurveBranch(
+        phi=lambda x: a * np.asarray(x, dtype=float) ** 2,
+        dphi=lambda x: 2.0 * a * np.asarray(x, dtype=float),
+        domain=(lo, 1.0),
+    )
+    return ld.CurveSingularJoint(ld.uniform_pdf(lo, 1.0), (lo, 1.0), (branch,))
+
+
 class TestMiCurve:
-    @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-uniform-square"])
+    @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-normal-double"])
     def test_report_counts_its_integrand_calls(self, monkeypatch, spec):
         calls = count_integrand_calls(monkeypatch, "adaptive_quad_1d")
         report = ld.mi_curve(named_curve(spec))
@@ -248,6 +259,57 @@ class TestMiCurve:
         report = ld.mi_curve(dist)
         assert report.converged
         assert report.value == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1.0, 1e-2, 1e-4])
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    def test_scaled_parabola_against_its_closed_form(self, a, lo):
+        report = ld.mi_curve(scaled_parabola(a, lo), tol=1e-8)
+        assert report.converged
+        assert report.value == pytest.approx(oracles.mi_scaled_parabola(a), abs=1e-8)
+
+    def test_fold_is_graded_before_the_first_integrand_call(self):
+        # ungraded, the heap bisects toward the fold one cell per step (21 and 22 steps)
+        assert ld.mi_curve(scaled_parabola(1.0, 0.0)).n_steps == 1
+        assert ld.mi_curve(scaled_parabola(1.0, -1.0)).n_steps <= 3
+
+    def test_fold_breaks_halve_down_to_the_tolerance(self):
+        # rho_X(0) a_n E |w| > 1e-8 down to |w| = 2^-19, so the last break is 2^-20
+        breaks = information._fold_breaks(named_curve("curve-uniform-square"), 1e-8)
+        assert breaks == [2.0**-k for k in range(1, 21)]
+        assert information._log_end_error() == pytest.approx(8.63e-3, rel=1e-3)
+
+    def test_fold_breaks_scale_with_density_and_weight(self):
+        # rho_X(0) = 1/2 on U(-1, 1) stops one halving earlier on each side,
+        # a branch weight of 0.3 two halvings earlier
+        interior = information._fold_breaks(scaled_parabola(1.0, -1.0), 1e-8)
+        assert sorted(interior) == sorted(s * 2.0**-k for s in (-1, 1) for k in range(1, 20))
+        identity = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float),
+                                  dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                                  domain=(0.0, 1.0), weight=0.7)
+        square = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float) ** 2,
+                                dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+                                domain=(0.0, 1.0), weight=0.3)
+        mixture = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (identity, square))
+        assert information._fold_breaks(mixture, 1e-8) == [2.0**-k for k in range(1, 19)]
+
+    def test_fold_breaks_end_at_zero_tolerance(self):
+        # toward a fold at 0 the halving runs into the subnormals
+        breaks = information._fold_breaks(named_curve("curve-uniform-square"), 0.0)
+        assert all(0.0 < b < a for a, b in zip(breaks, breaks[1:]))
+        assert breaks[-1] < 1e-300
+        # toward a fold at 1 it stops where 1 + w/2 rounds to 1
+        branch = ld.CurveBranch(phi=lambda x: (np.asarray(x, dtype=float) - 1.0) ** 2,
+                                dphi=lambda x: 2.0 * (np.asarray(x, dtype=float) - 1.0),
+                                domain=(0.0, 1.0))
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (branch,))
+        breaks = information._fold_breaks(dist, 0.0)
+        assert breaks == [1.0 - 2.0**-k for k in range(1, len(breaks) + 1)]
+        assert 1.0 - 2.0**-(len(breaks) + 1) == 1.0
+
+    @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-uniform-identity",
+                                      "curve-normal-double"])
+    def test_curve_without_a_fold_gets_no_break(self, spec):
+        assert information._fold_breaks(named_curve(spec), 1e-8) == []
 
     def test_two_branch_mixture_against_its_closed_form_marginal(self):
         # X ~ U[0, 1], Y = X w.p. 0.3 and Y = X^2 w.p. 0.7:
