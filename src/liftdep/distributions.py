@@ -748,6 +748,15 @@ class IndependentProduct(ContinuousFamily):
         return np.column_stack([x, y])
 
 
+def _check_finite_ends(name: str, interval: Interval) -> None:
+    """Raise ValueError naming the first end of ``interval`` that is not finite:
+    the monotone pieces, the preimage bisection and the tabulated X quantiles
+    of a curve law all need finite ends."""
+    for side, end in zip(("lower", "upper"), interval):
+        if not math.isfinite(end):
+            raise ValueError(f"the {side} end of {name} must be finite, got {end}")
+
+
 @dataclass(frozen=True, eq=False)
 class CurveBranch:
     """One smooth branch ``y = phi(x)`` on a domain interval.
@@ -765,6 +774,7 @@ class CurveBranch:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
+        _check_finite_ends("branch domain", self.domain)
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError("branch domain must be a nonempty interval")
@@ -789,6 +799,7 @@ class CurveSingularJoint:
     marginal_y: Evaluator | None = None
 
     def __post_init__(self):
+        _check_finite_ends("support_x", self.support_x)
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise ValueError("at least one branch is required")
@@ -964,11 +975,14 @@ def bisect_roots(g: Evaluator, y, lo, hi) -> np.ndarray:
     is exactly zero is the root, and a bracket with one strict sign at both
     ends gives NaN. Otherwise the bracket is halved until ``g - y`` is
     exactly zero at the midpoint, which is then the root, or until its ends
-    are adjacent doubles.
+    are adjacent doubles. Raises ValueError on a bracket end that is not
+    finite, whose midpoints would never close on a root.
     """
     y, lo, hi = np.broadcast_arrays(y, lo, hi)
     shape = y.shape
     y, lo, hi = (np.array(v, dtype=float).ravel() for v in (y, lo, hi))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("bisect_roots needs finite bracket ends")
     f_lo = np.asarray(g(lo), dtype=float) - y
     f_hi = np.asarray(g(hi), dtype=float) - y
     root = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, np.nan))

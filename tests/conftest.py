@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,6 +9,25 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import liftdep as ld
+
+SRC = str(Path(ld.__file__).resolve().parents[1])
+
+
+def run_fresh(source: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
+    """Run the Python ``source`` in a fresh interpreter that imports this
+    liftdep, and return the finished process with its text output.
+
+    A call that may never return is tested this way: past ``timeout``
+    seconds the child is killed and the test fails, where an in-process call
+    would hang the whole run.
+    """
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", source], env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no result within {timeout:g} s from:\n{source}", pytrace=False)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces, named_curve
 from liftdep.quadrature import adaptive_quad_2d
 
 import oracles
+from conftest import run_fresh
 
 
 class TestDensityAt:
@@ -340,6 +341,64 @@ class TestSample:
     def test_invalid_n(self, dep_pmf):
         with pytest.raises(ValueError):
             ld.sample(dep_pmf, 0, seed=0)
+
+
+IDENTITY_ON_THE_LINE = """
+import math
+import numpy as np
+import liftdep as ld
+line = (-math.inf, math.inf)
+branch = ld.CurveBranch(phi=lambda x: np.asarray(x, float),
+                        dphi=lambda x: np.ones_like(np.asarray(x, float)), domain=line)
+law = ld.CurveSingularJoint(ld.standard_normal_pdf, line, (branch,))
+print(ld.sibuya_omega_at(law, (0.5, 0.5)))
+"""
+
+
+class TestInfiniteCurveEnds:
+    """A curve law needs finite ends: the monotone pieces, the preimage
+    bisection and the tabulated X quantiles all work on them."""
+
+    @staticmethod
+    def square(domain):
+        return ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float) ** 2,
+                              dphi=lambda x: 2.0 * np.asarray(x, dtype=float), domain=domain)
+
+    @pytest.mark.parametrize("domain,message", [
+        ((-math.inf, math.inf), "lower end of branch domain must be finite, got -inf"),
+        ((0.0, math.inf), "upper end of branch domain must be finite, got inf"),
+        ((math.nan, 1.0), "lower end of branch domain must be finite, got nan"),
+    ], ids=["line", "half-line", "nan"])
+    def test_branch_domain_names_its_end(self, domain, message):
+        # Y = X^2 on the line used to raise "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=message):
+            self.square(domain)
+
+    @pytest.mark.parametrize("support,message", [
+        ((0.0, math.inf), "upper end of support_x must be finite, got inf"),
+        ((-math.inf, math.inf), "lower end of support_x must be finite, got -inf"),
+    ], ids=["half-line", "line"])
+    def test_support_names_its_end(self, support, message):
+        # ld.sample used to return inf or NaN rows for these supports
+        with pytest.raises(ValueError, match=message):
+            ld.CurveSingularJoint(ld.standard_normal_pdf, support, (self.square((0.0, 1.0)),))
+
+    def test_sibuya_on_the_line_raises_instead_of_hanging(self):
+        done = run_fresh(IDENTITY_ON_THE_LINE)
+        assert done.returncode == 1
+        assert done.stderr.rstrip().endswith(
+            "ValueError: the lower end of branch domain must be finite, got -inf"
+        )
+
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bisection_refuses_a_non_finite_bracket(self, lo, hi):
+        # at (-inf, inf) every midpoint is NaN and the bracket never closed
+        done = run_fresh(
+            "from liftdep.distributions import bisect_roots\n"
+            f"bisect_roots(lambda x: x, 0.5, float('{lo}'), float('{hi}'))\n"
+        )
+        assert done.returncode == 1
+        assert done.stderr.rstrip().endswith("ValueError: bisect_roots needs finite bracket ends")
 
 
 class TestConditionalLaw:

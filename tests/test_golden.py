@@ -93,11 +93,11 @@ PMF = "x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n"
 # (name, argv, sha256 of stdout); "{pmf}" in an argv entry is a file holding PMF.
 EXTRA = [
     ("mi-curve-normal-identity", ["mi", "--dist", "curve-normal-identity"],
-     "bef5fad638edca9cfd30825d68212c3b4f1fc407c6263ce134560231257758c8"),
+     "3d7a93bd1d88f324c11af85ec3c64e1429cee020dc5a7941a886b87620adf492"),
     ("mi-curve-uniform-identity", ["mi", "--dist", "curve-uniform-identity"],
-     "f56a5efaff26fdf4cbff90e993b897fcfacd517676fa22df4e3002c9431db3dd"),
+     "94a834d3969ff7f6a240adae90c5b16d3c2f956efcfa2d48d8a860bb524993f0"),
     ("mi-curve-normal-double", ["mi", "--dist", "curve-normal-double"],
-     "06fa7663fad826123112e8144bad8821f7db54f6838022c6c34a27746c4f43cf"),
+     "4046d19c50d2e52855043841f3eca54ef323b0ef20f9ceb077525aa0bf4bc6a0"),
     ("mi-curve-uniform-square", ["mi", "--dist", "curve-uniform-square"],
      "d54396e78dad596d6e3887a1bff747931ab27183d01c6c8e0574bc1efd398f6d"),
     ("mi-bvn-0.99-quadrature", ["mi", "--dist", "bvn", "--r", "0.99", "--method", "quadrature"],

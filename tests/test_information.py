@@ -26,6 +26,7 @@ LOG_2 = 0.6931471805599453
 MI_FIXTURE = 0.19274475702175753          # 0.8 log 1.6 + 0.2 log 0.4
 MI_CURVE_NORMAL_ID = 0.6207822376352453   # log(2 sqrt(e) / sqrt(pi))
 MI_CURVE_UNIFORM_ID = -0.7981562955694275  # log(sqrt(2) / pi)
+MI_CURVE_NORMAL_DOUBLE = 0.8557840522581131  # MI_CURVE_NORMAL_ID + log(8 / 5) / 2
 
 
 class TestMiDiscrete:
@@ -200,11 +201,52 @@ def scaled_parabola(a, lo):
 
 
 class TestMiCurve:
-    @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-normal-double"])
-    def test_report_counts_its_integrand_calls(self, monkeypatch, spec):
+    # laws that take more than one heap step even with seeded pieces
+    @pytest.mark.parametrize("dist,tol", [
+        (scaled_parabola(1.0, -1.0), 1e-8),
+        (named_curve("curve-normal-identity"), 1e-12),
+    ], ids=["interior-parabola", "normal-identity-1e-12"])
+    def test_report_counts_its_integrand_calls(self, monkeypatch, dist, tol):
+        calls = count_integrand_calls(monkeypatch, "adaptive_quad_1d")
+        report = ld.mi_curve(dist, tol=tol)
+        assert report.n_steps == len(calls) > 1
+
+    @pytest.mark.parametrize("spec,closed_form", [
+        ("curve-normal-identity", MI_CURVE_NORMAL_ID),
+        ("curve-normal-double", MI_CURVE_NORMAL_DOUBLE),
+        ("curve-uniform-identity", MI_CURVE_UNIFORM_ID),
+    ], ids=["normal-identity", "normal-double", "uniform-identity"])
+    def test_fold_free_specs_converge_in_one_integrand_call(self, monkeypatch, spec, closed_form):
         calls = count_integrand_calls(monkeypatch, "adaptive_quad_1d")
         report = ld.mi_curve(named_curve(spec))
-        assert report.n_steps == len(calls) > 1
+        assert report.converged
+        assert report.n_steps == len(calls) == 1
+        assert report.n_cells == information.CURVE_SEED_CELLS
+        assert report.value == pytest.approx(closed_form, abs=1e-8)
+
+    def test_equal_breaks_cut_fold_free_pieces(self):
+        def equal(dist):
+            return information._seed_breaks(dist, 1e-8)[1]
+
+        eighths = [k / 8 for k in range(1, 8)]
+        assert equal(named_curve("curve-uniform-identity")) == eighths
+        assert equal(named_curve("curve-normal-double")) == [-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0]
+        # a piece with a fold at an end is graded instead
+        assert equal(named_curve("curve-uniform-square")) == []
+        # the part of a piece inside support_x is cut, once per piece of each branch
+        wide = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float),
+                              dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                              domain=(-8.0, 8.0), weight=0.4)
+        square = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float) ** 2,
+                                dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+                                domain=(0.0, 1.0), weight=0.6)
+        assert equal(ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0),
+                                           (wide, square))) == eighths
+
+    def test_equal_seeds_stay_within_the_budget(self, normal_identity_curve):
+        # 8 seed cells of 22 nodes fit a budget of 176, not one of 175
+        assert ld.mi_curve(normal_identity_curve, budget=176).n_steps == 1
+        assert ld.mi_curve(normal_identity_curve, budget=175).n_steps > 1
 
     def test_normal_identity_singular_limit(self, normal_identity_curve):
         report = ld.mi_curve(normal_identity_curve)
@@ -274,14 +316,14 @@ class TestMiCurve:
 
     def test_fold_breaks_halve_down_to_the_tolerance(self):
         # rho_X(0) a_n E |w| > 1e-8 down to |w| = 2^-19, so the last break is 2^-20
-        breaks = information._fold_breaks(named_curve("curve-uniform-square"), 1e-8)
+        breaks = information._seed_breaks(named_curve("curve-uniform-square"), 1e-8)[0]
         assert breaks == [2.0**-k for k in range(1, 21)]
         assert information._log_end_error() == pytest.approx(8.63e-3, rel=1e-3)
 
     def test_fold_breaks_scale_with_density_and_weight(self):
         # rho_X(0) = 1/2 on U(-1, 1) stops one halving earlier on each side,
         # a branch weight of 0.3 two halvings earlier
-        interior = information._fold_breaks(scaled_parabola(1.0, -1.0), 1e-8)
+        interior = information._seed_breaks(scaled_parabola(1.0, -1.0), 1e-8)[0]
         assert sorted(interior) == sorted(s * 2.0**-k for s in (-1, 1) for k in range(1, 20))
         identity = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float),
                                   dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -290,11 +332,11 @@ class TestMiCurve:
                                 dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
                                 domain=(0.0, 1.0), weight=0.3)
         mixture = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (identity, square))
-        assert information._fold_breaks(mixture, 1e-8) == [2.0**-k for k in range(1, 19)]
+        assert information._seed_breaks(mixture, 1e-8)[0] == [2.0**-k for k in range(1, 19)]
 
     def test_fold_breaks_end_at_zero_tolerance(self):
         # toward a fold at 0 the halving runs into the subnormals
-        breaks = information._fold_breaks(named_curve("curve-uniform-square"), 0.0)
+        breaks = information._seed_breaks(named_curve("curve-uniform-square"), 0.0)[0]
         assert all(0.0 < b < a for a, b in zip(breaks, breaks[1:]))
         assert breaks[-1] < 1e-300
         # toward a fold at 1 it stops where 1 + w/2 rounds to 1
@@ -302,14 +344,15 @@ class TestMiCurve:
                                 dphi=lambda x: 2.0 * (np.asarray(x, dtype=float) - 1.0),
                                 domain=(0.0, 1.0))
         dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (branch,))
-        breaks = information._fold_breaks(dist, 0.0)
+        breaks = information._seed_breaks(dist, 0.0)[0]
         assert breaks == [1.0 - 2.0**-k for k in range(1, len(breaks) + 1)]
         assert 1.0 - 2.0**-(len(breaks) + 1) == 1.0
 
     @pytest.mark.parametrize("spec", ["curve-normal-identity", "curve-uniform-identity",
                                       "curve-normal-double"])
     def test_curve_without_a_fold_gets_no_break(self, spec):
-        assert information._fold_breaks(named_curve(spec), 1e-8) == []
+        # no graded break; its equal seed cells are pinned above
+        assert information._seed_breaks(named_curve(spec), 1e-8)[0] == []
 
     def test_two_branch_mixture_against_its_closed_form_marginal(self):
         # X ~ U[0, 1], Y = X w.p. 0.3 and Y = X^2 w.p. 0.7:
