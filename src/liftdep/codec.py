@@ -35,15 +35,6 @@ import warnings
 
 import numpy as np
 
-__all__ = [
-    "CSV_BLOCK_ROWS",
-    "CSV_FLOAT",
-    "write_csv",
-    "write_json",
-    "read_samples_csv",
-    "write_samples_csv",
-]
-
 CSV_BLOCK_ROWS = 16384  # 1e6 x 2 samples wrote fastest at 16,384 rows; 65,536 took 1.3-1.6x as long
 CSV_FLOAT = "%.17g"
 
@@ -52,7 +43,6 @@ CSV_FLOAT = "%.17g"
 # of the text is bits 8 * (j % 8) up of word j // 8.
 _CELL = "S24"
 _VECTOR_MIN = 256  # fewer values are formatted by `%` alone, which then costs less
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for doubles
 _ZEROS = 0x3030303030303030  # "00000000"
 _DOTS = 0x2E2E2E2E2E2E2E2E  # "........"
 
@@ -137,12 +127,16 @@ def _percent_cells(v: np.ndarray) -> np.ndarray:
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(p, e)`` with ``p = fl(a * b)`` and ``a * b = p + e`` exactly (Dekker)."""
+    """``(p, e)`` with ``p = fl(a * b)`` and ``a * b = p + e`` exactly (Dekker),
+    barring overflow and underflow, in the float type of ``a``. Its p-bit
+    mantissa gives Veltkamp's splitter ``2^ceil(p / 2) + 1``: 2^27 + 1 for
+    doubles, 2^32 + 1 for the x86 long double."""
+    split = a.dtype.type(2 ** ((np.finfo(a.dtype).nmant + 2) // 2) + 1)
     p = a * b
-    t = _SPLIT * a
+    t = split * a
     ah = t - (t - a)
     al = a - ah
-    t = _SPLIT * b
+    t = split * b
     bh = t - (t - b)
     bl = b - bh
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl

@@ -61,7 +61,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .codec import _csv_float, _read_csv, read_samples_csv, write_csv, write_samples_csv
+from .codec import (
+    _csv_float, _read_csv, _two_product, read_samples_csv, write_csv, write_samples_csv
+)
 from .errors import (
     CurveSingularHasNoDensity,
     DegenerateCorrelation,
@@ -73,41 +75,6 @@ from .errors import (
     UndefinedAtPoint,
 )
 from .quadrature import adaptive_quad_1d, adaptive_quad_2d
-
-__all__ = [
-    "DiscreteJoint",
-    "ContinuousFamily",
-    "ContinuousJoint",
-    "BivariateNormal",
-    "CircularCauchy",
-    "IndependentProduct",
-    "CurveBranch",
-    "CurveSingularJoint",
-    "JointDistribution",
-    "NamedFamily",
-    "DENSITY_FLOOR",
-    "ON_CURVE_TOL",
-    "bvn_density",
-    "circular_cauchy_density",
-    "density_at",
-    "as_continuous",
-    "bisect_roots",
-    "derive_pushforward_density",
-    "pushforward_density_fn",
-    "monotone_pieces",
-    "named_curve",
-    "sample",
-    "TabulatedInverseCdf",
-    "tabulated_inverse_cdf",
-    "standard_normal_pdf",
-    "standard_normal_cdf",
-    "standard_normal_quantile",
-    "uniform_pdf",
-    "read_pmf_csv",
-    "write_pmf_csv",
-    "read_samples_csv",
-    "write_samples_csv",
-]
 
 Interval = tuple[float, float]
 Box = tuple[float, float, float, float]
@@ -188,24 +155,6 @@ def _rational(coeffs, t):
     """``P(t) / Q(t)`` by Horner's rule, coefficients constant term first."""
     num, den = (np.polyval(c[::-1], t) for c in coeffs)
     return num / den
-
-
-# Dekker's splitter 2^s + 1, s = ceil(p / 2) for the p-bit long double mantissa.
-_SPLITTER = np.longdouble(2.0 ** ((np.finfo(np.longdouble).nmant + 2) // 2) + 1.0)
-
-
-def _split(a):
-    """``a = hi + lo`` with each half short enough that their products are exact."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """``a * b`` rounded, and its rounding error exactly (Dekker)."""
-    p = a * b
-    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _compensated_rational(coeffs, t):
@@ -748,13 +697,15 @@ class IndependentProduct(ContinuousFamily):
         return np.column_stack([x, y])
 
 
-def _check_finite_ends(name: str, interval: Interval) -> None:
-    """Raise ValueError naming the first end of ``interval`` that is not finite:
-    the monotone pieces, the preimage bisection and the tabulated X quantiles
-    of a curve law all need finite ends."""
+def _check_interval(name: str, interval: Interval) -> None:
+    """Raise ValueError naming the first end of ``interval`` that is not finite
+    (the monotone pieces, the preimage bisection and the tabulated X quantiles
+    of a curve law all need finite ends), and unless ``lo < hi``."""
     for side, end in zip(("lower", "upper"), interval):
         if not math.isfinite(end):
             raise ValueError(f"the {side} end of {name} must be finite, got {end}")
+    if not interval[0] < interval[1]:
+        raise ValueError(f"{name} must be a nonempty interval, got {tuple(interval)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -774,10 +725,8 @@ class CurveBranch:
     breakpoints: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_finite_ends("branch domain", self.domain)
+        _check_interval("branch domain", self.domain)
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("branch domain must be a nonempty interval")
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("branch weight must lie in [0, 1]")
         if any(not lo <= b <= hi for b in self.breakpoints):
@@ -799,7 +748,7 @@ class CurveSingularJoint:
     marginal_y: Evaluator | None = None
 
     def __post_init__(self):
-        _check_finite_ends("support_x", self.support_x)
+        _check_interval("support_x", self.support_x)
         object.__setattr__(self, "branches", tuple(self.branches))
         if not self.branches:
             raise ValueError("at least one branch is required")

@@ -28,18 +28,6 @@ from .errors import DegenerateSample, MinSampleSize, TargetHasZeroMass
 from .information import MiReport, mi_discrete
 from .lift import ESTIMATED_TOL, LiftField, check_grids, classify_values, discrete_lift
 
-__all__ = [
-    "ContingencyTable",
-    "KernelLiftEstimate",
-    "TargetingResult",
-    "empirical_discrete_lift",
-    "empirical_pmf",
-    "kernel_lift",
-    "empirical_mi",
-    "target_profile",
-    "silverman_bandwidth",
-]
-
 MIN_KERNEL_SAMPLE = 20
 KDE_CHUNK = 4096
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

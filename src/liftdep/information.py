@@ -44,18 +44,6 @@ from .quadrature import (
     DEFAULT_BUDGET_2D, RULE_1D, _eval_cells, adaptive_quad_1d, adaptive_quad_2d, check_quad_args
 )
 
-__all__ = [
-    "MiMethod",
-    "MiReport",
-    "ConvergenceReport",
-    "mi_discrete",
-    "mi_bvn_closed_form",
-    "mi_continuous",
-    "mi_curve",
-    "convergence_counterexample",
-    "CONVERGENCE_FAILURE_TOL",
-]
-
 CONVERGENCE_FAILURE_TOL = 1e-3
 
 # Equal seed cells of each fold-free monotone piece in mi_curve. A heap step

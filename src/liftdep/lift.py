@@ -39,25 +39,8 @@ import numpy as np
 
 from . import codec
 from . import distributions as dm
-from .distributions import DENSITY_FLOOR, ON_CURVE_TOL
+from .distributions import DENSITY_FLOOR
 from .errors import UndefinedAtPoint
-
-__all__ = [
-    "RegionLabel",
-    "LiftField",
-    "RegionSummary",
-    "ANALYTIC_TOL",
-    "ESTIMATED_TOL",
-    "ON_CURVE_TOL",
-    "classify_values",
-    "discrete_lift",
-    "continuous_lift_at",
-    "curve_lift_at",
-    "lift_at",
-    "sibuya_omega_at",
-    "lift_grid",
-    "region_summary",
-]
 
 ANALYTIC_TOL = 1e-9
 ESTIMATED_TOL = 0.05

@@ -39,13 +39,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = [
-    "QuadResult",
-    "adaptive_quad_2d",
-    "adaptive_quad_1d",
-    "DEFAULT_BUDGET_2D",
-]
-
 # Node counts per axis of the nested (coarse, fine) pair each heap uses.
 RULE_2D = (3, 7)
 RULE_1D = (7, 15)
@@ -232,8 +225,6 @@ def _core_tail_cells(box):
     disjoint from the core square is quartered whole.
     """
     x_lo, x_hi, y_lo, y_hi = box
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise ValueError("integration box must have positive extent")
     c = CORE_HALF
     cx_lo, cx_hi = max(x_lo, -c), min(x_hi, c)
     cy_lo, cy_hi = max(y_lo, -c), min(y_hi, c)
@@ -254,23 +245,30 @@ def _core_tail_cells(box):
 def _sinh_map(f, bounds):
     """``f`` and ``bounds`` in the variables the heap integrates over.
 
-    A finite axis keeps ``t = x``. An axis with an infinite end gets
-    ``x = c + sinh t`` (see the module docstring) and multiplies the integrand
-    by ``cosh t``. Returns ``(integrand, t-bounds)``; with no infinite end
-    they are ``f`` and ``bounds`` themselves.
+    Raises ValueError unless ``lo < hi`` on every axis. A finite axis keeps
+    ``t = x``. An axis with an infinite end gets ``x = c + sinh t`` (see the
+    module docstring) and multiplies the integrand by ``cosh t``. Returns
+    ``(integrand, t-bounds, to_t)``, where ``to_t(axis, x)`` is the ``t`` of
+    ``x`` on that axis; with no infinite end the first two are ``f`` and
+    ``bounds`` themselves.
     """
     t_bounds, centres = [], []
     for lo, hi in zip(bounds[0::2], bounds[1::2]):
+        if not lo < hi:
+            raise ValueError(f"integration interval ({lo}, {hi}) must have positive extent")
         if math.isfinite(lo) and math.isfinite(hi):
             t_bounds += [lo, hi]
             centres.append(None)
             continue
-        if not lo < hi:
-            raise ValueError(f"integration interval ({lo}, {hi}) must have positive extent")
         t_bounds += [-SINH_T_MAX if lo == -math.inf else 0.0, SINH_T_MAX if hi == math.inf else 0.0]
         centres.append(lo if math.isfinite(lo) else hi if math.isfinite(hi) else 0.0)
+
+    def to_t(axis, x):
+        c = centres[axis]
+        return x if c is None else math.asinh(x - c)
+
     if all(c is None for c in centres):
-        return f, tuple(bounds)
+        return f, tuple(bounds), to_t
 
     def mapped(*ts):
         xs, jacobian = [], 1.0
@@ -282,7 +280,7 @@ def _sinh_map(f, bounds):
                 jacobian = jacobian * np.cosh(t)
         return np.asarray(f(*xs), dtype=float) * jacobian
 
-    return mapped, tuple(t_bounds)
+    return mapped, tuple(t_bounds), to_t
 
 
 def adaptive_quad_2d(
@@ -296,10 +294,11 @@ def adaptive_quad_2d(
 
     A finite box is seeded by :func:`_core_tail_cells`. A box with an infinite
     end is integrated over its ``t``-box (see the module docstring), seeded in
-    quarters; ``f`` still receives ``x`` and ``y``. Raises ValueError on a
-    ``tol`` or ``budget`` that :func:`check_quad_args` refuses.
+    quarters; ``f`` still receives ``x`` and ``y``. Raises ValueError unless
+    ``x_lo < x_hi`` and ``y_lo < y_hi``, and on a ``tol`` or ``budget`` that
+    :func:`check_quad_args` refuses.
     """
-    g, t_box = _sinh_map(f, box)
+    g, t_box, _ = _sinh_map(f, box)
     cells = _core_tail_cells(box) if g is f else _quarters(*t_box)
     return _adaptive_heap(g, cells, _split_2d, tol, budget)
 
@@ -320,16 +319,13 @@ def adaptive_quad_1d(
     The heap is seeded with one cell between each pair of consecutive points
     of ``a``, ``b`` and the ``breaks`` strictly between them, like QUADPACK's
     ``points``: no node falls on a break, so an integrand may be singular or
-    undefined there. Raises ValueError on a ``tol``, ``rtol`` or ``budget``
-    that :func:`check_quad_args` refuses.
+    undefined there. Raises ValueError unless ``a < b``, and on a ``tol``,
+    ``rtol`` or ``budget`` that :func:`check_quad_args` refuses.
     """
-    g, t_bounds = _sinh_map(f, (a, b))
+    g, t_bounds, to_t = _sinh_map(f, (a, b))
     seeds = [t_bounds]
     cuts = sorted({float(p) for p in breaks if a < p < b})
     if cuts:
-        if g is not f:  # the breaks in t, about the centre the sinh map chose
-            c = a if math.isfinite(a) else b if math.isfinite(b) else 0.0
-            cuts = [math.asinh(p - c) for p in cuts]
-        ends = [t_bounds[0], *cuts, t_bounds[1]]
+        ends = [t_bounds[0], *(to_t(0, p) for p in cuts), t_bounds[1]]
         seeds = list(zip(ends[:-1], ends[1:]))
     return _adaptive_heap(g, seeds, _split_1d, tol, budget, rtol)

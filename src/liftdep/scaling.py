@@ -27,19 +27,6 @@ import numpy as np
 from . import codec
 from .errors import InsufficientRadii
 
-__all__ = [
-    "BallDensityProfile",
-    "ScalingEstimate",
-    "WeierstrassCurve",
-    "ball_density",
-    "ball_mass_counts",
-    "ball_density_profile",
-    "scaling_exponent",
-    "weierstrass_eval",
-    "weierstrass_grid",
-    "WEIERSTRASS_DIMENSION",
-]
-
 MIN_COUNT_PER_RADIUS = 10
 MIN_FIT_RADII = 4
 
@@ -57,7 +44,7 @@ def ball_density(points, center, eps: float) -> float:
 
     Counting is exact; see :func:`ball_mass_counts`.
     """
-    if eps <= 0:
+    if not 0 < eps:
         raise ValueError("eps must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -67,7 +54,10 @@ def ball_density(points, center, eps: float) -> float:
 
 
 def ball_mass_counts(points, center, radii) -> np.ndarray:
-    """Exact in-ball counts for many radii via one sorted-distance pass."""
+    """Exact in-ball counts for many radii via one sorted-distance pass; a NaN
+    or infinite center coordinate raises ValueError."""
+    if not np.isfinite(center).all():
+        raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     dist.sort()
@@ -125,7 +115,7 @@ def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:
 
 def ball_density_profile(points, center, radii) -> BallDensityProfile:
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or np.any(np.diff(radii) >= 0):
+    if not (np.all(radii > 0) and np.all(np.diff(radii) < 0)):
         raise ValueError("radii must be positive and strictly decreasing")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     counts = ball_mass_counts(pts, center, radii)
@@ -149,8 +139,8 @@ def scaling_exponent(
     Radii follow a geometric schedule; rungs with fewer than 10 points are
     dropped and at least 4 must survive, otherwise InsufficientRadii.
     """
-    if not 0 < eps_min < eps_max:
-        raise ValueError("need 0 < eps_min < eps_max")
+    if not 0 < eps_min < eps_max < math.inf:
+        raise ValueError("need 0 < eps_min < eps_max < inf")
     if k < MIN_FIT_RADII:
         raise ValueError(f"k must be at least {MIN_FIT_RADII}")
     profile = ball_density_profile(points, center, geometric_radii(eps_max, eps_min, k))

@@ -356,8 +356,8 @@ print(ld.sibuya_omega_at(law, (0.5, 0.5)))
 
 
 class TestInfiniteCurveEnds:
-    """A curve law needs finite ends: the monotone pieces, the preimage
-    bisection and the tabulated X quantiles all work on them."""
+    """A curve law needs finite ends in increasing order: the monotone pieces,
+    the preimage bisection and the tabulated X quantiles all work on them."""
 
     @staticmethod
     def square(domain):
@@ -377,9 +377,13 @@ class TestInfiniteCurveEnds:
     @pytest.mark.parametrize("support,message", [
         ((0.0, math.inf), "upper end of support_x must be finite, got inf"),
         ((-math.inf, math.inf), "lower end of support_x must be finite, got -inf"),
-    ], ids=["half-line", "line"])
+        ((1.0, 0.0), r"support_x must be a nonempty interval, got \(1.0, 0.0\)"),
+        ((0.5, 0.5), r"support_x must be a nonempty interval, got \(0.5, 0.5\)"),
+    ], ids=["half-line", "line", "reversed", "empty"])
     def test_support_names_its_end(self, support, message):
-        # ld.sample used to return inf or NaN rows for these supports
+        # ld.sample used to return inf or NaN rows for the infinite supports;
+        # mi_curve of the identity on U(0, 1) gave +0.798 over (1, 0), its MI
+        # with the sign flipped, and 0.0 over (0.5, 0.5), both "converged"
         with pytest.raises(ValueError, match=message):
             ld.CurveSingularJoint(ld.standard_normal_pdf, support, (self.square((0.0, 1.0)),))
 

@@ -411,9 +411,16 @@ def test_zero_tolerance_is_legal_with_rtol_or_a_budget():
 
 
 def test_bad_infinite_ends_raise():
+    """Finite ends too: the 1D heap integrated ones over (1, 0) to -1 and over
+    (0.5, 0.5) to 0."""
     with pytest.raises(ValueError):
         adaptive_quad_1d(INTEGRANDS_1D["cauchy"], INF, 0.0)
     with pytest.raises(ValueError):
         adaptive_quad_1d(INTEGRANDS_1D["cauchy"], -INF, -INF)
     with pytest.raises(ValueError):
         adaptive_quad_2d(CIRCULAR_CAUCHY, (0.0, 1.0, INF, -INF))
+    for lo, hi in [(1.0, 0.0), (0.5, 0.5), (-1.0, -2.0)]:
+        with pytest.raises(ValueError, match="positive extent"):
+            adaptive_quad_1d(np.ones_like, lo, hi)
+        with pytest.raises(ValueError, match="positive extent"):
+            adaptive_quad_2d(lambda x, y: np.ones_like(x), (0.0, 1.0, lo, hi))

@@ -34,6 +34,10 @@ class TestBallDensity:
             ld.ball_density([[0.0, 0.0]], (0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             ld.ball_density(np.empty((0, 2)), (0.0, 0.0), 1.0)
+        # a NaN eps gave a NaN density, a non-finite center coordinate 0.0
+        for center, eps in [((0, 0), math.nan), ((math.nan, 0), 1.0), ((0, math.inf), 1.0)]:
+            with pytest.raises(ValueError):
+                ld.ball_density([[0.0, 0.0]], center, eps)
 
 
 class TestBallMassCounts:
@@ -64,6 +68,18 @@ class TestBallMassCounts:
         for eps, count in zip(radii, counts):
             d2 = (pts[:, 0] - 0.4) ** 2 + (pts[:, 1] - 0.6) ** 2
             assert int(np.count_nonzero(d2 <= eps * eps)) == count
+
+    @pytest.mark.parametrize("center,radii", [
+        ((0.5, 0.5), [0.3, math.nan, 0.1]),
+        ((0.5, 0.5), [math.nan]),
+        ((math.nan, 0.5), [0.3, 0.2, 0.1]),
+    ], ids=["nan-rung", "nan-only", "nan-center"])
+    def test_profile_refuses_nan(self, center, radii):
+        # every point was counted inside the NaN rung, and the ladder passed
+        # as strictly decreasing, since every comparison with NaN is False
+        pts = np.random.default_rng(0).random((100, 2))
+        with pytest.raises(ValueError):
+            ld.ball_density_profile(pts, center, radii)
 
 
 class TestScalingExponent:
@@ -107,6 +123,12 @@ class TestScalingExponent:
             ld.scaling_exponent(pts, (0.5, 0.5), eps_max=0.01, eps_min=0.1, k=6)
         with pytest.raises(ValueError):
             ld.scaling_exponent(pts, (0.5, 0.5), eps_max=0.1, eps_min=0.01, k=3)
+        # an infinite eps_max made NaN radii and an SVD failure in the fit
+        with pytest.raises(ValueError, match="eps_max < inf"):
+            ld.scaling_exponent(pts, (0.5, 0.5), eps_max=math.inf, eps_min=0.01, k=6)
+        # a NaN center counted no point and raised InsufficientRadii
+        with pytest.raises(ValueError, match="center coordinates must be finite"):
+            ld.scaling_exponent(pts, (0.5, math.nan), eps_max=0.5, eps_min=0.1, k=6)
 
     def test_exponent_range_for_ac_marginal_dists(self):
         # absolutely continuous marginals keep the local exponent in [1, 2];
