@@ -28,12 +28,7 @@ _EXPORTS = {
         "DiscreteJoint",
         "IndependentProduct",
         "JointDistribution",
-        "NamedFamily",
         "as_continuous",
-        "bvn_density",
-        "circular_cauchy_density",
-        "density_at",
-        "derive_pushforward_density",
         "pushforward_density_fn",
         "read_pmf_csv",
         "read_samples_csv",
@@ -87,8 +82,6 @@ _EXPORTS = {
         "LiftField",
         "RegionLabel",
         "RegionSummary",
-        "continuous_lift_at",
-        "curve_lift_at",
         "discrete_lift",
         "lift_at",
         "lift_grid",

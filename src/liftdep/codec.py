@@ -20,9 +20,7 @@ behind ``%`` rounds it. The digits are laid out per ``%g``: trailing zeros
 stripped, fixed notation for decimal exponents -4 to 16, otherwise (-5
 and -6 here) ``d.ddde-0X``. This covers ``1e-6 <= |v| < 1e17`` (and a little less at
 the ends); zero, NaN, infinities and every other value are formatted by
-``CSV_FLOAT % v`` itself, once per distinct value, and so is every value of
-a call with fewer than ``_VECTOR_MIN`` of them, where the fixed cost of the
-numpy passes exceeds that of ``%``.
+``CSV_FLOAT % v`` itself, once per distinct value.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ CSV_FLOAT = "%.17g"
 # formatter builds it NUL-padded in three little-endian 64-bit words: byte j
 # of the text is bits 8 * (j % 8) up of word j // 8.
 _CELL = "S24"
-_VECTOR_MIN = 256  # fewer values are formatted by `%` alone, which then costs less
 _ZEROS = 0x3030303030303030  # "00000000"
 _DOTS = 0x2E2E2E2E2E2E2E2E  # "........"
 
@@ -92,8 +89,6 @@ def _float_cells(values) -> np.ndarray:
     (module docstring)."""
     shape = np.shape(values)
     v = np.asarray(values, dtype=float).ravel()
-    if v.size < _VECTOR_MIN:
-        return _percent_cells(v).reshape(shape)
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         k = 16.0 - np.floor(np.log10(a))

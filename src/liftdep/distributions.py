@@ -211,7 +211,9 @@ def standard_normal_quantile(u):
 
 
 def uniform_pdf(lo: float = 0.0, hi: float = 1.0) -> Evaluator:
-    """Density of the uniform law on [lo, hi] as a vectorized evaluator."""
+    """Density of the uniform law on [lo, hi] as a vectorized evaluator.
+    Raises ValueError unless both ends are finite and ``lo < hi``."""
+    _check_interval("uniform [lo, hi]", (lo, hi))
     height = 1.0 / (hi - lo)
 
     def pdf(x):
@@ -219,31 +221,6 @@ def uniform_pdf(lo: float = 0.0, hi: float = 1.0) -> Evaluator:
         return np.where((x >= lo) & (x <= hi), height, 0.0)
 
     return pdf
-
-
-def bvn_density(r: float, point) -> float | np.ndarray:
-    """Standard bivariate normal density with correlation r at a point.
-
-    Accepts scalar or ndarray coordinates; raises DegenerateCorrelation for
-    |r| >= 1.
-    """
-    if not abs(r) < 1:
-        raise DegenerateCorrelation(f"|r| must be < 1, got r={r}")
-    x, y = point
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    one_minus = 1.0 - r * r
-    q = (x * x + y * y - 2.0 * r * x * y) / (2.0 * one_minus)
-    out = np.exp(-q) / (2.0 * math.pi * math.sqrt(one_minus))
-    return float(out) if out.ndim == 0 else out
-
-
-def circular_cauchy_density(point) -> float | np.ndarray:
-    x, y = point
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = 1.0 / (2.0 * math.pi * (1.0 + x * x + y * y) ** 1.5)
-    return float(out) if out.ndim == 0 else out
 
 
 def _cauchy_pdf(x):
@@ -599,7 +576,14 @@ class BivariateNormal(ContinuousFamily):
             raise DegenerateCorrelation(f"|r| must be < 1, got r={self.r}")
 
     def joint_density(self, x, y):
-        return bvn_density(self.r, (x, y))
+        """Elementwise density; a float for scalar coordinates."""
+        r = self.r
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        one_minus = 1.0 - r * r
+        q = (x * x + y * y - 2.0 * r * x * y) / (2.0 * one_minus)
+        out = np.exp(-q) / (2.0 * math.pi * math.sqrt(one_minus))
+        return float(out) if out.ndim == 0 else out
 
     def conditional_cdf_y(self, x, y):
         """``Phi((y - r x) / sqrt(1 - r^2))``: ``Y | X = x`` is ``N(r x, 1 - r^2)``."""
@@ -645,7 +629,11 @@ class CircularCauchy(ContinuousFamily):
     cdf_x = cdf_y = staticmethod(_cauchy_cdf)
 
     def joint_density(self, x, y):
-        return circular_cauchy_density((x, y))
+        """Elementwise density; a float for scalar coordinates."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = 1.0 / (2.0 * math.pi * (1.0 + x * x + y * y) ** 1.5)
+        return float(out) if out.ndim == 0 else out
 
     def conditional_cdf_y(self, x, y):
         """``(1 + y / h) / 2`` with ``a = sqrt(1 + x^2)`` and ``h = sqrt(a^2 + y^2)``,
@@ -756,12 +744,6 @@ class CurveSingularJoint:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("branch weights must sum to 1 within 1e-12")
 
-    def marginal_y_fn(self) -> Evaluator:
-        """The supplied Y-marginal, or the derived pushforward density."""
-        if self.marginal_y is not None:
-            return self.marginal_y
-        return pushforward_density_fn(self)
-
     @cached_property
     def pieces(self) -> tuple[tuple[tuple[float, float, int], ...], ...]:
         """The :func:`monotone_pieces` of every branch, in branch order. A
@@ -871,21 +853,7 @@ def _cdf_gap(cdf, x, lo: float, hi: float):
     return np.where(at_lo > 0.5, cdf(-x, -lo) - cdf(-x, -hi), cdf(x, hi) - at_lo)
 
 
-NamedFamily = Union[BivariateNormal, CircularCauchy, IndependentProduct]
-JointDistribution = Union[DiscreteJoint, ContinuousJoint, NamedFamily, CurveSingularJoint]
-
-
-def density_at(dist: JointDistribution, point: tuple[float, float]) -> float:
-    """Joint density (or pmf entry) of ``dist`` at ``point``.
-
-    Discrete lookups require exact support matches and raise OutOfSupport
-    otherwise. Curve-singular joints have no joint density w.r.t. area
-    measure and raise CurveSingularHasNoDensity.
-    """
-    x, y = float(point[0]), float(point[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError("point coordinates must be finite")
-    return float(dist.joint_density(x, y))
+JointDistribution = Union[DiscreteJoint, ContinuousFamily, CurveSingularJoint]
 
 
 def as_continuous(dist: ContinuousFamily) -> ContinuousJoint:
@@ -1045,11 +1013,6 @@ def pushforward_density_fn(dist: CurveSingularJoint) -> Evaluator:
         return float(total[0]) if y.ndim == 0 else total.reshape(y.shape)
 
     return rho_y
-
-
-def derive_pushforward_density(dist: CurveSingularJoint, y: float) -> float:
-    """Density of Y at one point ``y``; see :func:`pushforward_density_fn`."""
-    return pushforward_density_fn(dist)(float(y))
 
 
 def named_curve(spec: str) -> CurveSingularJoint:

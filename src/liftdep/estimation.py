@@ -91,8 +91,14 @@ def empirical_mi(table: ContingencyTable, smoothing: float = 0.0) -> MiReport:
 
 
 def silverman_bandwidth(data: np.ndarray) -> float:
-    """Rule-of-thumb bandwidth ``1.06 * sigma * n^(-1/5)``."""
+    """Rule-of-thumb bandwidth ``1.06 * sigma * n^(-1/5)``.
+
+    Raises ValueError for fewer than two values or a value that is not
+    finite, and DegenerateSample for zero variance.
+    """
     data = np.asarray(data, dtype=float)
+    if data.size < 2 or not np.isfinite(data).all():
+        raise ValueError("silverman_bandwidth needs at least two values, all finite")
     sigma = float(np.std(data, ddof=1))
     if sigma == 0.0:
         raise DegenerateSample("sample axis has zero variance")
@@ -173,7 +179,10 @@ def kernel_lift(
             raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
         hx, hy = silverman_bandwidth(xs), silverman_bandwidth(ys)
     else:
-        hx, hy = float(bandwidth_rule[0]), float(bandwidth_rule[1])
+        pair = np.asarray(bandwidth_rule, dtype=float)
+        if pair.shape != (2,):
+            raise ValueError(f"fixed bandwidths must be a pair, got {bandwidth_rule!r}")
+        hx, hy = float(pair[0]), float(pair[1])
         if not (0 < hx < math.inf and 0 < hy < math.inf):
             raise ValueError("fixed bandwidths must be positive and finite")
 

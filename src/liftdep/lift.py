@@ -117,20 +117,17 @@ def discrete_lift(dist: dm.DiscreteJoint, tol: float = ANALYTIC_TOL) -> LiftFiel
 def lift_at(dist, point) -> float:
     """Pointwise lift: a one-point :func:`lift_grid`.
 
-    Raises OutOfSupport for a label outside a discrete support, and
-    UndefinedAtPoint where the lift is undefined (a vanishing marginal).
+    Raises ValueError for a NaN coordinate, OutOfSupport for a label outside
+    a discrete support (``±inf`` included), and UndefinedAtPoint where the
+    lift is undefined (a vanishing marginal).
     """
     x, y = float(point[0]), float(point[1])
-    if isinstance(dist, dm.DiscreteJoint):
-        dm.density_at(dist, (x, y))  # raises OutOfSupport off the support
     value = float(lift_grid(dist, [x], [y]).values[0, 0])
     if math.isnan(value):
+        if isinstance(dist, dm.DiscreteJoint):
+            dist.joint_density(x, y)  # raises OutOfSupport off the support
         raise UndefinedAtPoint(f"lift undefined at ({x:.6g}, {y:.6g})")
     return value
-
-
-# The per-class pointwise names share the one path.
-continuous_lift_at = curve_lift_at = lift_at
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_c07_property_suite(dep_pmf, indep_pmf):
     for r, x, b in probes:
         dist = ld.BivariateNormal(r)
         val = oracles.quad_1d(
-            lambda y: ld.continuous_lift_at(dist, (x, y)) * oracles.normal_pdf(y), -8.0, b
+            lambda y: ld.lift_at(dist, (x, y)) * oracles.normal_pdf(y), -8.0, b
         )
         expected = oracles.normal_cdf((b - r * x) / math.sqrt(1 - r * r))
         if abs(val - expected) > 1e-4:
@@ -261,13 +261,13 @@ def test_c08_line_integral_consistency(normal_identity_curve, uniform_identity_c
     ]
     worst = 0.0
     for dist, (a, b), mu_x in fixtures:
-        rho_y = dist.marginal_y_fn()
+        rho_y = ld.pushforward_density_fn(dist)
         branch = dist.branches[0]
 
         def integrand(x, dist=dist, branch=branch, rho_y=rho_y):
             phi = float(branch.phi(x))
             slope = float(branch.dphi(x))
-            lift = ld.curve_lift_at(dist, (x, phi))
+            lift = ld.lift_at(dist, (x, phi))
             return (
                 lift
                 * float(dist.marginal_x(x))

@@ -22,46 +22,46 @@ from conftest import run_fresh
 class TestDensityAt:
     def test_independent_product_at_origin(self):
         dist = ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf)
-        assert ld.density_at(dist, (0.0, 0.0)) == pytest.approx(0.15915494309189535, abs=1e-15)
+        assert dist.joint_density(0.0, 0.0) == pytest.approx(0.15915494309189535, abs=1e-15)
 
     def test_circular_cauchy_at_origin(self):
-        assert ld.density_at(ld.CircularCauchy(), (0.0, 0.0)) == pytest.approx(
+        assert ld.CircularCauchy().joint_density(0.0, 0.0) == pytest.approx(
             0.15915494309189535, abs=1e-15
         )
 
     def test_discrete_lookup(self, dep_pmf):
-        assert ld.density_at(dep_pmf, (0.0, 1.0)) == 0.1
+        assert dep_pmf.joint_density(0.0, 1.0) == 0.1
 
     def test_discrete_out_of_support(self, dep_pmf):
         with pytest.raises(ld.OutOfSupport):
-            ld.density_at(dep_pmf, (0.5, 1.0))
+            dep_pmf.joint_density(0.5, 1.0)
 
     def test_curve_singular_has_no_density(self, normal_identity_curve):
         with pytest.raises(ld.CurveSingularHasNoDensity):
-            ld.density_at(normal_identity_curve, (0.0, 0.0))
+            normal_identity_curve.joint_density(0.0, 0.0)
 
 
 class TestBvnDensity:
     def test_independence_case(self):
-        assert ld.bvn_density(0.0, (0.0, 0.0)) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
+        assert ld.BivariateNormal(0.0).joint_density(0.0, 0.0) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
 
     def test_correlated_at_origin(self):
-        assert ld.bvn_density(0.6, (0.0, 0.0)) == pytest.approx(0.1989436788648692, abs=1e-13)
+        assert ld.BivariateNormal(0.6).joint_density(0.0, 0.0) == pytest.approx(0.1989436788648692, abs=1e-13)
 
     def test_correlated_off_origin(self):
-        assert ld.bvn_density(0.6, (1.0, 1.0)) == pytest.approx(0.10648687774403313, abs=1e-13)
+        assert ld.BivariateNormal(0.6).joint_density(1.0, 1.0) == pytest.approx(0.10648687774403313, abs=1e-13)
 
     def test_cross_check_numeric_normalization(self):
         # the closed form must integrate to one over a wide box
         total = oracles.quad_2d(lambda x, y: oracles.bvn_pdf(0.6, x, y), -9, 9, -9, 9)
         assert total == pytest.approx(1.0, abs=1e-8)
-        assert ld.bvn_density(0.6, (0.7, -0.3)) == pytest.approx(
+        assert ld.BivariateNormal(0.6).joint_density(0.7, -0.3) == pytest.approx(
             oracles.bvn_pdf(0.6, 0.7, -0.3), rel=1e-12
         )
 
     def test_degenerate_correlation(self):
         with pytest.raises(ld.DegenerateCorrelation):
-            ld.bvn_density(1.0, (0.0, 0.0))
+            ld.BivariateNormal(1.0)
         with pytest.raises(ld.DegenerateCorrelation):
             ld.BivariateNormal(-1.0)
 
@@ -111,19 +111,19 @@ class TestStandardNormalQuantile:
 class TestPushforwardDensity:
     def test_uniform_identity(self, uniform_identity_curve):
         for y in (0.1, 0.5, 0.9):
-            assert ld.derive_pushforward_density(uniform_identity_curve, y) == pytest.approx(
+            assert ld.pushforward_density_fn(uniform_identity_curve)(y) == pytest.approx(
                 1.0, abs=1e-9
             )
 
     def test_normal_identity(self, normal_identity_curve):
         for y in (-1.5, 0.0, 0.7):
-            assert ld.derive_pushforward_density(normal_identity_curve, y) == pytest.approx(
+            assert ld.pushforward_density_fn(normal_identity_curve)(y) == pytest.approx(
                 oracles.normal_pdf(y), rel=1e-9
             )
 
     def test_two_branch_tent(self, tent_curve):
         for y in (0.2, 0.5, 0.8):
-            assert ld.derive_pushforward_density(tent_curve, y) == pytest.approx(1.0, abs=1e-9)
+            assert ld.pushforward_density_fn(tent_curve)(y) == pytest.approx(1.0, abs=1e-9)
 
     def test_histogram_cross_check(self, tent_curve):
         pts = ld.sample(tent_curve, 200_000, seed=7)
@@ -139,7 +139,7 @@ class TestPushforwardDensity:
         )
         dist = ld.CurveSingularJoint(ld.uniform_pdf(), (0.0, 1.0), (branch,))
         for y in (0.04, 0.25, 0.81):
-            assert ld.derive_pushforward_density(dist, y) == pytest.approx(
+            assert ld.pushforward_density_fn(dist)(y) == pytest.approx(
                 0.5 / math.sqrt(y), rel=1e-8
             )
 
@@ -152,7 +152,7 @@ class TestPushforwardDensity:
         )
         dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
         with pytest.raises(ld.NonMonotonePiece):
-            ld.derive_pushforward_density(dist, 0.25)
+            ld.pushforward_density_fn(dist)(0.25)
 
     def test_parabola_with_detected_pieces(self):
         branch = ld.CurveBranch(
@@ -163,7 +163,7 @@ class TestPushforwardDensity:
         dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
         # two preimages +-sqrt(y), law of X^2 on U[-1,1]: rho_Y = 1/(2 sqrt(y))
         for y in (0.25, 0.64):
-            assert ld.derive_pushforward_density(dist, y) == pytest.approx(
+            assert ld.pushforward_density_fn(dist)(y) == pytest.approx(
                 0.5 / math.sqrt(y), rel=1e-6
             )
 
@@ -191,7 +191,7 @@ class TestPushforwardDensity:
         )
         dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
         with pytest.raises(ld.DerivativeVanishes):
-            ld.derive_pushforward_density(dist, 0.0)
+            ld.pushforward_density_fn(dist)(0.0)
 
 
 def _parabola():
@@ -286,7 +286,7 @@ class TestPiecesOncePerLaw:
         for point in ((0.2, 0.3), (0.5, 0.5), (0.9, 0.1)):
             ld.sibuya_omega_at(dist, point)
         ld.pushforward_density_fn(dist)(np.linspace(0.1, 0.9, 5))
-        ld.derive_pushforward_density(dist, 0.4)
+        ld.pushforward_density_fn(dist)(0.4)
         assert calls == list(dist.branches)
 
     def test_a_non_monotone_piece_raises_on_every_use(self):
@@ -299,7 +299,7 @@ class TestPiecesOncePerLaw:
         dist = ld.CurveSingularJoint(ld.uniform_pdf(-1.0, 1.0), (-1.0, 1.0), (branch,))
         for _ in range(2):
             with pytest.raises(ld.NonMonotonePiece):
-                ld.derive_pushforward_density(dist, 0.25)
+                ld.pushforward_density_fn(dist)(0.25)
 
 
 class TestSample:
@@ -456,6 +456,16 @@ class TestConditionalLaw:
             -math.inf, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400,
         )
         assert total == pytest.approx(float(dist.cdf_y(y)), abs=1e-9)
+
+
+class TestUniformPdf:
+    @pytest.mark.parametrize(
+        "lo,hi", [(0.0, 0.0), (1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_interval_must_be_finite_and_nonempty(self, lo, hi):
+        # (0, 0) raised ZeroDivisionError; the others gave a density 0 everywhere
+        with pytest.raises(ValueError, match=r"uniform \[lo, hi\]"):
+            ld.uniform_pdf(lo, hi)
 
 
 class TestClassInvariants:

@@ -100,6 +100,12 @@ class TestKernelLift:
         h = ld.silverman_bandwidth(xs)
         assert h == pytest.approx(1.06 * np.std(xs, ddof=1) * 1000 ** (-0.2), rel=1e-12)
 
+    @pytest.mark.parametrize("data", [[], [1.0], [0.0, math.nan], [0.0, 1.0, math.inf]])
+    def test_silverman_needs_two_finite_values(self, data):
+        # one value gave NaN with a RuntimeWarning, a NaN gave NaN silently
+        with pytest.raises(ValueError, match="two values, all finite"):
+            ld.silverman_bandwidth(data)
+
     def test_fixed_bandwidths(self):
         pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
         est = ld.kernel_lift(pts, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3), (0.25, 0.5))
@@ -111,6 +117,14 @@ class TestKernelLift:
         pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
         grid = np.linspace(-1, 1, 3)
         with pytest.raises(ValueError, match="positive and finite"):
+            ld.kernel_lift(pts, grid, grid, bandwidths)
+
+    @pytest.mark.parametrize("bandwidths", [(0.5,), (0.5, 0.5, 0.5), (), 0.5, None])
+    def test_fixed_bandwidths_must_be_a_pair(self, bandwidths):
+        # one number raised IndexError or TypeError, and a third was dropped
+        pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
+        grid = np.linspace(-1, 1, 3)
+        with pytest.raises(ValueError, match="must be a pair"):
             ld.kernel_lift(pts, grid, grid, bandwidths)
 
     @pytest.mark.parametrize("grid", [[-1.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0], []])

@@ -122,8 +122,8 @@ def test_samples_csv_matches_oracle(samples):
 # The vectorized formatter's exact range, both signs. ANY_FLOAT mostly lands
 # outside it, where `%` formats each value.
 EXACT_RANGE = st.floats(1e-6, 1e17).flatmap(lambda v: st.sampled_from([v, -v]))
-# Enough samples that write_csv formats them in numpy rather than by `%` alone.
-VECTOR_ROWS = codec._VECTOR_MIN // 2 + 1
+# Rows each drawn or edge sample is repeated into: 258 floats a file.
+VECTOR_ROWS = 129
 
 
 @PROPERTY
@@ -136,6 +136,18 @@ def test_samples_csv_in_the_exact_range_matches_oracle(values):
 def around(value, ulps):
     """The doubles within ``ulps`` steps of ``value``."""
     return (np.array(value).view(np.int64) + np.arange(-ulps, ulps + 1)).view(float)
+
+
+# Values inside the exact range, on a fixed/exponent switch, and ones `%` formats alone.
+SHORT = np.concatenate([EDGES, [1e-6, -9.9999999999999995e-07, 1e-4, 123456.789, 1e16, -2.0**53]])
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_a_short_call_is_formatted_as_percent_would(size):
+    for start in range(SHORT.size - size + 1):
+        values = SHORT[start : start + size]
+        want = [(codec.CSV_FLOAT % v).encode() for v in values.tolist()]
+        assert codec._float_cells(values).tolist() == want
 
 
 def test_samples_csv_edge_values_match_oracle():

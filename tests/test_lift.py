@@ -40,17 +40,37 @@ class TestDiscreteLift:
         assert field.labels[1, 1] == RegionLabel.UNDEFINED
         assert np.isnan(field.values[1, 0])
 
+    @pytest.mark.parametrize("point", [(math.inf, 0.0), (0.0, -math.inf), (math.inf, math.inf)])
+    def test_lift_at_an_infinite_label_is_out_of_support(self, dep_pmf, point):
+        # it raised ValueError; the finite off-support labels are in the property suite
+        with pytest.raises(ld.OutOfSupport):
+            ld.lift_at(dep_pmf, point)
+
+    def test_lift_at_a_zero_marginal_label_is_undefined(self):
+        dist = ld.DiscreteJoint([0.0, 1.0], [0.0, 1.0], [[0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(ld.UndefinedAtPoint):
+            ld.lift_at(dist, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("law", ["dep_pmf", "normal_identity_curve", "bvn", "cauchy"])
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan)])
+def test_lift_at_nan_is_a_value_error_for_every_class(request, law, point):
+    named = {"bvn": ld.BivariateNormal(0.6), "cauchy": ld.CircularCauchy()}
+    dist = named[law] if law in named else request.getfixturevalue(law)
+    with pytest.raises(ValueError, match="NaN"):
+        ld.lift_at(dist, point)
+
 
 class TestContinuousLiftAt:
     def test_independent_bvn(self):
         for pt in [(0.0, 0.0), (1.3, -2.1), (3.0, 3.0)]:
-            assert ld.continuous_lift_at(ld.BivariateNormal(0.0), pt) == pytest.approx(1.0)
+            assert ld.lift_at(ld.BivariateNormal(0.0), pt) == pytest.approx(1.0)
 
     def test_bvn_origin_closed_form_and_ratio(self):
         dist = ld.BivariateNormal(0.6)
-        assert ld.continuous_lift_at(dist, (0.0, 0.0)) == pytest.approx(1.25, abs=1e-12)
+        assert ld.lift_at(dist, (0.0, 0.0)) == pytest.approx(1.25, abs=1e-12)
         # cross-check against the plain density ratio
-        ratio = ld.density_at(dist, (0.0, 0.0)) / (
+        ratio = dist.joint_density(0.0, 0.0) / (
             oracles.normal_pdf(0.0) * oracles.normal_pdf(0.0)
         )
         assert ratio == pytest.approx(1.25, abs=1e-12)
@@ -58,10 +78,10 @@ class TestContinuousLiftAt:
     def test_bvn_matches_density_ratio_at_probe_points(self):
         dist = ld.BivariateNormal(0.6)
         for x, y in [(0.5, 0.5), (-1.0, 2.0), (2.5, -0.5)]:
-            ratio = ld.density_at(dist, (x, y)) / (
+            ratio = dist.joint_density(x, y) / (
                 oracles.normal_pdf(x) * oracles.normal_pdf(y)
             )
-            assert ld.continuous_lift_at(dist, (x, y)) == pytest.approx(ratio, rel=1e-12)
+            assert ld.lift_at(dist, (x, y)) == pytest.approx(ratio, rel=1e-12)
 
     def test_circular_cauchy_origin(self):
         # marginal check by numeric y-integration: it must be standard Cauchy
@@ -69,7 +89,7 @@ class TestContinuousLiftAt:
             lambda y: 1 / (2 * math.pi * (1 + 0.0 + y * y) ** 1.5), -np.inf, np.inf
         )
         assert marg == pytest.approx(1 / math.pi, rel=1e-10)
-        assert ld.continuous_lift_at(ld.CircularCauchy(), (0.0, 0.0)) == pytest.approx(
+        assert ld.lift_at(ld.CircularCauchy(), (0.0, 0.0)) == pytest.approx(
             math.pi / 2, rel=1e-12
         )
 
@@ -78,34 +98,34 @@ class TestContinuousLiftAt:
             ld.uniform_pdf(0.0, 1.0), ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)
         )
         with pytest.raises(ld.UndefinedAtPoint):
-            ld.continuous_lift_at(dist, (2.0, 0.5))
+            ld.lift_at(dist, (2.0, 0.5))
 
 
 class TestCurveLiftAt:
     def test_normal_identity_on_curve(self, normal_identity_curve):
-        assert ld.curve_lift_at(normal_identity_curve, (0.0, 0.0)) == pytest.approx(
+        assert ld.lift_at(normal_identity_curve, (0.0, 0.0)) == pytest.approx(
             1.1283791670955123, rel=1e-9
         )
 
     def test_off_curve_is_zero(self, normal_identity_curve):
-        assert ld.curve_lift_at(normal_identity_curve, (0.0, 1.0)) == 0.0
+        assert ld.lift_at(normal_identity_curve, (0.0, 1.0)) == 0.0
         # y = x at x = 9 lies beyond the branch domain [-8, 8]
-        assert ld.curve_lift_at(normal_identity_curve, (9.0, 9.0)) == 0.0
+        assert ld.lift_at(normal_identity_curve, (9.0, 9.0)) == 0.0
 
     def test_undefined_where_y_marginal_vanishes(self, uniform_identity_curve):
         curve = dataclasses.replace(uniform_identity_curve, marginal_y=ld.uniform_pdf(0.0, 0.5))
-        assert ld.curve_lift_at(curve, (0.25, 0.25)) == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)))
+        assert ld.lift_at(curve, (0.25, 0.25)) == pytest.approx(1.0 / (math.pi * math.sqrt(2.0)))
         with pytest.raises(ld.UndefinedAtPoint):
-            ld.curve_lift_at(curve, (0.75, 0.75))
+            ld.lift_at(curve, (0.75, 0.75))
 
     def test_two_branch_mixture(self, tent_curve):
-        assert ld.curve_lift_at(tent_curve, (0.25, 0.25)) == pytest.approx(
+        assert ld.lift_at(tent_curve, (0.25, 0.25)) == pytest.approx(
             0.22507907903927651, rel=1e-8
         )
 
     def test_branch_tie_breaks_to_smallest_index(self, tent_curve):
         # at x = 0.5 both branches pass through y = 0.5; branch 0 wins
-        val = ld.curve_lift_at(tent_curve, (0.5, 0.5))
+        val = ld.lift_at(tent_curve, (0.5, 0.5))
         assert val == pytest.approx(0.22507907903927651, rel=1e-8)
         # weights 1/4 and 3/4 keep Y uniform but give the branches different
         # lifts 2 a_n / (pi sqrt 2), so the winner shows
@@ -115,7 +135,7 @@ class TestCurveLiftAt:
             (0.0, 1.0),
             (dataclasses.replace(up, weight=0.25), dataclasses.replace(down, weight=0.75)),
         )
-        assert ld.curve_lift_at(skewed, (0.5, 0.5)) == pytest.approx(
+        assert ld.lift_at(skewed, (0.5, 0.5)) == pytest.approx(
             0.5 / (math.pi * math.sqrt(2.0)), rel=1e-12
         )
 
@@ -425,7 +445,7 @@ class TestPropertySuite:
     def test_normalization_continuous(self):
         dist = ld.BivariateNormal(0.6)
         total = oracles.quad_2d(
-            lambda x, y: ld.continuous_lift_at(dist, (x, y))
+            lambda x, y: ld.lift_at(dist, (x, y))
             * oracles.normal_pdf(x)
             * oracles.normal_pdf(y),
             -8,
@@ -442,7 +462,7 @@ class TestPropertySuite:
         # conditional CDF of Y given X = x
         dist = ld.BivariateNormal(r)
         val = oracles.quad_1d(
-            lambda y: ld.continuous_lift_at(dist, (x, y)) * oracles.normal_pdf(y), -8.0, b
+            lambda y: ld.lift_at(dist, (x, y)) * oracles.normal_pdf(y), -8.0, b
         )
         expected = oracles.normal_cdf((b - r * x) / math.sqrt(1 - r * r))
         assert val == pytest.approx(expected, abs=1e-4)
@@ -486,7 +506,7 @@ class TestPropertySuite:
         dist = normal_identity_curve
 
         def integrand(x):
-            lift = ld.curve_lift_at(dist, (x, x))
+            lift = ld.lift_at(dist, (x, x))
             return lift * oracles.normal_pdf(x) * oracles.normal_pdf(x) * math.sqrt(2.0)
 
         lhs = (math.pi / 2) * oracles.quad_1d(integrand, a, b)
@@ -503,7 +523,7 @@ class TestPropertySuite:
         rho_y = ld.pushforward_density_fn(dist)
 
         def integrand(x):
-            lift = ld.curve_lift_at(dist, (x, x * x))
+            lift = ld.lift_at(dist, (x, x * x))
             return lift * 1.0 * rho_y(x * x) * math.sqrt(1 + 4 * x * x)
 
         lhs = (math.pi / 2) * oracles.quad_1d(integrand, 0.2, 0.7)
@@ -539,8 +559,8 @@ class TestPropertySuite:
         rho_steep = ld.pushforward_density_fn(steep)
         rho_shallow = ld.pushforward_density_fn(shallow)
         for x in np.linspace(0.05, 0.95, 10):
-            conc_steep = ld.curve_lift_at(steep, (x, 2 * x)) * rho_steep(2 * x)
-            conc_shallow = ld.curve_lift_at(shallow, (x, x)) * rho_shallow(x)
+            conc_steep = ld.lift_at(steep, (x, 2 * x)) * rho_steep(2 * x)
+            conc_shallow = ld.lift_at(shallow, (x, x)) * rho_shallow(x)
             assert conc_shallow >= conc_steep
         # sanity: the factors are 2/(pi sqrt(2)) and 2/(pi sqrt(5))
         assert conc_shallow == pytest.approx(2 / (math.pi * math.sqrt(2)), rel=1e-9)

@@ -159,7 +159,7 @@ class TestLemmaConsistency:
         # density as eps shrinks along the schedule
         dist = ld.BivariateNormal(0.6)
         pts = ld.sample(dist, 10**6, seed=42)
-        target = ld.density_at(dist, (0.0, 0.0))
+        target = dist.joint_density(0.0, 0.0)
         radii = geometric_radii(0.4, 0.05, 6)
         counts = ball_mass_counts(pts, (0.0, 0.0), radii)
         rho_min = (counts[-1] / pts.shape[0]) / (math.pi * radii[-1] ** 2)
