@@ -252,6 +252,17 @@ def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
     raise ValueError(f"{what} csv: unreadable body")
 
 
+def _sample_pairs(samples, name: str) -> np.ndarray:
+    """``samples`` as a float array; ValueError naming ``name`` unless it has
+    shape (n, 2) and every value is finite, as :func:`read_samples_csv` gives."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"{name} must have shape (n, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} must be finite: a coordinate is NaN or infinite")
+    return pts
+
+
 def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
     samples = np.asarray(samples, dtype=float)
     write_csv(f, ("x", "y"), samples[:, 0], samples[:, 1])

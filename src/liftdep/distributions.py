@@ -514,10 +514,8 @@ class ContinuousFamily:
             rho_x = float(self.marginal_x(x))
             if rho_x <= 0.0:
                 continue
-            strip = adaptive_quad_1d(
-                lambda y: self.joint_density(np.full_like(y, x), y), lo_c, hi_c, tol=1e-10
-            )
-            rates[i] = strip.value / rho_x
+            strip = _interval_mass(lambda y: self.joint_density(np.full_like(y, x), y), lo_c, hi_c)
+            rates[i] = strip / rho_x
         return x_grid, rates, baseline
 
     def bounded_axis(self, axis: str) -> Interval:
@@ -654,7 +652,7 @@ class CircularCauchy(ContinuousFamily):
         """Exact marginal-then-conditional inversion."""
         u1 = rng.random(n)
         u2 = np.maximum(rng.random(n), 2.0**-53)  # u2 = 0 would map w to -1 exactly
-        x = np.tan(math.pi * (u1 - 0.5))
+        x = self.quantile_x(u1)
         a = np.sqrt(1.0 + x * x)
         w = 2.0 * u2 - 1.0
         y = a * w / np.sqrt(1.0 - w * w)
@@ -804,8 +802,11 @@ class CurveSingularJoint:
                     cut = float(bisect_roots(branch.phi, y, a, b))
                     a, b = (a, cut) if sign >= 0 else (cut, b)
                 a, b = max(a, lo), min(b, hi)
-                h += branch.weight * _interval_mass(self.marginal_x, a, b)
-                f_joint += branch.weight * _interval_mass(self.marginal_x, a, min(b, x))
+                mass = _interval_mass(self.marginal_x, a, b)
+                h += branch.weight * mass
+                if x < b:  # the piece reaches past x
+                    mass = _interval_mass(self.marginal_x, a, x)
+                f_joint += branch.weight * mass
         return f_joint, g, h
 
     def _no_density(self, *_):
@@ -1040,20 +1041,9 @@ def named_curve(spec: str) -> CurveSingularJoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedInverseCdf:
-    """Linear-interpolation quantile function built from a tabulated CDF."""
-
-    grid: np.ndarray
-    cdf: np.ndarray
-
-    def __call__(self, u):
-        return np.interp(u, self.cdf, self.grid)
-
-
-def tabulated_inverse_cdf(pdf: Evaluator, support: Interval) -> TabulatedInverseCdf:
+def tabulated_inverse_cdf(pdf: Evaluator, support: Interval) -> Evaluator:
     """Tabulate the CDF of ``pdf`` on ``support`` at INVERSE_CDF_RESOLUTION
-    points and return its inverse."""
+    points and return its inverse, linear interpolation in the table."""
     lo, hi = support
     grid = np.linspace(lo, hi, INVERSE_CDF_RESOLUTION)
     dens = np.asarray(pdf(grid), dtype=float)
@@ -1064,7 +1054,7 @@ def tabulated_inverse_cdf(pdf: Evaluator, support: Interval) -> TabulatedInverse
     if cdf[-1] <= 0:
         raise ValueError("pdf has zero mass on the support")
     cdf /= cdf[-1]
-    return TabulatedInverseCdf(grid=grid, cdf=cdf)
+    return lambda u: np.interp(u, cdf, grid)
 
 
 # ---------------------------------------------------------------------------

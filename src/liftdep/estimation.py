@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class ContingencyTable:
 
     @classmethod
     def from_samples(cls, samples) -> "ContingencyTable":
-        pts = np.asarray(samples, dtype=float).reshape(-1, 2)
+        """Count the pairs of an (n, 2) array of finite values; ValueError otherwise."""
+        pts = codec._sample_pairs(samples, "samples")
         x_labels, ix = np.unique(pts[:, 0], return_inverse=True)
         y_labels, iy = np.unique(pts[:, 1], return_inverse=True)
         counts = np.zeros((x_labels.size, y_labels.size), dtype=np.int64)
@@ -158,8 +159,8 @@ def kernel_lift(
     Joint density and the two marginals are estimated separately (marginals
     in 1D) and their ratio forms the lift. ``bandwidth_rule`` is either the
     string ``"silverman"`` or a fixed ``(h_x, h_y)`` pair. The grids must pass
-    :func:`~liftdep.lift.check_grids`, and every sample coordinate must be
-    finite, or ValueError is raised.
+    :func:`~liftdep.lift.check_grids`, and the samples must be an (n, 2)
+    array of finite values, or ValueError is raised.
 
     A kernel value below 2^-1022, the smallest normal double, counts as 0:
     for ``h = 1`` that is from about 37.6 bandwidths out. A cell whose
@@ -167,9 +168,7 @@ def kernel_lift(
     whose two positive marginal estimates have a product below 2^-1022 is
     divided by one at a time, so it is not.
     """
-    pts = np.asarray(samples, dtype=float).reshape(-1, 2)
-    if not np.isfinite(pts).all():
-        raise ValueError("samples must be finite: a coordinate is NaN or infinite")
+    pts = codec._sample_pairs(samples, "samples")
     n = pts.shape[0]
     if n < MIN_KERNEL_SAMPLE:
         raise MinSampleSize(f"kernel_lift needs at least {MIN_KERNEL_SAMPLE} samples, got {n}")
@@ -232,15 +231,7 @@ class TargetingResult:
     expected_extra_per_n: float
 
     def to_dict(self) -> dict:
-        target = self.target_y
-        return {
-            "target_y": list(target) if isinstance(target, tuple) else target,
-            "x_opt": self.x_opt,
-            "lift_at_opt": self.lift_at_opt,
-            "baseline_rate": self.baseline_rate,
-            "boosted_rate": self.boosted_rate,
-            "expected_extra_per_n": self.expected_extra_per_n,
-        }
+        return asdict(self)
 
     def to_json(self, f: io.TextIOBase) -> None:
         codec.write_json(f, self.to_dict())
@@ -253,17 +244,18 @@ def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
     or an absolutely continuous joint together with a target interval
     ``(lo, hi)`` and an optional 1D profile grid (by default 201 points over
     the X range of the integration box; ValueError when that range is
-    unbounded, or when a given grid is empty or holds NaN). The rates are the
-    class's ``target_rates``; ties break toward the smallest profile value.
+    unbounded, or when a given grid is not 1D, is empty or holds NaN). The
+    rates are the class's ``target_rates``; a tie goes to the first profile
+    in grid order, the smallest on an increasing grid.
     """
     if isinstance(dist_or_table, ContingencyTable):
         dist_or_table = empirical_pmf(dist_or_table)
     if x_grid is not None:
         x_grid = np.asarray(x_grid, dtype=float)
-        if x_grid.size < 1 or np.isnan(x_grid).any():
-            raise ValueError("the profile grid must be nonempty and free of NaN")
+        if x_grid.ndim != 1 or x_grid.size < 1 or np.isnan(x_grid).any():
+            raise ValueError("the profile grid must be 1D, nonempty and free of NaN")
     profiles, rates, baseline = dist_or_table.target_rates(target_y, x_grid)
-    i = int(np.argmax(rates))  # argmax takes the first maximizer: smallest x
+    i = int(np.argmax(rates))  # argmax takes the first maximizer in grid order
     boosted_rate = float(rates[i])
     if boosted_rate == -np.inf:
         raise TargetHasZeroMass("no grid profile has positive marginal density")

@@ -167,9 +167,11 @@ def sibuya_omega_at(dist, point) -> float:
 
 def check_grids(grid_x, grid_y) -> tuple[np.ndarray, np.ndarray]:
     """The two axes of a lift grid as float arrays. Raises ValueError unless
-    each is nonempty, free of NaN and strictly increasing."""
+    each is 1D, nonempty, free of NaN and strictly increasing."""
     grid_x = np.asarray(grid_x, dtype=float)
     grid_y = np.asarray(grid_y, dtype=float)
+    if grid_x.ndim != 1 or grid_y.ndim != 1:
+        raise ValueError(f"grids must be 1D, got grid_x {grid_x.shape} and grid_y {grid_y.shape}")
     if grid_x.size < 1 or grid_y.size < 1:
         raise ValueError("grids must be nonempty")
     if np.isnan(grid_x).any() or np.isnan(grid_y).any():

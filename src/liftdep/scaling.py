@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,25 +41,18 @@ WEIERSTRASS_DIMENSION = 2.0 - math.log(2.0) / math.log(3.0)
 
 def ball_density(points, center, eps: float) -> float:
     """Empirical ball-mass density: fraction of points within eps of the
-    center, divided by the ball area ``pi * eps^2``.
-
-    Counting is exact; see :func:`ball_mass_counts`.
+    center, divided by the ball area ``pi * eps^2``; the one-radius
+    :func:`ball_density_profile`.
     """
-    if not 0 < eps:
-        raise ValueError("eps must be positive")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        raise ValueError("points must be nonempty")
-    frac = ball_mass_counts(pts, center, [eps])[0] / pts.shape[0]
-    return frac / (math.pi * eps * eps)
+    return float(ball_density_profile(points, center, [eps]).densities[0])
 
 
 def ball_mass_counts(points, center, radii) -> np.ndarray:
-    """Exact in-ball counts for many radii via one sorted-distance pass; a NaN
-    or infinite center coordinate raises ValueError."""
+    """Exact in-ball counts for many radii via one sorted-distance pass over
+    an (n, 2) array; a NaN or infinite center coordinate raises ValueError."""
     if not np.isfinite(center).all():
         raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float)
     dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     dist.sort()
     return np.searchsorted(dist, np.asarray(radii, dtype=float), side="right")
@@ -96,12 +90,7 @@ class ScalingEstimate:
     radii_used: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "s_hat": self.s_hat,
-            "fit_r2": self.fit_r2,
-            "radii_used": list(self.radii_used),
-        }
+        return asdict(self)
 
     def to_json(self, f: io.TextIOBase) -> None:
         codec.write_json(f, self.to_dict())
@@ -114,10 +103,14 @@ def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:
 
 
 def ball_density_profile(points, center, radii) -> BallDensityProfile:
+    """Exact ball counts of ``points``, a nonempty (n, 2) array of finite
+    values, at each radius; ValueError for other points or radii."""
     radii = np.asarray(radii, dtype=float)
     if not (np.all(radii > 0) and np.all(np.diff(radii) < 0)):
         raise ValueError("radii must be positive and strictly decreasing")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = codec._sample_pairs(points, "points")
+    if pts.shape[0] == 0:
+        raise ValueError("points must be nonempty")
     counts = ball_mass_counts(pts, center, radii)
     return BallDensityProfile(
         center=(float(center[0]), float(center[1])),
@@ -181,8 +174,12 @@ class WeierstrassCurve:
     n_terms: int = 30
 
     def __post_init__(self):
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
+        try:
+            valid = operator.index(self.n_terms) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"n_terms must be an integer >= 1, got {self.n_terms!r}")
 
 
 def weierstrass_eval(curve: WeierstrassCurve, x) -> float | np.ndarray:

@@ -33,6 +33,18 @@ class TestContingencyTable:
         np.testing.assert_array_equal(t.counts, [[2, 1], [0, 1]])
         assert t.n == 4
 
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (2, 3, 2)])
+    def test_from_samples_needs_shape_n_by_2(self, shape):
+        # a (3, 4) array was counted as 6 pairs
+        with pytest.raises(ValueError, match=r"samples must have shape \(n, 2\)"):
+            ld.ContingencyTable.from_samples(np.zeros(shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_from_samples_needs_finite_values(self, value):
+        pts = np.array([[0.0, 0.0], [1.0, value], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            ld.ContingencyTable.from_samples(pts)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             table([[0, 0], [0, 0]])
@@ -127,9 +139,12 @@ class TestKernelLift:
         with pytest.raises(ValueError, match="must be a pair"):
             ld.kernel_lift(pts, grid, grid, bandwidths)
 
-    @pytest.mark.parametrize("grid", [[-1.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0], []])
+    @pytest.mark.parametrize(
+        "grid", [[-1.0, math.nan, 1.0], [1.0, 0.0, -1.0], [0.0, 0.0], [], [[-1.0, 0.0], [0.5, 1.0]]]
+    )
     def test_grid_must_be_a_nonempty_increasing_grid_without_nan(self, grid):
-        # a NaN or decreasing grid used to give NaN or mirrored cells, no error
+        # a NaN or decreasing grid used to give NaN or mirrored cells, no error,
+        # and a 2D one a field of the wrong shape
         pts = ld.sample(ld.BivariateNormal(0.0), 500, seed=3)
         with pytest.raises(ValueError, match="grids must"):
             ld.kernel_lift(pts, grid, np.linspace(-1, 1, 3))
@@ -149,6 +164,14 @@ class TestKernelLift:
         grid = np.linspace(-1, 1, 3)
         with pytest.raises(ValueError, match="finite"):
             ld.kernel_lift(pts, grid, grid, bandwidths)
+
+    @pytest.mark.parametrize("shape", [(30, 4), (120,), (40, 1), (2, 30, 2)])
+    def test_samples_must_have_shape_n_by_2(self, shape):
+        # the values were re-paired by reshape(-1, 2): (30, 4) ran with n = 60
+        pts = np.random.default_rng(5).standard_normal(shape)
+        grid = np.linspace(-1, 1, 3)
+        with pytest.raises(ValueError, match=r"samples must have shape \(n, 2\)"):
+            ld.kernel_lift(pts, grid, grid)
 
     def test_min_sample_size(self):
         pts = ld.sample(ld.BivariateNormal(0.0), 19, seed=4)
@@ -393,8 +416,11 @@ class TestTargeting:
         with pytest.raises(ld.TargetHasZeroMass):
             ld.target_profile(dist, 1.0)
 
-    @pytest.mark.parametrize("grid", [[], [math.nan, 1.0], [0.0, math.nan]])
+    @pytest.mark.parametrize(
+        "grid", [[], [math.nan, 1.0], [0.0, math.nan], [[0.0, 1.0], [2.0, 3.0]], 0.5]
+    )
     def test_profile_grid_must_be_nonempty_and_free_of_nan(self, grid):
+        # a grid that is not 1D raised IndexError
         with pytest.raises(ValueError, match="profile grid"):
             ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), grid)
 

@@ -391,6 +391,17 @@ class TestLiftGrid:
             with pytest.raises(ValueError, match="NaN"):
                 ld.lift_grid(dist, grid_x, grid_y)
 
+    @pytest.mark.parametrize(
+        "grid_x,grid_y",
+        [([[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0]), ([0.0, 1.0], [[0.0], [1.0]]), (0.5, [0.0, 1.0])],
+        ids=["2d-x", "2d-y", "0d-x"],
+    )
+    def test_grid_axes_must_be_1d(self, grid_x, grid_y, dep_pmf):
+        # a 2D axis gave values of shape (2, 1, 2), a 0D one raised IndexError
+        for dist in (ld.BivariateNormal(0.6), dep_pmf):
+            with pytest.raises(ValueError, match="grids must be 1D"):
+                ld.lift_grid(dist, grid_x, grid_y)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
     def test_tol_must_be_positive_and_finite(self, tol, dep_pmf):
         # a NaN or infinite tolerance used to label every cell Neutral

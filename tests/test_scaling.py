@@ -29,6 +29,34 @@ class TestBallDensity:
         val = ld.ball_density(pts, (0.5, 0.5), 0.1)
         assert val == pytest.approx(1.0, abs=0.02)
 
+    def test_is_the_one_radius_profile_bit_for_bit(self):
+        # it computed (pi eps) eps where the profile computes pi r^2: one ulp apart here
+        pts = np.random.default_rng(7).random((100_000, 2))
+        want = ld.ball_density_profile(pts, (0.5, 0.5), [1e-3]).densities[0]
+        got = ld.ball_density(pts, (0.5, 0.5), 1e-3)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == want.view(np.int64)
+
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            (np.zeros(8), r"points must have shape \(n, 2\)"),
+            (np.zeros((3, 4)), r"points must have shape \(n, 2\)"),
+            ([[math.nan, math.nan], [0.0, 0.0]], "points must be finite"),
+            ([[0.0, math.inf], [0.0, 0.0]], "points must be finite"),
+            (np.empty((0, 2)), "points must be nonempty"),
+        ],
+        ids=["flat", "3x4", "nan-row", "inf", "empty"],
+    )
+    def test_points_must_be_nonempty_finite_pairs(self, points, message):
+        # a flat array of 8 values was 4 points, a NaN row counted in n (the
+        # nan-row case gave 1/(2 pi) instead of 1/pi), and the profile of no
+        # points gave 0/0 densities with a RuntimeWarning
+        with pytest.raises(ValueError, match=message):
+            ld.ball_density_profile(points, (0.0, 0.0), [1.0, 0.5])
+        with pytest.raises(ValueError, match=message):
+            ld.ball_density(points, (0.0, 0.0), 1.0)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             ld.ball_density([[0.0, 0.0]], (0.0, 0.0), 0.0)
@@ -238,6 +266,13 @@ class TestWeierstrass:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ld.WeierstrassCurve(n_terms=0)
+        # 2.5 summed 3 terms against an error bound of 2^-2.5
+        for n_terms in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="n_terms must be an integer >= 1"):
+                ld.WeierstrassCurve(n_terms=n_terms)
+        assert ld.weierstrass_eval(ld.WeierstrassCurve(np.int64(3)), 0.25) == ld.weierstrass_eval(
+            ld.WeierstrassCurve(3), 0.25
+        )
         with pytest.raises(ValueError):
             ld.weierstrass_grid(ld.WeierstrassCurve(), 1)
 
