@@ -155,6 +155,7 @@ def _cmd_lift_grid(args, f, parser):
 
 
 def _cmd_mi(args, f, parser):
+    from . import codec
     from . import distributions as dm
     from . import information as info
     from .quadrature import DEFAULT_BUDGET_2D
@@ -174,7 +175,7 @@ def _cmd_mi(args, f, parser):
         report = info.mi_discrete(dist)
     else:
         report = info.mi_curve(dist)
-    report.to_json(f)
+    codec.write_json(f, report.to_dict())
 
 
 def _cmd_regions(args, f, parser):
@@ -197,6 +198,7 @@ def _cmd_sibuya(args, f, parser):
 
 
 def _cmd_target(args, f, parser):
+    from . import codec
     from . import distributions as dm
     from . import estimation as est
 
@@ -216,7 +218,7 @@ def _cmd_target(args, f, parser):
         x_grid = _axis(_default(args.xmin, -3.0), _default(args.xmax, 3.0),
                        _default(args.nx, 201), "the profile grid")
         result = est.target_profile(dist, (args.target_lo, args.target_hi), x_grid)
-    result.to_json(f)
+    codec.write_json(f, result.to_dict())
 
 
 def _cmd_scaling(args, f, parser):
@@ -232,7 +234,7 @@ def _cmd_scaling(args, f, parser):
         eps_min=args.eps_min,
         k=args.k,
     )
-    estimate.to_json(f)
+    codec.write_json(f, estimate.to_dict())
 
 
 def _cmd_weierstrass(args, f, parser):
@@ -399,17 +401,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         with _out(args.out) as f:
             args.fn(args, f, args.parser)
-    except SystemExit as exc:  # parser.error from inside a subcommand
+    except SystemExit as exc:  # --help, or parser.error while parsing or in a subcommand
         return int(exc.code) if exc.code is not None else 0
-    except LiftDepError as exc:
-        print(f"error: {exc.name}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (LiftDepError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

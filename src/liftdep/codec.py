@@ -263,6 +263,16 @@ def _sample_pairs(samples, name: str) -> np.ndarray:
     return pts
 
 
+def _pair(value, name: str) -> tuple[float, float]:
+    """``value`` as two floats; ValueError naming ``name`` unless it is a
+    pair of numbers (shape (2,)). The callers check the range."""
+    with contextlib.suppress(TypeError, ValueError):  # non-numeric cells or ragged rows
+        pair = np.asarray(value, dtype=float)
+        if pair.shape == (2,):
+            return float(pair[0]), float(pair[1])
+    raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+
+
 def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
     samples = np.asarray(samples, dtype=float)
     write_csv(f, ("x", "y"), samples[:, 0], samples[:, 1])

@@ -62,7 +62,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .codec import (
-    _csv_float, _read_csv, _two_product, read_samples_csv, write_csv, write_samples_csv
+    _csv_float, _pair, _read_csv, _two_product, read_samples_csv, write_csv, write_samples_csv
 )
 from .errors import (
     CurveSingularHasNoDensity,
@@ -316,7 +316,10 @@ class DiscreteJoint:
 
     def target_rates(self, target, x_grid):
         """``(x_support, P(Y = target | X), P(Y = target))``, rate ``-inf`` where
-        ``p_X`` is 0; ``x_grid`` is unused. TargetHasZeroMass for a null label."""
+        ``p_X`` is 0; ``x_grid`` is unused. ValueError unless ``target`` is one
+        number, TargetHasZeroMass for a null label."""
+        if np.ndim(target) != 0:
+            raise ValueError(f"target label must be one number, got {target!r}")
         iy = np.nonzero(self.y_support == float(target))[0]
         if iy.size == 0:
             raise TargetHasZeroMass(f"target label {target} not in the Y support")
@@ -480,8 +483,8 @@ class ContinuousFamily:
 
     def target_rates(self, target, x_grid):
         """``(x_grid, P(Y in target | X = x), P(Y in target))`` for an interval
-        ``(lo, hi)``, rate ``-inf`` where ``rho_X`` is 0; the default grid is
-        201 points over the X range of the box.
+        ``(lo, hi)`` of two numbers, ``lo < hi``, rate ``-inf`` where ``rho_X``
+        is 0; the default grid is 201 points over the X range of the box.
 
         With ``conditional_cdf_y`` the rates are one vectorized
         ``C(hi | x) - C(lo | x)`` and the baseline a difference of ``cdf_y``,
@@ -490,9 +493,7 @@ class ContinuousFamily:
         rate is a strip integral of the joint density over ``(lo, hi)``
         divided by ``rho_X``, and the baseline the integral of ``marginal_y``.
         """
-        if not (isinstance(target, (tuple, list)) and len(target) == 2):
-            raise TypeError("continuous targeting requires a (lo, hi) target interval")
-        lo, hi = float(target[0]), float(target[1])
+        lo, hi = _pair(target, "target interval")
         if not lo < hi:
             raise ValueError("target interval must satisfy lo < hi")
         if x_grid is None:

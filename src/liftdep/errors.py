@@ -9,10 +9,6 @@ name is the stable, machine-readable identifier the CLI prints on stderr.
 class LiftDepError(Exception):
     """Base error for the liftdep library."""
 
-    @property
-    def name(self) -> str:
-        return type(self).__name__
-
 
 class CurveSingularHasNoDensity(LiftDepError):
     """A curve-singular joint has no density w.r.t. area measure."""

@@ -16,7 +16,6 @@ on the caller.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass
 
@@ -178,10 +177,7 @@ def kernel_lift(
             raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
         hx, hy = silverman_bandwidth(xs), silverman_bandwidth(ys)
     else:
-        pair = np.asarray(bandwidth_rule, dtype=float)
-        if pair.shape != (2,):
-            raise ValueError(f"fixed bandwidths must be a pair, got {bandwidth_rule!r}")
-        hx, hy = float(pair[0]), float(pair[1])
+        hx, hy = codec._pair(bandwidth_rule, "fixed bandwidths")
         if not (0 < hx < math.inf and 0 < hy < math.inf):
             raise ValueError("fixed bandwidths must be positive and finite")
 
@@ -233,9 +229,6 @@ class TargetingResult:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, f: io.TextIOBase) -> None:
-        codec.write_json(f, self.to_dict())
-
 
 def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
     """Profile maximizing the lift toward the target response.
@@ -259,7 +252,7 @@ def target_profile(dist_or_table, target_y, x_grid=None) -> TargetingResult:
     boosted_rate = float(rates[i])
     if boosted_rate == -np.inf:
         raise TargetHasZeroMass("no grid profile has positive marginal density")
-    target = tuple(map(float, target_y)) if isinstance(target_y, (tuple, list)) else float(target_y)
+    target = tuple(map(float, target_y)) if np.ndim(target_y) else float(target_y)
     return TargetingResult(
         target_y=target,
         x_opt=float(profiles[i]),

@@ -97,9 +97,6 @@ class MiReport:
             "n_evals": self.n_evals,
         }
 
-    def to_json(self, f: io.TextIOBase) -> None:
-        codec.write_json(f, self.to_dict())
-
 
 def _quad_report(result, method: MiMethod) -> MiReport:
     """The report of a quadrature route: value, error and counts of its QuadResult."""

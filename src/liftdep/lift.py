@@ -117,11 +117,11 @@ def discrete_lift(dist: dm.DiscreteJoint, tol: float = ANALYTIC_TOL) -> LiftFiel
 def lift_at(dist, point) -> float:
     """Pointwise lift: a one-point :func:`lift_grid`.
 
-    Raises ValueError for a NaN coordinate, OutOfSupport for a label outside
-    a discrete support (``±inf`` included), and UndefinedAtPoint where the
-    lift is undefined (a vanishing marginal).
+    Raises ValueError unless ``point`` is a pair of numbers without NaN,
+    OutOfSupport for a label outside a discrete support (``±inf`` included),
+    and UndefinedAtPoint where the lift is undefined (a vanishing marginal).
     """
-    x, y = float(point[0]), float(point[1])
+    x, y = codec._pair(point, "point")
     value = float(lift_grid(dist, [x], [y]).values[0, 0])
     if math.isnan(value):
         if isinstance(dist, dm.DiscreteJoint):
@@ -145,13 +145,13 @@ def sibuya_omega_at(dist, point) -> float:
     relative-accurate and untruncated, else adaptive quadrature over the box;
     or X-marginal masses of sublevel sets of the branches (curve-singular).
 
-    Raises ValueError for a NaN coordinate; ``±inf`` is a valid coordinate.
-    Raises UndefinedAtPoint where ``G`` or ``H`` is below DENSITY_FLOOR or
-    their product is below ``sys.float_info.min``, where it has lost digits;
-    on the conditional route also where ``F`` cannot be found to its
-    tolerance (see ``ContinuousFamily.sibuya_parts``).
+    Raises ValueError unless ``point`` is a pair of numbers without NaN
+    (``±inf`` is valid). Raises UndefinedAtPoint where ``G`` or ``H`` is
+    below DENSITY_FLOOR or their product is below ``sys.float_info.min``,
+    where it has lost digits; on the conditional route also where ``F``
+    cannot be found to its tolerance (see ``ContinuousFamily.sibuya_parts``).
     """
-    x, y = float(point[0]), float(point[1])
+    x, y = codec._pair(point, "point")
     if math.isnan(x) or math.isnan(y):
         raise ValueError(f"Sibuya ratio needs a point without NaN, got ({x}, {y})")
     f_joint, g, h = dist.sibuya_parts(x, y)

@@ -322,10 +322,7 @@ def adaptive_quad_1d(
     undefined there. Raises ValueError unless ``a < b``, and on a ``tol``,
     ``rtol`` or ``budget`` that :func:`check_quad_args` refuses.
     """
-    g, t_bounds, to_t = _sinh_map(f, (a, b))
-    seeds = [t_bounds]
+    g, (t_a, t_b), to_t = _sinh_map(f, (a, b))
     cuts = sorted({float(p) for p in breaks if a < p < b})
-    if cuts:
-        ends = [t_bounds[0], *(to_t(0, p) for p in cuts), t_bounds[1]]
-        seeds = list(zip(ends[:-1], ends[1:]))
-    return _adaptive_heap(g, seeds, _split_1d, tol, budget, rtol)
+    ends = [t_a, *(to_t(0, p) for p in cuts), t_b]
+    return _adaptive_heap(g, list(zip(ends[:-1], ends[1:])), _split_1d, tol, budget, rtol)

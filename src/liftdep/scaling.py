@@ -49,11 +49,12 @@ def ball_density(points, center, eps: float) -> float:
 
 def ball_mass_counts(points, center, radii) -> np.ndarray:
     """Exact in-ball counts for many radii via one sorted-distance pass over
-    an (n, 2) array; a NaN or infinite center coordinate raises ValueError."""
-    if not np.isfinite(center).all():
-        raise ValueError(f"center coordinates must be finite, got {tuple(center)}")
+    an (n, 2) array; ValueError unless ``center`` is a pair of finite numbers."""
+    cx, cy = codec._pair(center, "center")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"center coordinates must be finite, got {(cx, cy)}")
     pts = np.asarray(points, dtype=float)
-    dist = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
+    dist = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy)
     dist.sort()
     return np.searchsorted(dist, np.asarray(radii, dtype=float), side="right")
 
@@ -92,9 +93,6 @@ class ScalingEstimate:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, f: io.TextIOBase) -> None:
-        codec.write_json(f, self.to_dict())
-
 
 def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:
     """Decreasing geometric ladder from eps_max down to eps_min, k rungs."""
@@ -104,16 +102,17 @@ def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:
 
 def ball_density_profile(points, center, radii) -> BallDensityProfile:
     """Exact ball counts of ``points``, a nonempty (n, 2) array of finite
-    values, at each radius; ValueError for other points or radii."""
+    values, at each radius; ValueError for other points, centers or radii."""
     radii = np.asarray(radii, dtype=float)
     if not (np.all(radii > 0) and np.all(np.diff(radii) < 0)):
         raise ValueError("radii must be positive and strictly decreasing")
     pts = codec._sample_pairs(points, "points")
     if pts.shape[0] == 0:
         raise ValueError("points must be nonempty")
+    center = codec._pair(center, "center")
     counts = ball_mass_counts(pts, center, radii)
     return BallDensityProfile(
-        center=(float(center[0]), float(center[1])),
+        center=center,
         radii=radii,
         counts=counts,
         n=pts.shape[0],
@@ -129,13 +128,18 @@ def scaling_exponent(
 ) -> ScalingEstimate:
     """Least-squares slope of ``log mass(B_eps)`` vs ``log eps``.
 
-    Radii follow a geometric schedule; rungs with fewer than 10 points are
-    dropped and at least 4 must survive, otherwise InsufficientRadii.
+    Radii follow a geometric schedule of ``k`` rungs, an integer >= 4; those
+    with fewer than 10 points are dropped and at least 4 must survive,
+    otherwise InsufficientRadii.
     """
     if not 0 < eps_min < eps_max < math.inf:
         raise ValueError("need 0 < eps_min < eps_max < inf")
-    if k < MIN_FIT_RADII:
-        raise ValueError(f"k must be at least {MIN_FIT_RADII}")
+    try:
+        valid = operator.index(k) >= MIN_FIT_RADII
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"k must be an integer >= {MIN_FIT_RADII}, got {k!r}")
     profile = ball_density_profile(points, center, geometric_radii(eps_max, eps_min, k))
     keep = profile.counts >= MIN_COUNT_PER_RADIUS
     if int(keep.sum()) < MIN_FIT_RADII:
@@ -151,7 +155,7 @@ def scaling_exponent(
     ss_tot = float(np.sum((log_mass - log_mass.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ScalingEstimate(
-        center=(float(center[0]), float(center[1])),
+        center=profile.center,
         s_hat=float(slope),
         fit_r2=float(min(max(r2, 0.0), 1.0)),
         radii_used=tuple(float(e) for e in profile.radii[keep]),

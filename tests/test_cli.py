@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import liftdep
+from liftdep import cli
 from liftdep.cli import main
+from liftdep.errors import LiftDepError
 
 import oracles
 
@@ -144,6 +146,26 @@ class TestExitCodes:
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "mi", "--pmf-file", "/nonexistent/x.csv")
         assert code == 1
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["mi", "--dist", "bvn", "--r", "0.6", "--pmf-file", "pmf.csv"], 2,
+         "liftdep mi: error: --dist and --pmf-file are mutually exclusive\n"),
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "1"], 1,
+         "error: ValueError: grid counts must be >= 2\n"),
+        (["target", "--pmf-file", "pmf.csv"], 2,
+         "liftdep target: error: discrete targeting requires --target-y\n"),
+        (["estimate-lift", "--samples-file", "samples.csv", "--bandwidth-x", "0.5"], 2,
+         "liftdep estimate-lift: error: --bandwidth-x and --bandwidth-y must be given together\n"),
+    ], ids=["dist-and-pmf-file", "nx-1", "target-without-target-y", "bandwidth-x-alone"])
+    def test_flag_errors(self, capsys, tmp_path, monkeypatch, argv, code, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pmf.csv").write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
+        (tmp_path / "samples.csv").write_text(
+            "x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30))
+        )
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.endswith(message)
 
 
 class TestOutputs:
@@ -521,6 +543,32 @@ class TestUnreadFlags:
         assert not (tmp_path / "out.csv").exists()
 
 
+ERROR_CLASSES = [*LiftDepError.__subclasses__(), ValueError, OSError]
+
+
+class TestFailurePath:
+    """Every error a handler raises reaches one printer in ``main``."""
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_an_error_exits_1_with_its_class_name(self, capsys, monkeypatch, error):
+        def handler(args, f, parser):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "_cmd_mi", handler)
+        code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.6")
+        assert (code, out, err) == (1, "", f"error: {error.__name__}: the message\n")
+
+    def test_a_usage_error_in_a_handler_exits_2(self, capsys, monkeypatch):
+        def handler(args, f, parser):
+            parser.error("the message")
+
+        monkeypatch.setattr(cli, "_cmd_mi", handler)
+        code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.6")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: liftdep mi ")
+        assert err.endswith("\nliftdep mi: error: the message\n")
+
+
 class TestOutFile:
     """``--out PATH`` replaces the file only when the command succeeds."""
 
@@ -569,6 +617,11 @@ class TestOutFile:
         out = tmp_path / "mi.json"
         assert main(["mi", "--dist", "bvn", "--r", "0.3", "--out", str(out)]) == 0
         assert out.stat().st_mode & 0o7777 == plain.stat().st_mode & 0o7777
+
+    def test_a_device_is_written_directly(self, capsys, tmp_path):
+        # not a regular file, so it is opened as it is, with no temporary sibling
+        code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.3", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
 
     def test_dash_writes_to_stdout(self, capsys, tmp_path):
         code, out, _ = run(capsys, "mi", "--dist", "bvn", "--r", "0.3", "--out", "-")

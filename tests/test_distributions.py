@@ -183,6 +183,15 @@ class TestPushforwardDensity:
         assert branch.dphi(np.array([0.5]))[0] < 0
         assert monotone_pieces(branch) == [(0.0, 1.0, 1)]
 
+    def test_declared_breakpoints_that_are_right(self):
+        branch = ld.CurveBranch(
+            phi=lambda x: np.asarray(x, dtype=float) * (1.0 - np.asarray(x, dtype=float)),
+            dphi=lambda x: 1.0 - 2.0 * np.asarray(x, dtype=float),
+            domain=(0.0, 1.0),
+            breakpoints=(0.5,),
+        )
+        assert monotone_pieces(branch) == [(0.0, 0.5, 1), (0.5, 1.0, -1)]
+
     def test_derivative_vanishes_at_fold(self):
         branch = ld.CurveBranch(
             phi=lambda x: np.asarray(x, dtype=float) ** 2,
@@ -505,6 +514,37 @@ class TestClassInvariants:
         )
         assert float(strip.quantile_x([0.5])[0]) == pytest.approx(0.0, abs=1e-3)
 
+    def test_pmf_shape_must_match_the_supports(self):
+        with pytest.raises(ValueError, match="pmf shape must be"):
+            ld.DiscreteJoint([0.0, 1.0], [0.0, 1.0], [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("x_support,y_support", [([1.0, 0.0], [0.0]), ([0.0, 1.0], [0.0, 0.0])])
+    def test_supports_must_increase(self, x_support, y_support):
+        pmf = np.full((len(x_support), len(y_support)), 1.0 / (len(x_support) * len(y_support)))
+        with pytest.raises(ValueError, match="supports must be strictly increasing"):
+            ld.DiscreteJoint(x_support, y_support, pmf)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"weight": 1.5}, r"branch weight must lie in \[0, 1\]"),
+        ({"weight": -0.1}, r"branch weight must lie in \[0, 1\]"),
+        ({"breakpoints": (1.5,)}, "breakpoints must lie inside the branch domain"),
+    ], ids=["above-one", "negative", "breakpoint-outside"])
+    def test_branch_weight_and_breakpoints_are_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ld.CurveBranch(phi=np.asarray, dphi=np.ones_like, domain=(0.0, 1.0), **kwargs)
+
+    def test_a_curve_needs_a_branch(self):
+        with pytest.raises(ValueError, match="at least one branch is required"):
+            ld.CurveSingularJoint(ld.uniform_pdf(), (0.0, 1.0), ())
+
+    @pytest.mark.parametrize("pdf,message", [
+        (lambda x: -np.ones_like(x), "pdf evaluator returned negative values"),
+        (np.zeros_like, "pdf has zero mass on the support"),
+    ], ids=["negative", "zero"])
+    def test_tabulated_quantiles_need_a_density(self, pdf, message):
+        with pytest.raises(ValueError, match=message):
+            ld.sample(ld.IndependentProduct(pdf, ld.standard_normal_pdf), 5, seed=0)
+
     def test_branch_weights_sum_to_one(self):
         b1 = ld.CurveBranch(
             phi=lambda x: np.asarray(x, float),
@@ -594,6 +634,10 @@ class TestCsvFormats:
         assert buf.getvalue().splitlines()[0] == "x,y"
         back = ld.read_samples_csv(io.StringIO(buf.getvalue()))
         np.testing.assert_array_equal(back, pts)
+
+    def test_pmf_header_needs_y_labels(self):
+        with pytest.raises(ValueError, match="pmf csv needs a header"):
+            ld.read_pmf_csv(io.StringIO("x,a,b\n0,0.5,0.5\n"))
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liftdep as ld
+from liftdep.codec import write_json
 from liftdep.estimation import _kernel_rows
 from liftdep.lift import RegionLabel
 
@@ -50,6 +51,14 @@ class TestContingencyTable:
             table([[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             ld.ContingencyTable([0.0], [0.0], np.array([[1.5]]))
+
+    def test_counts_must_match_the_labels(self):
+        with pytest.raises(ValueError, match="counts shape must match the label vectors"):
+            ld.ContingencyTable([0.0, 1.0], [0.0], np.array([[1, 2]]))
+
+    def test_smoothing_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="smoothing must be nonnegative"):
+            ld.empirical_discrete_lift(table([[3, 1], [1, 3]]), smoothing=-0.5)
 
 
 class TestEmpiricalDiscreteLift:
@@ -177,6 +186,11 @@ class TestKernelLift:
         pts = ld.sample(ld.BivariateNormal(0.0), 19, seed=4)
         with pytest.raises(ld.MinSampleSize):
             ld.kernel_lift(pts, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3))
+
+    def test_unknown_bandwidth_rule(self):
+        pts = ld.sample(ld.BivariateNormal(0.0), 50, seed=4)
+        with pytest.raises(ValueError, match="unknown bandwidth rule 'scott'"):
+            ld.kernel_lift(pts, np.linspace(-1, 1, 3), np.linspace(-1, 1, 3), "scott")
 
     def test_degenerate_sample(self):
         pts = np.column_stack([np.ones(50), np.arange(50.0)])
@@ -424,6 +438,49 @@ class TestTargeting:
         with pytest.raises(ValueError, match="profile grid"):
             ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), grid)
 
+    def test_continuous_target_must_be_a_pair(self):
+        # one number raised TypeError
+        with pytest.raises(ValueError, match="target interval must be a pair of numbers, got 1.0"):
+            ld.target_profile(ld.BivariateNormal(0.6), 1.0)
+
+    def test_discrete_target_must_be_one_label(self, dep_pmf):
+        # a pair raised TypeError
+        with pytest.raises(ValueError, match=r"target label must be one number, got \(0.0, 1.0\)"):
+            ld.target_profile(dep_pmf, (0.0, 1.0))
+
+    def test_numpy_pair_target_matches_the_tuple(self):
+        # a numpy pair passed the rates and then raised TypeError
+        grid = np.linspace(-3, 3, 31)
+        result = ld.target_profile(ld.BivariateNormal(0.6), np.array([1.0, 2.0]), grid)
+        assert result == ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), grid)
+        assert result.target_y == (1.0, 2.0)
+
+    @pytest.mark.parametrize("target", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)])
+    def test_target_interval_must_increase(self, target):
+        with pytest.raises(ValueError, match="lo < hi"):
+            ld.target_profile(ld.BivariateNormal(0.6), target)
+
+    @pytest.mark.parametrize("view", [False, True], ids=["conditional", "generic"])
+    def test_zero_mass_target_interval(self, view):
+        dist = ld.BivariateNormal(0.6)
+        with pytest.raises(ld.TargetHasZeroMass, match="carries no mass"):
+            ld.target_profile(ld.as_continuous(dist) if view else dist, (100.0, 101.0))
+
+    def test_no_profile_with_positive_marginal_density(self):
+        with pytest.raises(ld.TargetHasZeroMass, match="no grid profile has positive"):
+            ld.target_profile(ld.BivariateNormal(0.6), (0.0, 1.0), [1e4])
+
+    def test_generic_route_skips_profiles_without_density(self):
+        """X ~ U(0, 1) independent of Y ~ N(0, 1): no rate at x = -0.5, where
+        rho_X = 0, and P(0 <= Y <= 1) at x = 0.5."""
+        dist = ld.IndependentProduct(ld.uniform_pdf(0.0, 1.0), ld.standard_normal_pdf)
+        want = float(ld.standard_normal_cdf(1.0)) - 0.5
+        profiles, rates, baseline = dist.target_rates((0.0, 1.0), [-0.5, 0.5])
+        assert rates[0] == -np.inf
+        assert rates[1] == pytest.approx(want, rel=1e-9)
+        assert baseline == pytest.approx(want, rel=1e-9)
+        assert ld.target_profile(dist, (0.0, 1.0), [-0.5, 0.5]).x_opt == 0.5
+
     def test_tie_breaks_to_smallest_profile(self):
         dist = ld.DiscreteJoint(
             [0.0, 1.0, 2.0],
@@ -457,7 +514,7 @@ class TestTargeting:
 
     def test_result_json(self, dep_pmf):
         buf = io.StringIO()
-        ld.target_profile(dep_pmf, 1.0).to_json(buf)
+        write_json(buf, ld.target_profile(dep_pmf, 1.0).to_dict())
         payload = json.loads(buf.getvalue())
         assert set(payload) == {
             "target_y",
@@ -468,7 +525,8 @@ class TestTargeting:
             "expected_extra_per_n",
         }
         buf2 = io.StringIO()
-        ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), np.linspace(-3, 3, 31)).to_json(
-            buf2
+        write_json(
+            buf2,
+            ld.target_profile(ld.BivariateNormal(0.6), (1.0, 2.0), np.linspace(-3, 3, 31)).to_dict(),
         )
         assert json.loads(buf2.getvalue())["target_y"] == [1.0, 2.0]

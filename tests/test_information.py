@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import liftdep as ld
 from liftdep import information
+from liftdep.codec import write_json
 from liftdep.distributions import named_curve
 from liftdep.information import (
     MiMethod,
@@ -279,6 +280,44 @@ class TestMiCurve:
             8.0,
         )
         assert ld.mi_curve(dist).value == pytest.approx(expected, abs=1e-6)
+
+    def test_a_zero_weight_branch_adds_nothing(self):
+        identity, = named_curve("curve-uniform-identity").branches
+        square = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float) ** 2,
+                                dphi=lambda x: 2.0 * np.asarray(x, dtype=float),
+                                domain=(0.0, 1.0), weight=0.0)
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (identity, square))
+        assert ld.mi_curve(dist).value == pytest.approx(MI_CURVE_UNIFORM_ID, abs=1e-12)
+
+    def test_branch_on_part_of_the_support_against_quadpack(self):
+        """X ~ U(0, 1) on Y = X (weight 0.6), or on Y = 1 - X^2 over [0.2, 0.7]
+        only (0.4). rho_Y(y) = 0.6 + 0.2 / sqrt(1 - y) on [0.51, 0.96] and 0.6
+        elsewhere in [0, 1]; later heap steps refine cells outside [0.2, 0.7]."""
+        up = ld.CurveBranch(phi=lambda x: np.asarray(x, dtype=float),
+                            dphi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                            domain=(0.0, 1.0), weight=0.6)
+        down = ld.CurveBranch(phi=lambda x: 1.0 - np.asarray(x, dtype=float) ** 2,
+                              dphi=lambda x: -2.0 * np.asarray(x, dtype=float),
+                              domain=(0.2, 0.7), weight=0.4)
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (up, down))
+
+        def rho_y(y):
+            return 0.6 + (0.2 / math.sqrt(1.0 - y) if 0.51 <= y <= 0.96 else 0.0)
+
+        def integrand(x):
+            total = 0.6 * math.log(2 * 0.6 / (math.pi * rho_y(x) * math.sqrt(2.0)))
+            if 0.2 <= x <= 0.7:
+                y = 1.0 - x * x
+                total += 0.4 * math.log(
+                    2 * 0.4 / (math.pi * rho_y(y) * math.sqrt(1.0 + 4.0 * x * x))
+                )
+            return total
+
+        expected = oracles.quad_1d(integrand, 0.0, 1.0, points=[0.2, 0.51, 0.7, 0.96],
+                                   epsabs=1e-13, epsrel=1e-13, limit=200)
+        report = ld.mi_curve(dist)
+        assert report.converged and report.n_steps > 1
+        assert report.value == pytest.approx(expected, abs=1e-8)
 
     def test_mixture_uses_branch_weights(self, tent_curve):
         # both branches have rho_Y = 1 and slope 1, so log L is constant
@@ -636,11 +675,15 @@ class TestMiInvariants:
     def test_report_fields_and_json(self):
         report = ld.mi_bvn_closed_form(0.6)
         buf = io.StringIO()
-        report.to_json(buf)
+        write_json(buf, report.to_dict())
         payload = json.loads(buf.getvalue())
         assert set(payload) == {"value", "method", "abs_error_estimate", "n_evals"}
         assert payload["method"] == "ClosedForm"
         assert payload["value"] == report.value
+
+    def test_negative_exact_mi_rejected(self):
+        with pytest.raises(ValueError, match="exact mutual information cannot be negative"):
+            ld.MiReport(-1.0, MiMethod.EXACT_SUM, 0.0, 1)
 
     def test_negative_error_estimate_rejected(self):
         with pytest.raises(ValueError):

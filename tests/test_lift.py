@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftdep as ld
+from liftdep import distributions
 from liftdep.lift import RegionLabel
 
 import oracles
@@ -59,6 +60,20 @@ def test_lift_at_nan_is_a_value_error_for_every_class(request, law, point):
     dist = named[law] if law in named else request.getfixturevalue(law)
     with pytest.raises(ValueError, match="NaN"):
         ld.lift_at(dist, point)
+
+
+@pytest.mark.parametrize("fn", [ld.lift_at, ld.sibuya_omega_at], ids=["lift", "sibuya"])
+@pytest.mark.parametrize(
+    "point",
+    [(0.0, 0.0, 5.0), (0.0,), np.zeros((1, 2)), 0.5, (1j, 0.0), [[0.0, 1.0], [2.0]]],
+    ids=["three", "one", "row", "scalar", "complex", "ragged"],
+)
+def test_a_point_that_is_not_a_pair_is_a_value_error(fn, point):
+    # a third coordinate was dropped (lift 1.25, omega 1.4097 at the origin),
+    # one coordinate raised IndexError, and a (1, 2) array and a complex
+    # coordinate TypeError
+    with pytest.raises(ValueError, match="point must be a pair of numbers"):
+        fn(ld.BivariateNormal(0.6), point)
 
 
 class TestContinuousLiftAt:
@@ -318,6 +333,48 @@ class TestSibuyaOmega:
         s = math.sqrt(y)
         want = max(0.0, min(x, s) + s) / 2 / (((x + 1) / 2) * s)
         assert ld.sibuya_omega_at(dist, (x, y)) == want
+
+    def test_conditional_route_beyond_the_largest_coordinate_is_undefined(self):
+        with pytest.raises(ld.UndefinedAtPoint, match=r"lies beyond 1e\+100"):
+            ld.sibuya_omega_at(ld.BivariateNormal(0.6), (1e101, 0.0))
+
+    def test_underflowing_joint_cdf_is_undefined(self):
+        """G = Phi(-37) ~ 5.7e-300 and H = 1/2 are in range, but with r = -0.6
+        F(-37, 0) is far below DENSITY_FLOOR."""
+        with pytest.raises(ld.UndefinedAtPoint, match="underflows"):
+            ld.sibuya_omega_at(ld.BivariateNormal(-0.6), (-37.0, 0.0))
+
+    def test_half_lines_that_miss_mass_are_undefined(self, monkeypatch):
+        """At r = 0 the point x = 0 is the mode of rho_X(s) C(y | s), so both
+        half lines are integrated. A family whose cdf_y is 0.9 of its
+        conditional law's makes their sum 1/0.9, past SIBUYA_MASS_TOL."""
+
+        @dataclasses.dataclass(frozen=True, eq=False)
+        class MisdeclaredCdfY(ld.BivariateNormal):
+            def cdf_y(self, y):
+                return 0.9 * ld.standard_normal_cdf(y)
+
+        assert ld.sibuya_omega_at(ld.BivariateNormal(0.0), (0.0, 0.5)) == pytest.approx(1.0)
+        with pytest.raises(ld.UndefinedAtPoint, match="misses mass"):
+            ld.sibuya_omega_at(MisdeclaredCdfY(0.0), (0.0, 0.5))
+        # the mass check, and nothing else, refuses it
+        monkeypatch.setattr(distributions, "SIBUYA_MASS_TOL", 0.2)
+        assert math.isfinite(ld.sibuya_omega_at(MisdeclaredCdfY(0.0), (0.0, 0.5)))
+
+    def test_curve_singular_omega_with_a_piece_above_y(self):
+        """X ~ U(0, 1) on Y = X or, with the same weight, Y = X + 2: at y = 1.5
+        the second branch lies wholly above y, so F = x / 2, G = x, H = 1/2."""
+        up = ld.CurveBranch(phi=lambda t: np.asarray(t, dtype=float),
+                            dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                            domain=(0.0, 1.0), weight=0.5)
+        high = ld.CurveBranch(phi=lambda t: np.asarray(t, dtype=float) + 2.0,
+                              dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                              domain=(0.0, 1.0), weight=0.5)
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (up, high))
+        for x in (0.3, 0.8, 1.0):
+            f_joint, g, h = dist.sibuya_parts(x, 1.5)
+            assert (f_joint, g, h) == pytest.approx((x / 2, x, 0.5), rel=1e-12)
+            assert ld.sibuya_omega_at(dist, (x, 1.5)) == pytest.approx(1.0, rel=1e-12)
 
     def test_underflowing_marginal_product_is_undefined(self):
         """G = H = 1e-200 at (0, 0) are positive, but G * H underflows to 0."""

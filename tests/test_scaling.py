@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import liftdep as ld
+from liftdep.codec import write_json
 from liftdep.scaling import ball_mass_counts, geometric_radii
 
 
@@ -109,6 +110,16 @@ class TestBallMassCounts:
         with pytest.raises(ValueError):
             ld.ball_density_profile(pts, center, radii)
 
+    @pytest.mark.parametrize("center", [(0.5, 0.5, 9.0), (0.5,), [[0.5, 0.5]], 0.5],
+                             ids=["three", "one", "row", "scalar"])
+    def test_center_must_be_a_pair(self, center):
+        # a third coordinate was dropped (density 0.985), one raised IndexError
+        pts = np.random.default_rng(7).random((1000, 2))
+        with pytest.raises(ValueError, match="center must be a pair of numbers"):
+            ld.ball_density(pts, center, 0.2)
+        with pytest.raises(ValueError, match="center must be a pair of numbers"):
+            ld.scaling_exponent(pts, center, eps_max=0.5, eps_min=0.1, k=6)
+
 
 class TestScalingExponent:
     def test_geometric_schedule(self):
@@ -144,6 +155,19 @@ class TestScalingExponent:
         pts = np.tile([[5.0, 5.0]], (100, 1))
         with pytest.raises(ld.InsufficientRadii):
             ld.scaling_exponent(pts, (0.0, 0.0), eps_max=0.1, eps_min=0.01, k=6)
+
+    @pytest.mark.parametrize("k", [5.5, 6.0, "6", None])
+    def test_k_must_be_an_integer(self, k):
+        # k = 5.5 made 6 rungs down to 0.0836, below eps_min = 0.1
+        pts = np.random.default_rng(7).random((100_000, 2))
+        with pytest.raises(ValueError, match="k must be an integer >= 4"):
+            ld.scaling_exponent(pts, (0.5, 0.5), eps_max=0.5, eps_min=0.1, k=k)
+
+    def test_a_numpy_integer_k_is_an_integer(self):
+        pts = np.random.default_rng(7).random((100_000, 2))
+        est = ld.scaling_exponent(pts, np.array([0.5, 0.5]), eps_max=0.5, eps_min=0.1, k=np.int64(6))
+        assert est == ld.scaling_exponent(pts, (0.5, 0.5), eps_max=0.5, eps_min=0.1, k=6)
+        assert est.radii_used[-1] == 0.1
 
     def test_parameter_validation(self):
         pts = np.random.default_rng(0).random((100, 2))
@@ -303,7 +327,7 @@ class TestScalingIo:
         pts = rng.random((50_000, 2))
         est = ld.scaling_exponent(pts, (0.5, 0.5), eps_max=0.2, eps_min=0.05, k=5)
         buf = io.StringIO()
-        est.to_json(buf)
+        write_json(buf, est.to_dict())
         payload = json.loads(buf.getvalue())
         assert set(payload) == {"center", "s_hat", "fit_r2", "radii_used"}
         assert payload["center"] == [0.5, 0.5]
