@@ -3,7 +3,9 @@
 Every subcommand reads flat long-form flags, writes CSV or JSON to ``--out``
 (``-`` for stdout), and is deterministic: identical argv and seed produce
 byte-identical output. Exit codes: 0 success, 1 domain error (the stable
-error name is printed on stderr), 2 usage error.
+error name is printed on stderr), 2 usage error. A handler decides every
+usage error from argv alone, then reads its files and builds the law, then
+computes, so a usage error never depends on an input file.
 """
 
 from __future__ import annotations
@@ -33,28 +35,31 @@ DIST_CHOICES = ("bvn", "cauchy-circular", "indep-normal") + CURVE_SPECS
 GRID_FLAGS = ("xmin", "xmax", "nx", "ymin", "ymax", "ny")
 
 
-def _build_dist(args, parser):
+def _check_law(args, parser):
+    """The usage rules of the law flags; ``main`` applies them before the handler's."""
+    if args.pmf_file is not None and args.dist is not None:
+        parser.error("--dist and --pmf-file are mutually exclusive")
+    if args.pmf_file is None and args.dist is None:
+        parser.error("one of --dist or --pmf-file is required")
+    if args.dist == "bvn" and args.r is None:
+        parser.error("--dist bvn requires --r")
+    if args.dist != "bvn" and args.r is not None:
+        parser.error("--r needs --dist bvn")
+
+
+def _build_dist(args):
     from . import distributions as dm
 
-    has_file = getattr(args, "pmf_file", None) is not None
-    has_named = getattr(args, "dist", None) is not None
-    if has_file and has_named:
-        parser.error("--dist and --pmf-file are mutually exclusive")
-    if not has_file and not has_named:
-        parser.error("one of --dist or --pmf-file is required")
-    if has_file:
+    if args.pmf_file is not None:
         with open(args.pmf_file, newline="") as f:
             return dm.read_pmf_csv(f)
-    spec = args.dist
-    if spec == "bvn":
-        if args.r is None:
-            parser.error("--dist bvn requires --r")
+    if args.dist == "bvn":
         return dm.BivariateNormal(args.r)
-    if spec == "cauchy-circular":
+    if args.dist == "cauchy-circular":
         return dm.CircularCauchy()
-    if spec == "indep-normal":
+    if args.dist == "indep-normal":
         return dm.IndependentProduct(dm.standard_normal_pdf, dm.standard_normal_pdf)
-    return dm.named_curve(spec)
+    return dm.named_curve(args.dist)
 
 
 def _given(args, names):
@@ -147,31 +152,32 @@ def _cmd_lift_grid(args, f, parser):
     flag = _given(args, GRID_FLAGS) if args.grid_default else None
     if flag:
         parser.error(f"{flag} conflicts with --grid-default")
-    dist = _build_dist(args, parser)
     if args.grid_default and args.pmf_file is None:
         parser.error("--grid-default needs --pmf-file")
+    dist = _build_dist(args)
     gx, gy = (dist.x_support, dist.y_support) if args.grid_default else _grids(args, 201)
     lf.lift_grid(dist, gx, gy, tol=tol).to_csv(f)
 
 
 def _cmd_mi(args, f, parser):
     from . import codec
-    from . import distributions as dm
     from . import information as info
     from .quadrature import DEFAULT_BUDGET_2D
 
+    closed_form = args.dist == "bvn" and args.method == "auto"
+    continuous = args.dist is not None and args.dist not in CURVE_SPECS
     if args.budget is not None and args.budget <= 0:
         parser.error("--budget must be positive")
-    dist = _build_dist(args, parser)
-    if isinstance(dist, dm.BivariateNormal) and args.method == "auto":
-        if args.budget is not None:
-            parser.error("--budget with --dist bvn needs --method quadrature")
-        report = info.mi_bvn_closed_form(dist.r)
-    elif isinstance(dist, dm.ContinuousFamily):
-        report = info.mi_continuous(dist, budget=_default(args.budget, DEFAULT_BUDGET_2D))
-    elif args.method == "quadrature" or args.budget is not None:
+    if closed_form and args.budget is not None:
+        parser.error("--budget with --dist bvn needs --method quadrature")
+    if not continuous and (args.method == "quadrature" or args.budget is not None):
         parser.error("--method quadrature and --budget need a continuous --dist")
-    elif isinstance(dist, dm.DiscreteJoint):
+    dist = _build_dist(args)
+    if closed_form:
+        report = info.mi_bvn_closed_form(dist.r)
+    elif continuous:
+        report = info.mi_continuous(dist, budget=_default(args.budget, DEFAULT_BUDGET_2D))
+    elif args.pmf_file is not None:
         report = info.mi_discrete(dist)
     else:
         report = info.mi_curve(dist)
@@ -183,7 +189,7 @@ def _cmd_regions(args, f, parser):
     from . import lift as lf
 
     tol = _tol(args, parser)
-    dist = _build_dist(args, parser)
+    dist = _build_dist(args)
     codec.write_json(f, lf.region_summary(dist, tol=tol).to_dict())
 
 
@@ -191,34 +197,31 @@ def _cmd_sibuya(args, f, parser):
     from . import codec
     from . import lift as lf
 
-    dist = _build_dist(args, parser)
-    points = [(float(x), float(y)) for x, y in args.point]
-    omega = [lf.sibuya_omega_at(dist, point) for point in points]
-    codec.write_csv(f, ("x", "y", "omega"), *zip(*points), omega)
+    dist = _build_dist(args)
+    omega = [lf.sibuya_omega_at(dist, point) for point in args.point]
+    codec.write_csv(f, ("x", "y", "omega"), *zip(*args.point), omega)
 
 
 def _cmd_target(args, f, parser):
     from . import codec
-    from . import distributions as dm
     from . import estimation as est
 
-    dist = _build_dist(args, parser)
-    if isinstance(dist, dm.DiscreteJoint):
+    if args.pmf_file is not None:
         flag = _given(args, ("target_lo", "target_hi", "xmin", "xmax", "nx"))
         if flag:
             parser.error(f"{flag} needs a continuous --dist")
         if args.target_y is None:
             parser.error("discrete targeting requires --target-y")
-        result = est.target_profile(dist, args.target_y)
+        target, x_grid = args.target_y, None
     else:
         if args.target_y is not None:
             parser.error("--target-y needs --pmf-file")
         if args.target_lo is None or args.target_hi is None:
             parser.error("continuous targeting requires --target-lo and --target-hi")
+        target = (args.target_lo, args.target_hi)
         x_grid = _axis(_default(args.xmin, -3.0), _default(args.xmax, 3.0),
                        _default(args.nx, 201), "the profile grid")
-        result = est.target_profile(dist, (args.target_lo, args.target_hi), x_grid)
-    codec.write_json(f, result.to_dict())
+    codec.write_json(f, est.target_profile(_build_dist(args), target, x_grid).to_dict())
 
 
 def _cmd_scaling(args, f, parser):
@@ -248,8 +251,7 @@ def _cmd_weierstrass(args, f, parser):
 def _cmd_counterexample(args, f, parser):
     from . import information as info
 
-    schedule = [float(tok) for tok in args.r_schedule.split(",") if tok.strip()]
-    info.convergence_counterexample(schedule).to_csv(f)
+    info.convergence_counterexample(args.r_schedule).to_csv(f)
 
 
 def _cmd_estimate_lift(args, f, parser):
@@ -262,6 +264,8 @@ def _cmd_estimate_lift(args, f, parser):
             parser.error(f"{flag} needs --estimator kernel")
     elif args.smoothing is not None:
         parser.error("--smoothing needs --estimator empirical")
+    elif (args.bandwidth_x is None) != (args.bandwidth_y is None):
+        parser.error("--bandwidth-x and --bandwidth-y must be given together")
     with open(args.samples_file, newline="") as sf:
         points = codec.read_samples_csv(sf)
     if args.estimator == "empirical":
@@ -269,13 +273,7 @@ def _cmd_estimate_lift(args, f, parser):
         field = est.empirical_discrete_lift(table, smoothing=_default(args.smoothing, 0.5))
     else:
         gx, gy = _grids(args, 101)
-        if (args.bandwidth_x is None) != (args.bandwidth_y is None):
-            parser.error("--bandwidth-x and --bandwidth-y must be given together")
-        rule = (
-            "silverman"
-            if args.bandwidth_x is None
-            else (args.bandwidth_x, args.bandwidth_y)
-        )
+        rule = "silverman" if args.bandwidth_x is None else (args.bandwidth_x, args.bandwidth_y)
         field = est.kernel_lift(points, gx, gy, bandwidth_rule=rule).field
     field.to_csv(f)
 
@@ -283,8 +281,7 @@ def _cmd_estimate_lift(args, f, parser):
 def _cmd_sample(args, f, parser):
     from . import distributions as dm
 
-    dist = _build_dist(args, parser)
-    dm.write_samples_csv(f, dm.sample(dist, args.n, args.seed))
+    dm.write_samples_csv(f, dm.sample(_build_dist(args), args.n, args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +289,32 @@ def _cmd_sample(args, f, parser):
 # ---------------------------------------------------------------------------
 
 
+def _float(text: str) -> float:
+    """The type of every float flag: a number read as a CSV cell is
+    (``codec._csv_float``: ASCII, no underscores), with argparse's wording."""
+    from . import codec
+
+    try:
+        return codec._csv_float(text, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _floats(text: str) -> list[float]:
+    """A comma-separated list of floats; blank entries are skipped."""
+    return [_float(tok) for tok in text.split(",") if tok.strip()]
+
+
 def _add_dist_flags(p):
     p.add_argument("--dist", choices=DIST_CHOICES, help="named distribution spec")
-    p.add_argument("--r", type=float, help="correlation for --dist bvn")
+    p.add_argument("--r", type=_float, help="correlation for --dist bvn")
     p.add_argument("--pmf-file", help="CSV pmf table instead of a named family")
 
 
 def _add_grid_flags(p):
     for axis in "xy":
-        p.add_argument(f"--{axis}min", type=float)
-        p.add_argument(f"--{axis}max", type=float)
+        p.add_argument(f"--{axis}min", type=_float)
+        p.add_argument(f"--{axis}max", type=_float)
         p.add_argument(f"--n{axis}", type=int)
 
 
@@ -321,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("lift-grid", _cmd_lift_grid, "evaluate the lift on a grid (CSV)")
     _add_dist_flags(p)
     _add_grid_flags(p)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_float)
     p.add_argument(
         "--grid-default",
         action="store_true",
@@ -340,13 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("regions", _cmd_regions, "lift/inhibition region masses (JSON)")
     _add_dist_flags(p)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_float)
 
     p = new("sibuya", _cmd_sibuya, "Sibuya dependence ratio at points (CSV)")
     _add_dist_flags(p)
     p.add_argument(
         "--point",
         nargs=2,
+        type=_float,
         action="append",
         required=True,
         metavar=("X", "Y"),
@@ -355,19 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("target", _cmd_target, "best profile for a target response (JSON)")
     _add_dist_flags(p)
-    p.add_argument("--target-y", type=float, help="discrete target label")
-    p.add_argument("--target-lo", type=float, help="continuous target lower edge")
-    p.add_argument("--target-hi", type=float, help="continuous target upper edge")
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
+    p.add_argument("--target-y", type=_float, help="discrete target label")
+    p.add_argument("--target-lo", type=_float, help="continuous target lower edge")
+    p.add_argument("--target-hi", type=_float, help="continuous target upper edge")
+    p.add_argument("--xmin", type=_float)
+    p.add_argument("--xmax", type=_float)
     p.add_argument("--nx", type=int)
 
     p = new("scaling", _cmd_scaling, "local scaling exponent from samples (JSON)")
     p.add_argument("--samples-file", required=True)
-    p.add_argument("--center-x", type=float, required=True)
-    p.add_argument("--center-y", type=float, required=True)
-    p.add_argument("--eps-max", type=float, default=0.1)
-    p.add_argument("--eps-min", type=float, default=0.01)
+    p.add_argument("--center-x", type=_float, required=True)
+    p.add_argument("--center-y", type=_float, required=True)
+    p.add_argument("--eps-max", type=_float, default=0.1)
+    p.add_argument("--eps-min", type=_float, default=0.01)
     p.add_argument("--k", type=int, default=10)
 
     p = new("weierstrass", _cmd_weierstrass, "Weierstrass graph data (CSV)")
@@ -378,16 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--r-schedule",
         default="0.9,0.99,0.999",
+        type=_floats,
         help="comma-separated increasing correlations",
     )
 
     p = new("estimate-lift", _cmd_estimate_lift, "empirical or kernel lift from samples (CSV)")
     p.add_argument("--samples-file", required=True)
     p.add_argument("--estimator", choices=("empirical", "kernel"), default="kernel")
-    p.add_argument("--smoothing", type=float)
+    p.add_argument("--smoothing", type=_float)
     _add_grid_flags(p)
-    p.add_argument("--bandwidth-x", type=float)
-    p.add_argument("--bandwidth-y", type=float)
+    p.add_argument("--bandwidth-x", type=_float)
+    p.add_argument("--bandwidth-y", type=_float)
 
     p = new("sample", _cmd_sample, "draw sample pairs (CSV)")
     _add_dist_flags(p)
@@ -401,6 +416,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "pmf_file"):  # a subcommand that takes a law
+            _check_law(args, args.parser)
         with _out(args.out) as f:
             args.fn(args, f, args.parser)
     except SystemExit as exc:  # --help, or parser.error while parsing or in a subcommand

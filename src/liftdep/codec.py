@@ -29,6 +29,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -271,6 +272,16 @@ def _pair(value, name: str) -> tuple[float, float]:
         if pair.shape == (2,):
             return float(pair[0]), float(pair[1])
     raise ValueError(f"{name} must be a pair of numbers, got {value!r}")
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer
+    (``operator.index``: no float, string or None) of at least ``least``."""
+    with contextlib.suppress(TypeError):
+        n = operator.index(value)
+        if n >= least:
+            return n
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +63,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .codec import (
-    _csv_float, _pair, _read_csv, _two_product, read_samples_csv, write_csv, write_samples_csv
+    _count, _csv_float, _pair, _read_csv, _two_product, read_samples_csv, write_csv,
+    write_samples_csv,
 )
 from .errors import (
     CurveSingularHasNoDensity,
@@ -317,8 +319,8 @@ class DiscreteJoint:
     def target_rates(self, target, x_grid):
         """``(x_support, P(Y = target | X), P(Y = target))``, rate ``-inf`` where
         ``p_X`` is 0; ``x_grid`` is unused. ValueError unless ``target`` is one
-        number, TargetHasZeroMass for a null label."""
-        if np.ndim(target) != 0:
+        real number, TargetHasZeroMass for a null label."""
+        if not isinstance(target, numbers.Real):
             raise ValueError(f"target label must be one number, got {target!r}")
         iy = np.nonzero(self.y_support == float(target))[0]
         if iy.size == 0:
@@ -874,11 +876,10 @@ def sample(dist: JointDistribution, n: int, seed: int) -> np.ndarray:
     (bivariate normal), marginal-then-conditional inversion (Circular
     Cauchy), tabulated marginal quantiles (independent product), and
     on-curve points over a tabulated X (curve-singular). A generic
-    ContinuousJoint raises NotSampleable. Returns an array of shape (n, 2).
+    ContinuousJoint raises NotSampleable. Returns an array of shape (n, 2);
+    ValueError unless ``n`` is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return dist.sample(n, np.random.default_rng(seed))
+    return dist.sample(_count(n, "n", 1), np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

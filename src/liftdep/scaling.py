@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import io
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -134,12 +133,7 @@ def scaling_exponent(
     """
     if not 0 < eps_min < eps_max < math.inf:
         raise ValueError("need 0 < eps_min < eps_max < inf")
-    try:
-        valid = operator.index(k) >= MIN_FIT_RADII
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"k must be an integer >= {MIN_FIT_RADII}, got {k!r}")
+    k = codec._count(k, "k", MIN_FIT_RADII)
     profile = ball_density_profile(points, center, geometric_radii(eps_max, eps_min, k))
     keep = profile.counts >= MIN_COUNT_PER_RADIUS
     if int(keep.sum()) < MIN_FIT_RADII:
@@ -178,12 +172,7 @@ class WeierstrassCurve:
     n_terms: int = 30
 
     def __post_init__(self):
-        try:
-            valid = operator.index(self.n_terms) >= 1
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"n_terms must be an integer >= 1, got {self.n_terms!r}")
+        codec._count(self.n_terms, "n_terms", 1)
 
 
 def weierstrass_eval(curve: WeierstrassCurve, x) -> float | np.ndarray:
@@ -199,8 +188,8 @@ def weierstrass_eval(curve: WeierstrassCurve, x) -> float | np.ndarray:
 
 
 def weierstrass_grid(curve: WeierstrassCurve, n_points: int) -> np.ndarray:
-    """Uniform grid of ``(x, w(x))`` pairs over [0, 1/2]."""
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    """Uniform grid of ``(x, w(x))`` pairs over [0, 1/2]; ``n_points`` is an
+    integer >= 2."""
+    n_points = codec._count(n_points, "n_points", 2)
     x = np.linspace(0.0, 0.5, n_points)
     return np.column_stack([x, weierstrass_eval(curve, x)])

@@ -156,7 +156,17 @@ class TestExitCodes:
          "liftdep target: error: discrete targeting requires --target-y\n"),
         (["estimate-lift", "--samples-file", "samples.csv", "--bandwidth-x", "0.5"], 2,
          "liftdep estimate-lift: error: --bandwidth-x and --bandwidth-y must be given together\n"),
-    ], ids=["dist-and-pmf-file", "nx-1", "target-without-target-y", "bandwidth-x-alone"])
+        # a float flag reads a number as a CSV cell does: ASCII, no underscores
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "abc", "1"], 2,
+         "liftdep sibuya: error: argument --point: invalid float value: 'abc'\n"),
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "1_0", "1"], 2,
+         "liftdep sibuya: error: argument --point: invalid float value: '1_0'\n"),
+        (["mi", "--dist", "bvn", "--r", "0_6"], 2,
+         "liftdep mi: error: argument --r: invalid float value: '0_6'\n"),
+        (["counterexample", "--r-schedule", "0.9,abc"], 2,
+         "liftdep counterexample: error: argument --r-schedule: invalid float value: 'abc'\n"),
+    ], ids=["dist-and-pmf-file", "nx-1", "target-without-target-y", "bandwidth-x-alone",
+            "point-abc", "point-underscore", "r-underscore", "r-schedule-abc"])
     def test_flag_errors(self, capsys, tmp_path, monkeypatch, argv, code, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pmf.csv").write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
@@ -166,6 +176,47 @@ class TestExitCodes:
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
         assert err.endswith(message)
+
+    USAGE_ERRORS = {
+        "mi-budget": "mi --pmf-file pmf.csv --budget 5",
+        "mi-method": "mi --pmf-file pmf.csv --method quadrature",
+        "mi-dist-and-pmf-file": "mi --pmf-file pmf.csv --dist bvn --r 0.6",
+        "target-without-target-y": "target --pmf-file pmf.csv",
+        "target-lo": "target --pmf-file pmf.csv --target-lo 1",
+        "lift-grid-default-nx": "lift-grid --pmf-file pmf.csv --grid-default --nx 5",
+        "lift-grid-tol": "lift-grid --pmf-file pmf.csv --tol 0",
+        "regions-r": "regions --pmf-file pmf.csv --r 0.5",
+        "sibuya-point": "sibuya --pmf-file pmf.csv --point abc 1",
+        "sample-r": "sample --pmf-file pmf.csv --n 5 --r 0.5",
+        "estimate-lift-bandwidth-x": "estimate-lift --samples-file s.csv --bandwidth-x 0.5",
+        "estimate-lift-smoothing": "estimate-lift --samples-file s.csv --smoothing 0.1",
+        "estimate-lift-empirical-nx":
+            "estimate-lift --samples-file s.csv --estimator empirical --nx 3",
+        "scaling-center-x": "scaling --samples-file s.csv --center-x 0_5 --center-y 0",
+    }
+
+    @pytest.mark.parametrize("argv", [a.split() for a in USAGE_ERRORS.values()],
+                             ids=list(USAGE_ERRORS))
+    def test_a_usage_error_does_not_depend_on_an_input_file(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        """Every usage rule is decided from argv alone, before any file is
+        read, so a missing input file cannot turn it into a domain error."""
+        results = []
+        for files in (True, False):
+            where = tmp_path / str(files)
+            where.mkdir()
+            if files:
+                (where / "pmf.csv").write_text(TestUnreadFlags.PMF)
+                (where / "s.csv").write_text(
+                    "x,y\n" + "".join(f"{i},{i % 7}\n" for i in range(30))
+                )
+            monkeypatch.chdir(where)
+            results.append(run(capsys, *argv))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, out) == (2, "")
+        assert f"liftdep {argv[0]}: error: " in err
 
 
 class TestOutputs:
@@ -526,6 +577,13 @@ class TestUnreadFlags:
             ["lift-grid", "--pmf-file", "pmf.csv", "--grid-default"],
             GRID,
         ),
+        # --r is read by --dist bvn only
+        "mi-cauchy-circular": (["mi", "--dist", "cauchy-circular"], [["--r", "0.5"]]),
+        "sibuya-indep-normal": (
+            ["sibuya", "--dist", "indep-normal", "--point", "0", "0"],
+            [["--r", "0.9"]],
+        ),
+        "regions-pmf-file": (["regions", "--pmf-file", "pmf.csv"], [["--r", "0.5"]]),
     }
     PARAMS = [(base, flag) for base, flags in CASES.values() for flag in flags]
     IDS = [f"{case}{flag[0]}" for case, (_, flags) in CASES.items() for flag in flags]

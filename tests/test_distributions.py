@@ -351,6 +351,13 @@ class TestSample:
         with pytest.raises(ValueError):
             ld.sample(dep_pmf, 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, None, "3"])
+    def test_n_must_be_an_integer(self, dep_pmf, n):
+        # each raised TypeError
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            ld.sample(dep_pmf, n, seed=0)
+        assert ld.sample(dep_pmf, np.int64(3), seed=0).shape == (3, 2)
+
 
 IDENTITY_ON_THE_LINE = """
 import math

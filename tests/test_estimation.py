@@ -448,6 +448,18 @@ class TestTargeting:
         with pytest.raises(ValueError, match=r"target label must be one number, got \(0.0, 1.0\)"):
             ld.target_profile(dep_pmf, (0.0, 1.0))
 
+    @pytest.mark.parametrize("label", [None, object(), "1"], ids=["None", "object", "str"])
+    def test_discrete_target_must_be_a_real_number(self, dep_pmf, label):
+        # None and object() raised TypeError, and "1" was read as 1.0
+        with pytest.raises(ValueError, match="target label must be one number, got "):
+            ld.target_profile(dep_pmf, label)
+
+    def test_numpy_scalar_labels_are_numbers(self, dep_pmf):
+        expected = ld.target_profile(dep_pmf, 1.0)
+        assert ld.target_profile(dep_pmf, 1) == expected
+        assert ld.target_profile(dep_pmf, np.float64(1.0)) == expected
+        assert ld.target_profile(dep_pmf, np.int64(1)) == expected
+
     def test_numpy_pair_target_matches_the_tuple(self):
         # a numpy pair passed the rates and then raised TypeError
         grid = np.linspace(-3, 3, 31)

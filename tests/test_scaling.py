@@ -300,6 +300,13 @@ class TestWeierstrass:
         with pytest.raises(ValueError):
             ld.weierstrass_grid(ld.WeierstrassCurve(), 1)
 
+    @pytest.mark.parametrize("n_points", [2.5, None, "3"])
+    def test_n_points_must_be_an_integer(self, n_points):
+        # each raised TypeError
+        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
+            ld.weierstrass_grid(ld.WeierstrassCurve(), n_points)
+        assert ld.weierstrass_grid(ld.WeierstrassCurve(), np.int64(3)).shape == (3, 2)
+
 
 class TestScalingIo:
     def test_profile_csv(self):
