@@ -300,6 +300,15 @@ def _float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
+def _int(text: str) -> int:
+    """The type of every int flag: ``int`` on ASCII text without underscores,
+    the syntax of a float flag, with argparse's wording."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _floats(text: str) -> list[float]:
     """A comma-separated list of floats; blank entries are skipped."""
     return [_float(tok) for tok in text.split(",") if tok.strip()]
@@ -315,7 +324,7 @@ def _add_grid_flags(p):
     for axis in "xy":
         p.add_argument(f"--{axis}min", type=_float)
         p.add_argument(f"--{axis}max", type=_float)
-        p.add_argument(f"--n{axis}", type=int)
+        p.add_argument(f"--n{axis}", type=_int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "quadrature"), default="auto")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int,
         help="quadrature evaluation budget (default 2**22); it counts the evaluations "
         "of the folded box, a quadrant for cauchy-circular and a half for bvn",
     )
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-hi", type=_float, help="continuous target upper edge")
     p.add_argument("--xmin", type=_float)
     p.add_argument("--xmax", type=_float)
-    p.add_argument("--nx", type=int)
+    p.add_argument("--nx", type=_int)
 
     p = new("scaling", _cmd_scaling, "local scaling exponent from samples (JSON)")
     p.add_argument("--samples-file", required=True)
@@ -382,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-y", type=_float, required=True)
     p.add_argument("--eps-max", type=_float, default=0.1)
     p.add_argument("--eps-min", type=_float, default=0.01)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int, default=10)
 
     p = new("weierstrass", _cmd_weierstrass, "Weierstrass graph data (CSV)")
-    p.add_argument("--n-points", type=int, required=True)
-    p.add_argument("--n-terms", type=int, default=30)
+    p.add_argument("--n-points", type=_int, required=True)
+    p.add_argument("--n-terms", type=_int, default=30)
 
     p = new("counterexample", _cmd_counterexample, "MI convergence counterexample (CSV)")
     p.add_argument(
@@ -406,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = new("sample", _cmd_sample, "draw sample pairs (CSV)")
     _add_dist_flags(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--seed", type=_int, default=42)
 
     return parser
 

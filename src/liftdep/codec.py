@@ -6,7 +6,9 @@ through one reader that names the first bad line. The sample pair files
 (header ``x,y``) are read and written here; the pmf tables, which build a
 ``DiscreteJoint``, are read and written in :mod:`liftdep.distributions` on
 top of this module. The module needs numpy only, so the ``scaling`` and
-``weierstrass`` commands load none of the distribution code.
+``weierstrass`` commands load none of the distribution code. It also holds
+:func:`_in_order`, which runs the writer's blocks and the kernel estimator's
+chunks on a few threads and hands back their results in order.
 
 The writer formats a float column in numpy, byte for byte as ``"%.17g" % v``
 would. For ``|v| = s * 10**-k`` with ``0 <= k <= 22``, ``10**k`` is an exact
@@ -26,16 +28,22 @@ the ends); zero, NaN, infinities and every other value are formatted by
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import io
 import json
 import math
 import operator
+import os
+import threading
 import warnings
 
 import numpy as np
 
 CSV_BLOCK_ROWS = 16384  # 1e6 x 2 samples wrote fastest at 16,384 rows; 65,536 took 1.3-1.6x as long
 CSV_FLOAT = "%.17g"
+# Threads for the block loops of write_csv and estimation.kernel_lift; see _in_order.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 # A cell's text is at most 24 bytes ("-2.2250738585072014e-308"). The
 # formatter builds it NUL-padded in three little-endian 64-bit words: byte j
@@ -54,9 +62,12 @@ def write_csv(f: io.TextIOBase, header, *columns) -> None:
     its cells' text, and any other column is written with ``str`` (a StrEnum
     as its value). Rows are written CSV_BLOCK_ROWS at a time, each block one
     byte matrix of NUL-padded cells and separators with the NULs dropped (so
-    a text cell cannot carry one), and memory stays bounded however long the
-    columns are. A header whose width differs from the number of columns, or
-    columns of different lengths, raise ValueError before anything is written.
+    a text cell cannot carry one). The blocks' text is built on up to
+    ``_WORKERS`` threads and written in order by the calling thread, so the
+    bytes do not depend on the thread count, and memory stays bounded by
+    ``2 * _WORKERS`` blocks however long the columns are. A header whose
+    width differs from the number of columns, or columns of different
+    lengths, raise ValueError before anything is written.
     """
     columns = [np.asarray(c) for c in columns]
     lengths = [len(c) for c in columns]
@@ -65,17 +76,92 @@ def write_csv(f: io.TextIOBase, header, *columns) -> None:
             f"csv header has {len(header)} names for {len(columns)} columns of lengths {lengths}"
         )
     f.write(",".join(header) + "\n")
-    for start in range(0, lengths[0] if columns else 0, CSV_BLOCK_ROWS):
-        block = [c[start : start + CSV_BLOCK_ROWS] for c in columns]
-        text = iter(_float_cells([c for c in block if c.dtype.kind == "f"]))
-        cells = [next(text) if c.dtype.kind == "f" else _text_cells(c) for c in block]
-        cells = [np.ascontiguousarray(c).view(np.uint8).reshape(len(c), -1) for c in cells]
-        ends = np.cumsum([c.shape[1] + 1 for c in cells])
-        out = np.full((len(cells[0]), ends[-1]), ord(","), np.uint8)
-        out[:, -1] = ord("\n")
-        for c, end in zip(cells, ends):
-            out[:, end - 1 - c.shape[1] : end - 1] = c
-        f.write(out[out != 0].tobytes().decode())
+    starts = range(0, lengths[0] if columns else 0, CSV_BLOCK_ROWS)
+    texts = _in_order(lambda start: _block_text(columns, start), starts)
+    with contextlib.closing(texts):  # a failed write joins the threads before it propagates
+        for text in texts:
+            f.write(text)
+
+
+def _block_text(columns: list[np.ndarray], start: int) -> str:
+    """The CSV rows of the block of CSV_BLOCK_ROWS rows from ``start`` (write_csv)."""
+    block = [c[start : start + CSV_BLOCK_ROWS] for c in columns]
+    text = iter(_float_cells([c for c in block if c.dtype.kind == "f"]))
+    cells = [next(text) if c.dtype.kind == "f" else _text_cells(c) for c in block]
+    cells = [np.ascontiguousarray(c).view(np.uint8).reshape(len(c), -1) for c in cells]
+    ends = np.cumsum([c.shape[1] + 1 for c in cells])
+    out = np.full((len(cells[0]), ends[-1]), ord(","), np.uint8)
+    out[:, -1] = ord("\n")
+    for c, end in zip(cells, ends):
+        out[:, end - 1 - c.shape[1] : end - 1] = c
+    return out[out != 0].tobytes().decode()
+
+
+def _in_order(fn, items):
+    """Yield ``fn(item)`` for each item of the sequence ``items``, in order.
+
+    The results are computed on up to ``_WORKERS`` threads, and at most
+    ``2 * _WORKERS`` items are in flight (taken by a thread and not yet
+    yielded). numpy releases the GIL inside its ufuncs and matmul, so the
+    threads overlap there; the caller combines the results in item order,
+    so every float operation and summation order is that of a plain loop.
+    With fewer than two items or one worker it is ``map``, and no thread
+    starts. An exception ``fn`` raises is raised to the caller at its item.
+    Closing the generator, as ``contextlib.closing`` does when the loop body
+    raises, stops the threads after their current items and joins them.
+
+    ``fn`` runs in a copy of the caller's context, so an ``np.errstate`` the
+    caller set holds in it. It must not use ``warnings.catch_warnings``,
+    which is process-global.
+    """
+    workers = min(_WORKERS, len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    cond = threading.Condition()
+    done = {}  # item index -> (result, None), or (None, the exception fn raised)
+    taken = wanted = 0  # the next item for a thread, and the next to yield
+    stop = False
+
+    def work(context):
+        nonlocal taken
+        while True:
+            with cond:
+                while not stop and taken < len(items) and taken >= wanted + 2 * workers:
+                    cond.wait()
+                if stop or taken == len(items):
+                    return
+                k = taken
+                taken += 1
+            try:
+                result = context.run(fn, items[k]), None
+            except BaseException as exc:  # raised again in the caller's thread
+                result = None, exc
+            with cond:
+                done[k] = result
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work, args=(contextvars.copy_context(),), daemon=True)
+               for _ in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        for k in range(len(items)):
+            with cond:
+                while k not in done:
+                    cond.wait()
+                result, exc = done.pop(k)
+                wanted = k + 1
+                cond.notify_all()
+            if exc is not None:
+                raise exc
+            yield result
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for t in threads:
+            t.join()
 
 
 def _text_cells(column: np.ndarray) -> np.ndarray:

@@ -161,6 +161,12 @@ def kernel_lift(
     :func:`~liftdep.lift.check_grids`, and the samples must be an (n, 2)
     array of finite values, or ValueError is raised.
 
+    The sums run over KDE_CHUNK samples at a time; each chunk's kernel rows,
+    their product and their row sums are computed on up to ``codec._WORKERS``
+    threads, and the chunks are added in sample order, so the result is the
+    same bit for bit on any number of threads (for a given BLAS thread count,
+    which may change the product's last bits).
+
     A kernel value below 2^-1022, the smallest normal double, counts as 0:
     for ``h = 1`` that is from about 37.6 bandwidths out. A cell whose
     marginal estimate has no kernel value in normal range is Undefined; one
@@ -185,13 +191,16 @@ def kernel_lift(
     joint = np.zeros((grid_x.size, grid_y.size))
     marg_x = np.zeros(grid_x.size)
     marg_y = np.zeros(grid_y.size)
-    for start in range(0, n, KDE_CHUNK):
-        chunk = slice(start, min(start + KDE_CHUNK, n))
-        kx = _kernel_rows(grid_x, xs[chunk], hx)
-        ky = _kernel_rows(grid_y, ys[chunk], hy)
-        joint += kx @ ky.T
-        marg_x += kx.sum(axis=1)
-        marg_y += ky.sum(axis=1)
+
+    def sums(start):
+        kx = _kernel_rows(grid_x, xs[start : start + KDE_CHUNK], hx)
+        ky = _kernel_rows(grid_y, ys[start : start + KDE_CHUNK], hy)
+        return kx @ ky.T, kx.sum(axis=1), ky.sum(axis=1)
+
+    for chunk_joint, chunk_x, chunk_y in codec._in_order(sums, range(0, n, KDE_CHUNK)):
+        joint += chunk_joint
+        marg_x += chunk_x
+        marg_y += chunk_y
     joint /= n
     marg_x /= n
     marg_y /= n

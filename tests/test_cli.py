@@ -6,14 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liftdep
-from liftdep import cli
+from liftdep import cli, codec
 from liftdep.cli import main
+from liftdep.codec import CSV_BLOCK_ROWS
 from liftdep.errors import LiftDepError
 
 import oracles
@@ -165,8 +167,18 @@ class TestExitCodes:
          "liftdep mi: error: argument --r: invalid float value: '0_6'\n"),
         (["counterexample", "--r-schedule", "0.9,abc"], 2,
          "liftdep counterexample: error: argument --r-schedule: invalid float value: 'abc'\n"),
+        # an int flag takes the same syntax: ASCII, no underscores
+        (["weierstrass", "--n-points", "1_0"], 2,
+         "liftdep weierstrass: error: argument --n-points: invalid int value: '1_0'\n"),
+        (["sample", "--dist", "bvn", "--r", "0.6", "--n", "\uff13"], 2,
+         "liftdep sample: error: argument --n: invalid int value: '\uff13'\n"),
+        (["sample", "--dist", "bvn", "--r", "0.6", "--n", "5", "--seed", "4_2"], 2,
+         "liftdep sample: error: argument --seed: invalid int value: '4_2'\n"),
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "2.5"], 2,
+         "liftdep lift-grid: error: argument --nx: invalid int value: '2.5'\n"),
     ], ids=["dist-and-pmf-file", "nx-1", "target-without-target-y", "bandwidth-x-alone",
-            "point-abc", "point-underscore", "r-underscore", "r-schedule-abc"])
+            "point-abc", "point-underscore", "r-underscore", "r-schedule-abc",
+            "n-points-underscore", "n-fullwidth-digit", "seed-underscore", "nx-float"])
     def test_flag_errors(self, capsys, tmp_path, monkeypatch, argv, code, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "pmf.csv").write_text("x,y:0,y:1\n0,0.4,0.1\n1,0.1,0.4\n")
@@ -756,6 +768,49 @@ class TestImport:
         status, loaded = json.loads(done.stdout)
         assert status == 0, done.stderr
         assert loaded == sorted(f"liftdep.{m}" for m in ["cli", "errors", *self.LOADS[argv]])
+
+    def test_the_block_threads_load_no_executor_or_logging(self, tmp_path):
+        """`sample` writes three blocks and `estimate-lift` sums two kernel
+        chunks on two threads, built on `threading` alone."""
+        src = str(Path(liftdep.__file__).resolve().parents[1])
+        argvs = [
+            ["sample", "--dist", "bvn", "--r", "0.6", "--n", str(2 * CSV_BLOCK_ROWS + 1),
+             "--out", "s.csv"],
+            ["estimate-lift", "--samples-file", "s.csv", "--nx", "3", "--ny", "3"],
+        ]
+        code = (
+            "import contextlib, io, json, sys, liftdep.cli, liftdep.codec\n"
+            "liftdep.codec._WORKERS = 2\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [liftdep.cli.main(argv) for argv in {argvs!r}]\n"
+            "watched = ('concurrent', 'logging')\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(watched))]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[0, 0], []]
+
+
+class TestThreads:
+    """Threads start only where a loop has two or more blocks (codec._in_order)."""
+
+    @pytest.mark.parametrize("argv,threads", [
+        (["mi", "--dist", "bvn", "--r", "0.6"], 0),
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0", "--point", "1", "2"], 0),
+        (["weierstrass", "--n-points", str(CSV_BLOCK_ROWS)], 0),
+        (["weierstrass", "--n-points", str(CSV_BLOCK_ROWS + 1)], 2),
+    ], ids=["mi", "sibuya", "weierstrass-one-block", "weierstrass-two-blocks"])
+    def test_threads_started(self, capsys, monkeypatch, argv, threads):
+        monkeypatch.setattr(codec, "_WORKERS", 4)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        assert run(capsys, *argv)[0] == 0
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
 
 
 class TestHelp:

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liftdep as ld
+from liftdep import codec
 from liftdep.codec import write_json
-from liftdep.estimation import _kernel_rows
+from liftdep.estimation import KDE_CHUNK, _kernel_rows
 from liftdep.lift import RegionLabel
 
 import oracles
@@ -114,6 +115,20 @@ class TestKernelLift:
         est = ld.kernel_lift(pts, grid, grid)
         assert np.all(est.field.values >= 0.9)
         assert np.all(est.field.values <= 1.1)
+
+    def test_same_bits_on_any_worker_count(self, monkeypatch):
+        """The chunks' sums are computed on codec._WORKERS threads and added
+        in sample order, so the thread count moves no bit."""
+        pts = ld.sample(ld.BivariateNormal(0.6), 5 * KDE_CHUNK + 11, seed=3)
+        grid = np.linspace(-4.0, 4.0, 23)
+        fields = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(codec, "_WORKERS", workers)
+            fields.append(ld.kernel_lift(pts, grid, grid[:17]).field)
+        for field in fields[1:]:
+            np.testing.assert_array_equal(field.values.view(np.uint64),
+                                          fields[0].values.view(np.uint64))
+            assert (field.labels == fields[0].labels).all()
 
     def test_silverman_bandwidths(self):
         rng = np.random.default_rng(2)

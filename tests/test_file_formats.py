@@ -2,7 +2,9 @@
 ``oracles``, and bit-identical read(write(x)) round trips."""
 
 import io
+import json
 import os
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import liftdep as ld
 import oracles
+from conftest import run_fresh
 from liftdep import codec
 from liftdep.codec import CSV_BLOCK_ROWS
 from liftdep.lift import classify_values
@@ -173,6 +176,120 @@ def test_samples_csv_across_a_block_boundary():
         [0.0, -0.0], [np.nan, 1e-300], [-np.inf, 2e17], [5e-324, -1.7976931348623157e308]
     ]
     assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS + 1, 5 * CSV_BLOCK_ROWS + 7])
+def test_write_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, rows):
+    """Blocks are built on codec._WORKERS threads and written in order: one
+    worker is the plain loop. A text column, and cells that only the `%`
+    fallback formats, ride along."""
+    rng = np.random.default_rng(3030)
+    values = rng.uniform(-1.0, 1.0, rows)
+    values[::97] = np.nan
+    values[1::89] = 1e-300
+    values[2::83] = -np.inf
+    labels = np.array(["Lift", "Inhibit", "Neutral"])[rng.integers(0, 3, rows)]
+    texts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(codec, "_WORKERS", workers)
+        texts.append(written(codec.write_csv, ("x", "y", "label"), values, values / 3, labels))
+    assert texts[0].count("\n") == rows + 1
+    for text in texts[1:]:
+        assert_same_text(text, texts[0])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_order_raises_the_exception_of_fn_at_its_item(monkeypatch, workers):
+    monkeypatch.setattr(codec, "_WORKERS", workers)
+    before = threading.active_count()
+    boom = ArithmeticError("item 5")
+
+    def fn(k):
+        if k == 5:
+            raise boom
+        return k * k
+
+    got = []
+    with pytest.raises(ArithmeticError) as caught:
+        for value in codec._in_order(fn, range(20)):
+            got.append(value)
+    assert caught.value is boom
+    assert got == [k * k for k in range(5)]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_in_order_runs_fn_under_the_callers_errstate(monkeypatch, workers):
+    monkeypatch.setattr(codec, "_WORKERS", workers)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        list(codec._in_order(lambda x: np.float64(x) * 10.0, [1.0, 1e308, 1.0]))
+
+
+class FailingFile(io.StringIO):
+    """A text file whose ``write`` of the second block raises OSError (its
+    first write is the header)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_a_failed_write_leaves_one_block_and_joins_the_threads(monkeypatch):
+    monkeypatch.setattr(codec, "_WORKERS", 2)
+    samples = np.random.default_rng(1031).uniform(-1.0, 1.0, (5 * CSV_BLOCK_ROWS + 7, 2))
+    before = threading.active_count()
+    f = FailingFile()
+    try:
+        ld.write_samples_csv(f, samples)
+    except OSError:
+        # counted while the traceback, which holds write_csv's frame, is alive
+        assert threading.active_count() == before
+    else:
+        pytest.fail("the failing write raised nothing")
+    lines = written(ld.write_samples_csv, samples).splitlines(keepends=True)
+    assert f.getvalue() == "".join(lines[: 1 + CSV_BLOCK_ROWS])
+
+
+def test_in_order_under_fast_thread_switching():
+    """More workers than cores and a 1 us switch interval, in a fresh
+    process so that a deadlock fails the test within its timeout: the items
+    come back in order, at most 2 * _WORKERS of them are in flight, and every
+    thread is joined."""
+    done = run_fresh(
+        "import json, sys, threading\n"
+        "from liftdep import codec\n"
+        "codec._WORKERS = 8\n"
+        "lock = threading.Lock()\n"
+        "started = consumed = peak = 0\n"
+        "def fn(k):\n"
+        "    global started, peak\n"
+        "    with lock:\n"
+        "        started += 1\n"
+        "        peak = max(peak, started - consumed)\n"
+        "    return sum(range(k % 50)) + k\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "try:\n"
+        "    got = []\n"
+        "    for value in codec._in_order(fn, range(2000)):\n"
+        "        got.append(value)\n"
+        "        with lock:\n"
+        "            consumed += 1\n"
+        "finally:\n"
+        "    sys.setswitchinterval(0.005)\n"
+        "want = [sum(range(k % 50)) + k for k in range(2000)]\n"
+        "print(json.dumps([got == want, peak, threading.active_count()]))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    in_order, peak, threads = json.loads(done.stdout.splitlines()[-1])
+    # the count of calls started and values not yet counted by the loop
+    # includes the value being handed over, one above the 2 * 8 in flight
+    assert in_order and 1 <= peak <= 2 * 8 + 1 and threads == 1
 
 
 @pytest.mark.parametrize(
