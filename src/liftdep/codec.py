@@ -23,10 +23,29 @@ stripped, fixed notation for decimal exponents -4 to 16, otherwise (-5
 and -6 here) ``d.ddde-0X``. This covers ``1e-6 <= |v| < 1e17`` (and a little less at
 the ends); zero, NaN, infinities and every other value are formatted by
 ``CSV_FLOAT % v`` itself, once per distinct value.
+
+The reader inverts that layout. It reads the body into one zero-padded byte
+array and parses it CSV_BLOCK_ROWS rows at a time in numpy, where each line
+of the block is cells joined by commas and ended by a newline, and each cell
+is in the writer's form ``-?D+(.D+)?(e-0[56])?``: its digits, point dropped,
+are an integer ``sig < 10**17`` (at most 17 significant digits) and its value
+is ``sig / 10**k`` with ``k`` = (digits after the point) - (exponent) ``<= 22``,
+so ``10**k`` is an exact double. The quotient ``c = sig / 10**k`` is
+corrected once by the residual ``sig - c * 10**k``, which Dekker's product
+gives exactly (Clinger, PLDI 1990). A block is kept only if every corrected
+``c`` then passes a guard: its residual, evaluated to within far less than
+its 2**-40 margin, is below half the gap from ``c`` to the next double toward
+zero, the smaller of its two gaps. Then ``c`` is the double nearest to
+``sig / 10**k``, as ``np.loadtxt`` would read it; an exact tie fails the
+guard. A block with any other cell is read by ``np.loadtxt`` on its own, and
+if that fails, or a line is not of that shape, or the file may hold text
+other than ASCII, the whole body is read by ``np.loadtxt`` as if no block
+had been, so every value and every line-numbered error stays the same.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import contextvars
 import io
@@ -39,7 +58,9 @@ import warnings
 
 import numpy as np
 
-CSV_BLOCK_ROWS = 16384  # 1e6 x 2 samples wrote fastest at 16,384 rows; 65,536 took 1.3-1.6x as long
+# Rows per block of write_csv and of the reader: 1e6 x 2 samples wrote fastest at
+# 16,384 rows (65,536 took 1.3-1.6x as long) and read as fast as at 8,192 (65,536: 1.3x).
+CSV_BLOCK_ROWS = 16384
 CSV_FLOAT = "%.17g"
 # Threads for the block loops of write_csv and estimation.kernel_lift; see _in_order.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -51,6 +72,7 @@ _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _CELL = "S24"
 _ZEROS = 0x3030303030303030  # "00000000"
 _DOTS = 0x2E2E2E2E2E2E2E2E  # "........"
+_POW10 = np.array([10**j for j in range(23)], dtype=float)  # the powers of ten that are doubles
 
 
 def write_csv(f: io.TextIOBase, header, *columns) -> None:
@@ -182,8 +204,7 @@ def _float_cells(values) -> np.ndarray:
     exact = (k >= 0) & (k <= 22)
     k = np.where(exact, k, 0).astype(np.intp)
     a = np.where(exact, a, 1.0)
-    pow10 = np.array([10**j for j in range(23)], dtype=float)
-    hi, lo = _two_product(a, pow10[k])
+    hi, lo = _two_product(a, _POW10[k])
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     off = np.flatnonzero((low | high) & exact)  # log10 missed E by one
@@ -191,7 +212,7 @@ def _float_cells(values) -> np.ndarray:
         k[off] += low[off].astype(np.intp) - high[off]
         exact[off] = (k[off] >= 0) & (k[off] <= 22)
         k[off] = np.clip(k[off], 0, 22)
-        hi[off], lo[off] = _two_product(a[off], pow10[k[off]])
+        hi[off], lo[off] = _two_product(a[off], _POW10[k[off]])
     # No significand rounds up to 10**17: that takes a double within 5e-18
     # (relative) below a power of ten, but 1e0..1e17 are doubles, the next
     # double below each is 1.1e-16 away, and 1e-5..1e-1 round upwards.
@@ -306,18 +327,40 @@ def _csv_float(cell: str, where: str) -> float:
     raise ValueError(f"{where}: not a number: {cell.strip()!r}")
 
 
+# The reader's zero bytes on each side of the body: a cell's window starts up
+# to 28 bytes before the cell's end.
+_PAD = 32
+# _KEEP[n]: the mask of the last n of a cell's 24 bytes.
+_KEEP = np.array([[0] * (24 - n) + [0xFF] * n for n in range(25)], np.uint8)
+# A byte 1 at byte b of word j, times _POINT_AT[j], gives 8 * j + b + 1 as the top byte.
+_POINT_AT = np.array([sum((8 * j + 8 - b) << 8 * b for b in range(8)) for j in range(3)], "<u8")
+_E05 = int.from_bytes(b"e-05", "little")
+# By the point's place d in a cell's 24 bytes (1-based, 0 for no point): the
+# digits after it, and the divisor and factor that take its slot out of the
+# value of the 24 digit slots. A divisor of 2**63 exceeds every such value.
+_FRAC = np.array([0] + [24 - d for d in range(1, 25)])
+_SLOT = np.array([2**63] + [min(10 ** (25 - d), 2**63) for d in range(1, 25)], np.uint64)
+_NINES = _SLOT // 10 * 9
+
+
 def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
     """The header cells and the body of a CSV of floats as wide as its header.
 
-    ``np.loadtxt`` (numpy's C parser, correctly rounded like ``float``) reads
-    the body; blank lines are skipped. Only if it fails, or the body has the
-    wrong width or a non-finite value, does a line scan run to raise
-    ValueError naming the first bad line.
+    :func:`_exact_body` parses the body in numpy by blocks (module
+    docstring). Where it declines, ``np.loadtxt`` (numpy's C parser,
+    correctly rounded like ``float``) reads the body; blank lines are
+    skipped. Only if that fails, or the body has the wrong width or a
+    non-finite value, does a line scan run to raise ValueError naming the
+    first bad line.
     """
     if not f.seekable():  # a pipe: the scan needs to read the body again
         f = io.StringIO(f.read())
     header = [c.strip() for c in f.readline().rstrip("\r\n").split(",")]
     width, start = len(header), f.tell()
+    body = _exact_body(f, start, width)
+    if body is not None:
+        return header, body
+    f.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -337,6 +380,147 @@ def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
         if not all(math.isfinite(_csv_float(c, where)) for c in cells):
             raise ValueError(f"{where}: non-finite value")
     raise ValueError(f"{what} csv: unreadable body")
+
+
+def _exact_body(f: io.TextIOBase, start: int, width: int) -> np.ndarray | None:
+    """The body of ``f`` from ``start`` as an (n, width) array, parsed by
+    blocks of CSV_BLOCK_ROWS lines (module docstring), or None if
+    ``np.loadtxt`` must read it whole."""
+    buf = _padded_body(f, start)
+    if buf is None:
+        return None
+    end = len(buf) - _PAD
+    cells = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))  # cells[i]: bytes i to i + 23
+    row = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
+    need = CSV_BLOCK_ROWS * width  # separators per block
+    blocks, p = [], _PAD
+    while p < end:
+        # A line of the writer's form takes at most 25 bytes per cell.
+        ends = np.flatnonzero(buf[p : min(p + 25 * need, end)] < ord("-")) + p
+        kind = buf[ends]
+        sep = (kind == ord(",")) | (kind == ord("\n"))
+        if not sep.all():  # a byte below "-" in a cell, such as "+", " " or "\r"
+            ends, kind = ends[sep], kind[sep]
+        ends, kind = ends[:need], kind[:need]
+        if (len(ends) == 0 or len(ends) % width or (len(ends) < need and ends[-1] != end - 1)
+                or not (kind.reshape(-1, width) == row).all()):
+            return None
+        starts = np.concatenate(([p], ends[:-1] + 1))
+        if not (ends > starts).all():  # an empty cell, or a blank line if width is 1
+            return None
+        values = _block_values(buf, cells, starts, ends)
+        if values is None:
+            values = _loadtxt_block(buf[p : ends[-1] + 1].tobytes())
+            if values is None:
+                return None
+        blocks.append(values.reshape(-1, width))
+        p = ends[-1] + 1
+    del buf, cells  # the text, before the values are joined
+    return np.concatenate(blocks) if blocks else np.empty((0, width))
+
+
+def _padded_body(f: io.TextIOBase, start: int) -> np.ndarray | None:
+    """The rest of ``f`` from ``start`` as bytes with _PAD zero bytes on each
+    side, read into one array; None if that may differ from the text ``f``
+    reads, when the file is not UTF-8 or ASCII or the text is not ASCII."""
+    raw = getattr(f, "buffer", None)
+    if raw is None:  # a text stream with no bytes below it, such as io.StringIO
+        text = f.read()
+        if not text.isascii():
+            return None
+        buf = np.zeros(len(text) + 2 * _PAD, np.uint8)
+        buf[_PAD:-_PAD] = np.frombuffer(text.encode(), np.uint8)
+        return buf
+    end = f.seek(0, io.SEEK_END)
+    # A start beyond the end is a position cookie that carries decoder state.
+    if codecs.lookup(f.encoding).name not in ("utf-8", "ascii") or start > end:
+        return None
+    buf = np.zeros(end - start + 2 * _PAD, np.uint8)
+    raw.seek(start)
+    view = memoryview(buf)[_PAD:-_PAD]
+    while view.nbytes:
+        got = raw.readinto(view)
+        if not got:  # the file shrank since its end was taken
+            return None
+        view = view[got:]
+    return buf
+
+
+def _block_values(buf: np.ndarray, cells: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray | None:
+    """The values of one block's cells, each from its entry of ``starts`` to
+    the byte before its separator at ``ends``; None unless every cell is in
+    the writer's form and passes the guard (module docstring).
+
+    Each cell's text, less its sign and exponent, is taken right-aligned in
+    24 bytes; the bytes become digit values (the point 0) in three words, and
+    three multiply-shifts, the inverse of :func:`_digits8`, turn each word
+    into an 8-digit number. One division then takes the point's slot out of
+    the value of the 24 slots.
+    """
+    x = cells[ends - 24].view(np.uint8).reshape(-1, 24)  # each cell's last byte at 23
+    tail = (x.view("<u8")[:, 2] >> 32) - _E05  # 0 for "e-05", 1 << 24 for "e-06"
+    sci = (tail | 1 << 24) == 1 << 24
+    exp = 0
+    if sci.any():
+        i = np.flatnonzero(sci)
+        x[i] = cells[ends[i] - 28].view(np.uint8).reshape(-1, 24)
+        exp = np.where(sci, 5 + (tail >> 24).astype(np.intp), 0)
+    neg = buf[starts] == ord("-")
+    length = ends - starts - 4 * sci - neg  # the bytes of digits and point
+    if not ((length > 0) & (length <= 24)).all():
+        return None
+    keep = _KEEP.take(length, axis=0)
+    x &= keep
+    point = x == ord(".")
+    one = point.view(np.uint8)
+    x -= ord("0")
+    x += one
+    x += one  # "." is "0" - 2: the point's slot reads 0
+    x &= keep
+    flags = one.view("<u8")
+    at = sum((flags[:, j] * _POINT_AT[j]) >> 56 for j in range(3)).astype(np.intp)
+    # Every byte a digit, at most one point in a cell (else `at` misses one),
+    # and a point with a digit on each side.
+    if (x.max() > 9 or np.count_nonzero(point) != np.count_nonzero(at)
+            or not ((at == 0) | ((at >= 26 - length) & (at <= 23))).all()):
+        return None
+    w = x.view("<u8")
+    w = (w * (10 << 8 | 1)) >> 8 & 0x00FF00FF00FF00FF
+    w = (w * (100 << 16 | 1)) >> 16 & 0x0000FFFF0000FFFF
+    w = (w * (10000 << 32 | 1)) >> 32
+    slots = w[:, 0] * 10**16 + w[:, 1] * 10**8 + w[:, 2]  # below 10**18 if w[:, 0] < 100
+    sig = slots - slots // _SLOT.take(at) * _NINES.take(at)
+    k = _FRAC.take(at) + exp
+    if not ((w[:, 0] < 100) & (sig < 10**17) & (k <= 22)).all():
+        return None
+    sig = sig.astype(np.int64)
+    p = _POW10.take(k)
+    hi = sig.astype(float)
+    lo = (sig - hi.astype(np.int64)).astype(float)  # sig = hi + lo exactly
+    c = hi / p
+    prod, err = _two_product(c, p)
+    r = (hi - prod) + lo - err  # sig - c * p
+    fixed = c + r / p
+    r -= (fixed - c) * p
+    c = fixed
+    below = c - (c.view(np.uint64) - 1).view(float)  # the gap to the next double toward 0
+    if not ((r == 0) | (np.abs(r) < below * p * (0.5 - 2.0**-41))).all():
+        return None
+    return np.copysign(c, 0.5 - neg)
+
+
+def _loadtxt_block(text: bytes) -> np.ndarray | None:
+    """A block's lines as ``np.loadtxt`` reads them in the whole body, or
+    None unless they are ASCII without "\\r" (a line end to ``np.loadtxt``,
+    which the file may translate) and every value is finite."""
+    if not text.isascii() or b"\r" in text:
+        return None
+    with contextlib.suppress(ValueError):
+        values = np.loadtxt(io.StringIO(text.decode()), delimiter=",", comments=None, ndmin=2)
+        if np.isfinite(values).all():
+            return values
+    return None
 
 
 def _sample_pairs(samples, name: str) -> np.ndarray:

@@ -8,8 +8,10 @@ dual-route check.
 
 import functools
 import heapq
+import io
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -259,6 +261,58 @@ def pmf_csv(x_support, y_support, pmf):
     for i, x in enumerate(x_support):
         rows.append(f"{x:.17g}" + "".join(f",{p:.17g}" for p in pmf[i]) + "\n")
     return "".join(rows)
+
+
+def loadtxt_csv(f, what):
+    """The header cells and body of a CSV of floats by the reader's rules
+    with no parser of its own: ``np.loadtxt`` over the whole body (blank
+    lines skipped), then, if that fails or the body has the wrong width or a
+    non-finite value, a line scan that raises ValueError naming the first
+    bad line. A cell is a number if ``float`` takes it, it is ASCII and it
+    has no underscore."""
+    if not f.seekable():
+        f = io.StringIO(f.read())
+    header = [c.strip() for c in f.readline().rstrip("\r\n").split(",")]
+    width, start = len(header), f.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        if body.size == 0 or (body.shape[1] == width and np.isfinite(body).all()):
+            return header, body.reshape(-1, width)
+    except ValueError:
+        pass
+    f.seek(start)
+    for line_no, line in enumerate(f, start=2):
+        cells = line.rstrip("\r\n").split(",")
+        where = f"{what} csv line {line_no}"
+        if cells == [""]:
+            continue
+        if len(cells) != width:
+            raise ValueError(f"{where}: expected {width} cells, got {len(cells)}")
+        for cell in cells:
+            try:
+                value = float(cell) if cell.isascii() and "_" not in cell else None
+            except ValueError:
+                value = None
+            if value is None:
+                raise ValueError(f"{where}: not a number: {cell.strip()!r}")
+            if not math.isfinite(value):
+                break
+        else:
+            continue
+        raise ValueError(f"{where}: non-finite value")
+    raise ValueError(f"{what} csv: unreadable body")
+
+
+def nearest_double(text):
+    """The double nearest to the decimal ``text``, ties to the even
+    significand, chosen by exact rational distances."""
+    exact = Fraction(text)
+    guess = float(exact)
+    candidates = [math.nextafter(guess, -math.inf), guess, math.nextafter(guess, math.inf)]
+    return min(candidates, key=lambda d: (abs(Fraction(d) - exact),
+                                          int(np.float64(d).view(np.uint64)) & 1))
 
 
 def convergence_csv(rows, limit_mi):

@@ -2,11 +2,12 @@
 ``oracles``, and bit-identical read(write(x)) round trips."""
 
 import io
+import itertools
 import json
 import os
 import threading
 import warnings
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -308,13 +309,222 @@ def test_write_csv_rejects_a_bad_shape_before_writing(header, columns):
     assert buf.getvalue() == ""
 
 
-@PROPERTY
-@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)), elements=FINITE))
-@example(EDGES[3:9].reshape(3, 2))
-def test_samples_round_trip_is_bit_identical(samples):
-    back = ld.read_samples_csv(io.StringIO(written(ld.write_samples_csv, samples)))
-    assert back.shape == samples.shape
-    np.testing.assert_array_equal(bits(back), bits(samples))
+# Three full blocks and part of a fourth.
+ROUND_TRIP_ROWS = 3 * CSV_BLOCK_ROWS + 123
+# The writer's exact range, away from its ends, where every cell it writes
+# is in the form the reader parses in numpy: "1.2345e-06" to 17-digit integers.
+WRITER_FORM = (2e-6, 9e16)
+RARE = [-0.0, 0.0, 1e-7, -1e-7, 5e-324, -2.2250738585072014e-308, 1e17, -3e300, 2.0**53 + 2]
+
+
+def writer_form(rng, shape):
+    """Log-uniform doubles of random sign in WRITER_FORM, zeros and integers."""
+    v = np.exp(rng.uniform(*np.log(WRITER_FORM), shape)) * rng.choice([-1.0, 1.0], shape)
+    v.flat[::101] = np.rint(v.flat[::101])
+    v.flat[1::211] = -0.0
+    return v
+
+
+def any_finite(rng, shape):
+    """Doubles drawn uniformly from every finite bit pattern: subnormals,
+    huge and tiny values, and the writer's range by a little."""
+    v = rng.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False).view(float)
+    return np.where(np.isfinite(v), v, 1.5)
+
+
+@settings(max_examples=4, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)), elements=FINITE),
+       st.integers(0, 2**32 - 1))
+@example(EDGES[3:9].reshape(3, 2), 0)
+def test_samples_round_trip_is_bit_identical(drawn, seed):
+    """Blocks 0 and 2 hold only cells in the parsed form; blocks 1 and 3
+    also hold any finite double, so np.loadtxt reads them. The drawn rows
+    and RARE land at drawn places, and np.loadtxt of the same text is the
+    oracle, for the text written on 1, 2 and 3 writer threads."""
+    rng = np.random.default_rng(seed)
+    samples = writer_form(rng, (ROUND_TRIP_ROWS, 2))
+    for block in (1, 3):
+        rows = samples[block * CSV_BLOCK_ROWS : (block + 1) * CSV_BLOCK_ROWS]
+        rows[::3] = any_finite(rng, rows[::3].shape)
+    samples.flat[rng.choice(samples.size, len(RARE), replace=False)] = RARE
+    at = rng.integers(0, ROUND_TRIP_ROWS - len(drawn) + 1)
+    samples[at : at + len(drawn)] = drawn
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_WORKERS", workers)
+            text = written(ld.write_samples_csv, samples)
+        back = ld.read_samples_csv(io.StringIO(text))
+        want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert back.shape == samples.shape
+        np.testing.assert_array_equal(bits(back), bits(samples))
+        np.testing.assert_array_equal(bits(back), bits(want))
+
+
+def no_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt was called")
+
+
+def test_writer_form_is_parsed_without_loadtxt(monkeypatch, tmp_path):
+    """Every block of writer output in its exact range passes the guard, from
+    a file as the CLI opens it and from a text stream: np.loadtxt, which a
+    declined block or body would call, is never reached."""
+    samples = writer_form(np.random.default_rng(3101), (ROUND_TRIP_ROWS, 2))
+    text = written(ld.write_samples_csv, samples)
+    assert "e-06" in text and "e-05" in text
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    with open(path, newline="") as f:
+        from_file = ld.read_samples_csv(f)
+    for back in (from_file, ld.read_samples_csv(io.StringIO(text))):
+        np.testing.assert_array_equal(bits(back), bits(samples))
+
+
+def midpoints(values):
+    """The exact midpoint between each double and the next one up, as a Decimal."""
+    return [Decimal(v) + (Decimal(np.nextafter(v, np.inf)) - Decimal(v)) / 2 for v in values]
+
+
+def test_hard_cases_read_as_the_nearest_double(monkeypatch):
+    """Decimals on or near a midpoint between doubles read as the nearest
+    double, ties to even (oracles.nearest_double, exact rationals): 2**53 + 1
+    and other 17-digit ties at and above 1e16 (and x.5 just below 2**53),
+    which the guard passes to np.loadtxt; midpoints rounded to 17 digits,
+    which it accepts; and decimals within 1e-25 (relative) of a midpoint."""
+    rng = np.random.default_rng(3102)
+    big = np.exp(rng.uniform(np.log(1e16), np.log(9.9e16), 300))
+    ties = [str(m) for m in midpoints(big)]
+    assert all(len(t) == 17 and t.isdigit() for t in ties)
+    ties += ["9007199254740993"]
+    ties += [str(m) for m in midpoints(2.0**52 + rng.integers(0, 2**52, 50).astype(float))]
+    values = np.exp(rng.uniform(np.log(2e-6), np.log(1e15), 3000))
+    seventeen = [format(Context(prec=17).plus(m), "f") for m in midpoints(values)]
+    wide = Context(prec=80)
+    close = [f"{wide.fma(m, Decimal(sign).scaleb(-25), m):.40e}"
+             for m, sign in zip(midpoints(values[:300]), itertools.cycle([-1, 1]))]
+    for cells in (ties, seventeen, close):
+        n = len(cells) // 2 * 2
+        text = "x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(cells[:n:2], cells[1:n:2]))
+        with monkeypatch.context() as patch:
+            if cells is seventeen:
+                patch.setattr(np, "loadtxt", no_loadtxt)
+            back = ld.read_samples_csv(io.StringIO(text)).ravel()
+        want = [oracles.nearest_double(c) for c in cells[:n]]
+        np.testing.assert_array_equal(bits(back), bits(want))
+
+
+def test_a_file_in_another_encoding_is_read_as_its_text(tmp_path):
+    """Body bytes that are ASCII digits but, in the file's encoding, other
+    characters: the file is read as that text, which is not a number."""
+    path = tmp_path / "t.csv"
+    path.write_bytes("x,y\n".encode("cp037") + b"0.5,1\n")
+    with open(path, newline="", encoding="cp037") as f, pytest.raises(ValueError, match="line 2"):
+        ld.read_samples_csv(f)
+
+
+def closest_to_midpoints():
+    """Cells "0.00000<17 digits>" (k = 22) in [2**-17, 1e-5), where the
+    spacing of doubles is 2**-69, at 1 / (2 * 5**22) of that spacing from a
+    midpoint: no cell of the parsed form off a midpoint comes closer. For
+    ``x = sig / 10**22`` and a midpoint ``(2m + 1) * 2**-70``, ``x`` minus it
+    is ``(sig * 2**48 - (2m + 1) * 5**22) / (5**22 * 2**70)``, and the
+    numerator is +-1 where ``sig * 2**48 = +-1 (mod 5**22)``."""
+    cells = []
+    for sign in (1, -1):
+        first = sign * pow(2**48, -1, 5**22) % 5**22
+        cells += [f"0.00000{sig}" for sig in range(first, 10**17, 5**22) if sig > 2**-17 * 1e22]
+    return cells
+
+
+def test_cells_closest_to_a_midpoint_go_to_loadtxt(monkeypatch):
+    """Their residual is within the guard's 2**-40 margin of half a gap, so
+    np.loadtxt reads their block, and every value is the nearest double."""
+    cells = closest_to_midpoints()
+    assert len(cells) >= 16 and all(len(c) == 24 for c in cells)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    text = "x,y\n" + "".join(f"{a},{b}\n" for a, b in zip(cells[::2], cells[1::2]))
+    back = ld.read_samples_csv(io.StringIO(text)).ravel()
+    assert calls
+    np.testing.assert_array_equal(bits(back), bits([oracles.nearest_double(c) for c in cells]))
+
+
+def read_both(text, how, what, tmp_path):
+    """(codec._read_csv, oracles.loadtxt_csv) of ``text``, each as
+    ("ok", header, body bits) or ("error", message); a warning is an error."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    results = []
+    for read in (codec._read_csv, oracles.loadtxt_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                if how == "stream":
+                    header, body = read(io.StringIO(text), what)
+                else:
+                    with open(path, newline="" if how == "cli" else None, encoding="utf-8") as f:
+                        header, body = read(f, what)
+                results.append(("ok", header, body.shape, bits(body).tobytes()))
+            except ValueError as exc:
+                results.append(("error", str(exc)))
+    return results
+
+
+def three_blocks(line, cell):
+    """Writer text of three blocks of samples with the first cell of ``line``
+    (1-based, the header being line 1) replaced by ``cell``."""
+    samples = np.random.default_rng(3103).uniform(0.0, 1.0, (3 * CSV_BLOCK_ROWS, 2))
+    lines = written(ld.write_samples_csv, samples).split("\n")
+    lines[line - 1] = cell + lines[line - 1][lines[line - 1].index(",") :]
+    return "\n".join(lines)
+
+
+PARITY = {
+    "crlf": "x,y\r\n1,2\r\n0.5,-3.25\r\n",
+    "no-final-newline": "x,y\n1,2\n0.5,-3.25",
+    "blank-lines": "x,y\n1,2\n\n0.5,-3.25\n\n",
+    "whitespace-line": "x,y\n1,2\n   \n0.5,-3.25\n",
+    "short-forms": "x,y\n+1,1e5\n1E5,.5\n5.,007\n-0,0.0\n",
+    "long-significands": ("x,y\n123456789012345678,1.2345678901234567891\n"
+                          "1234567890.1234567891,0.5\n"),
+    "spaces": "x,y\n 0.5 ,1\n",
+    "bom": "\ufeffx,y\n1,2\n",
+    "non-ascii": "x,y\n1,2\u00e9\n",
+    "arabic-digit": "x,y\n1,\u0663\n",
+    "pipe": "x,y\n1|2\n",
+    "nan": "x,y\n1,nan\n",
+    "huge": "x,y\n1,1e999\n",
+    "underscore": "x,y\n1_0,2\n",
+    "one-cell-lines": "x,y\n1\n2\n",
+    "four-cell-line": "x,y\n1,2,3,4\n",
+    "empty-cell": "x,y\n1,\n",
+    "pmf": "x,y:0,y:1\n0,0.25,0.25\n1,0.25,0.25\n",
+    "pmf-one-column-blank-lines": "x\n\n\n",
+    "pmf-short-row": "x,y:0,y:1\n0,0.25,0.25\n1,0.25\n",
+    "short-form-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 100, "1e5"),
+    "tiny-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 100, "1.250032328758972e-07"),
+    "bad-cell-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 2, "abc"),
+}
+# Cells near the parsed form: misplaced signs, points and exponents.
+NEAR_FORM = ["1.2.3", "--1", "1-", "-", ".", "1e-05.5", "e-05", "-e-06", "1.e-05", "1e-5",
+             "1.5e-04", "1e-055", "0x10", "12345678901234567.5", "0.12345678901234567891",
+             "0.000000000000000000.500"]
+PARITY.update({f"cell {cell}": f"x,y\n0.5,{cell}\n" for cell in NEAR_FORM})
+
+
+@pytest.mark.parametrize("how", ["stream", "cli", "translated"])
+@pytest.mark.parametrize("case", list(PARITY))
+def test_reader_keeps_the_loadtxt_rules(case, how, tmp_path):
+    """The same header and body bits, or the same ValueError text, as
+    np.loadtxt with a line scan (oracles.loadtxt_csv), from a text stream, a
+    file opened as the CLI opens it and one that translates newlines."""
+    text = PARITY[case]
+    what = "pmf" if case.startswith("pmf") else "sample"
+    got, want = read_both(text, how, what, tmp_path)
+    assert got == want
+    if case == "bad-cell-in-block-3":
+        assert want == ("error", "sample csv line 32770: not a number: 'abc'")
 
 
 @st.composite
