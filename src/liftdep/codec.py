@@ -24,11 +24,12 @@ and -6 here) ``d.ddde-0X``. This covers ``1e-6 <= |v| < 1e17`` (and a little les
 the ends); zero, NaN, infinities and every other value are formatted by
 ``CSV_FLOAT % v`` itself, once per distinct value.
 
-The reader inverts that layout. It reads the body into one zero-padded byte
-array and parses it CSV_BLOCK_ROWS rows at a time in numpy, where each line
-of the block is cells joined by commas and ended by a newline, and each cell
-is in the writer's form ``-?D+(.D+)?(e-0[56])?``: its digits, point dropped,
-are an integer ``sig < 10**17`` (at most 17 significant digits) and its value
+The reader inverts that layout. It reads the body's bytes, at most one
+block's worth at a time, into one reused zero-padded byte array and parses
+them _READ_ROWS rows at a time in numpy, where each line of the block is
+cells joined by commas and ended by a newline, and each cell is in the
+writer's form ``-?D+(.D+)?(e-0[56])?``: its digits, point dropped, are an
+integer ``sig < 10**17`` (at most 17 significant digits) and its value
 is ``sig / 10**k`` with ``k`` = (digits after the point) - (exponent) ``<= 22``,
 so ``10**k`` is an exact double. The quotient ``c = sig / 10**k`` is
 corrected once by the residual ``sig - c * 10**k``, which Dekker's product
@@ -38,9 +39,10 @@ its 2**-40 margin, is below half the gap from ``c`` to the next double toward
 zero, the smaller of its two gaps. Then ``c`` is the double nearest to
 ``sig / 10**k``, as ``np.loadtxt`` would read it; an exact tie fails the
 guard. A block with any other cell is read by ``np.loadtxt`` on its own, and
-if that fails, or a line is not of that shape, or the file may hold text
-other than ASCII, the whole body is read by ``np.loadtxt`` as if no block
-had been, so every value and every line-numbered error stays the same.
+if that fails, or a line is not of that shape (a "+", a space or a "\\r"
+ends a cell early), or the file may hold text other than ASCII, the whole
+body is read by ``np.loadtxt`` as if no block had been, so every value and
+every line-numbered error stays the same.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ import warnings
 
 import numpy as np
 
-# Rows per block of write_csv and of the reader: 1e6 x 2 samples wrote fastest at
-# 16,384 rows (65,536 took 1.3-1.6x as long) and read as fast as at 8,192 (65,536: 1.3x).
-CSV_BLOCK_ROWS = 16384
+CSV_BLOCK_ROWS = 16384  # 1e6 x 2 samples wrote fastest at 16,384 rows; 65,536 took 1.3-1.6x as long
+# Rows per block of the reader: a fresh read of 1e6 x 2 samples took as long at
+# 2,048 to 16,384 rows, and its peak RSS grows with the block (4,096: that of
+# np.loadtxt; 16,384: 8.6 MB more).
+_READ_ROWS = 4096
 CSV_FLOAT = "%.17g"
 # Threads for the block loops of write_csv and estimation.kernel_lift; see _in_order.
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -327,8 +331,8 @@ def _csv_float(cell: str, where: str) -> float:
     raise ValueError(f"{where}: not a number: {cell.strip()!r}")
 
 
-# The reader's zero bytes on each side of the body: a cell's window starts up
-# to 28 bytes before the cell's end.
+# The reader's zero bytes before the body: a cell's 24 bytes start up to 28
+# bytes before the cell's end.
 _PAD = 32
 # _KEEP[n]: the mask of the last n of a cell's 24 bytes.
 _KEEP = np.array([[0] * (24 - n) + [0xFF] * n for n in range(25)], np.uint8)
@@ -384,66 +388,70 @@ def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
 
 def _exact_body(f: io.TextIOBase, start: int, width: int) -> np.ndarray | None:
     """The body of ``f`` from ``start`` as an (n, width) array, parsed by
-    blocks of CSV_BLOCK_ROWS lines (module docstring), or None if
+    blocks of _READ_ROWS lines (module docstring), or None if
     ``np.loadtxt`` must read it whole."""
-    buf = _padded_body(f, start)
-    if buf is None:
+    body = _body_bytes(f, start)
+    if body is None:
         return None
-    end = len(buf) - _PAD
-    cells = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))  # cells[i]: bytes i to i + 23
+    raw, size = body
+    # A cell and its separator take 2 bytes or more. Pages of `out` that no
+    # row reaches are never touched, and the resize at the end returns them.
+    try:
+        out = np.empty((size // (2 * width), width))
+    except MemoryError:  # no address space for 4 times the body's bytes
+        return None
     row = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
-    need = CSV_BLOCK_ROWS * width  # separators per block
-    blocks, p = [], _PAD
-    while p < end:
-        # A line of the writer's form takes at most 25 bytes per cell.
-        ends = np.flatnonzero(buf[p : min(p + 25 * need, end)] < ord("-")) + p
+    need = _READ_ROWS * width  # separators per block
+    # A line of the writer's form takes at most 25 bytes per cell, so a
+    # block's bytes fit in the window after the _PAD zero bytes.
+    buf = np.zeros(_PAD + 25 * need, np.uint8)
+    cells = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))  # cells[i]: bytes i to i + 23
+    n, end = 0, _PAD  # rows parsed; buf[_PAD:end]: bytes read and not yet parsed
+    while True:
+        # The bytes after the window's last newline, a partial line, are
+        # carried over to the next window, or, at the end, make it decline.
+        end += raw.readinto(memoryview(buf)[end:])
+        if end == _PAD:
+            break
+        ends = np.flatnonzero(buf[_PAD:end] < ord("-"))[:need] + _PAD
         kind = buf[ends]
-        sep = (kind == ord(",")) | (kind == ord("\n"))
-        if not sep.all():  # a byte below "-" in a cell, such as "+", " " or "\r"
-            ends, kind = ends[sep], kind[sep]
-        ends, kind = ends[:need], kind[:need]
-        if (len(ends) == 0 or len(ends) % width or (len(ends) < need and ends[-1] != end - 1)
-                or not (kind.reshape(-1, width) == row).all()):
+        if len(ends) == 0 or len(ends) % width or not (kind.reshape(-1, width) == row).all():
             return None
-        starts = np.concatenate(([p], ends[:-1] + 1))
-        if not (ends > starts).all():  # an empty cell, or a blank line if width is 1
+        starts, rows = np.concatenate(([_PAD], ends[:-1] + 1)), len(ends) // width
+        # An empty cell, a blank line if width is 1, or more rows than the
+        # file had bytes for when `out` was sized.
+        if not (ends > starts).all() or n + rows > len(out):
             return None
         values = _block_values(buf, cells, starts, ends)
         if values is None:
-            values = _loadtxt_block(buf[p : ends[-1] + 1].tobytes())
+            values = _loadtxt_block(buf[_PAD : ends[-1] + 1].tobytes())
             if values is None:
                 return None
-        blocks.append(values.reshape(-1, width))
-        p = ends[-1] + 1
-    del buf, cells  # the text, before the values are joined
-    return np.concatenate(blocks) if blocks else np.empty((0, width))
+        out[n : n + rows] = values.reshape(-1, width)
+        n += rows
+        rest = buf[ends[-1] + 1 : end]
+        buf[_PAD : _PAD + len(rest)] = rest  # numpy copies an overlapping slice first
+        end = _PAD + len(rest)
+    out.resize((n, width), refcheck=False)
+    return out
 
 
-def _padded_body(f: io.TextIOBase, start: int) -> np.ndarray | None:
-    """The rest of ``f`` from ``start`` as bytes with _PAD zero bytes on each
-    side, read into one array; None if that may differ from the text ``f``
-    reads, when the file is not UTF-8 or ASCII or the text is not ASCII."""
+def _body_bytes(f: io.TextIOBase, start: int) -> tuple[io.BufferedIOBase, int] | None:
+    """The rest of ``f`` from ``start`` as a binary stream, and its size in
+    bytes; None if ``start`` is no byte offset or those bytes may differ
+    from the text ``f`` reads, when the file is not UTF-8 or ASCII or the
+    text is not ASCII."""
     raw = getattr(f, "buffer", None)
     if raw is None:  # a text stream with no bytes below it, such as io.StringIO
         text = f.read()
-        if not text.isascii():
-            return None
-        buf = np.zeros(len(text) + 2 * _PAD, np.uint8)
-        buf[_PAD:-_PAD] = np.frombuffer(text.encode(), np.uint8)
-        return buf
-    end = f.seek(0, io.SEEK_END)
-    # A start beyond the end is a position cookie that carries decoder state.
-    if codecs.lookup(f.encoding).name not in ("utf-8", "ascii") or start > end:
+        return (io.BytesIO(text.encode()), len(text)) if text.isascii() else None
+    size = raw.seek(0, io.SEEK_END) - start
+    # A start beyond the end is a position cookie that carries decoder
+    # state: a "\r" held back at the end of the file, after the header.
+    if codecs.lookup(f.encoding).name not in ("utf-8", "ascii") or size < 0:
         return None
-    buf = np.zeros(end - start + 2 * _PAD, np.uint8)
     raw.seek(start)
-    view = memoryview(buf)[_PAD:-_PAD]
-    while view.nbytes:
-        got = raw.readinto(view)
-        if not got:  # the file shrank since its end was taken
-            return None
-        view = view[got:]
-    return buf
+    return raw, size
 
 
 def _block_values(buf: np.ndarray, cells: np.ndarray, starts: np.ndarray,
@@ -512,9 +520,8 @@ def _block_values(buf: np.ndarray, cells: np.ndarray, starts: np.ndarray,
 
 def _loadtxt_block(text: bytes) -> np.ndarray | None:
     """A block's lines as ``np.loadtxt`` reads them in the whole body, or
-    None unless they are ASCII without "\\r" (a line end to ``np.loadtxt``,
-    which the file may translate) and every value is finite."""
-    if not text.isascii() or b"\r" in text:
+    None unless they are ASCII and every value is finite."""
+    if not text.isascii():
         return None
     with contextlib.suppress(ValueError):
         values = np.loadtxt(io.StringIO(text.decode()), delimiter=",", comments=None, ndmin=2)

@@ -309,12 +309,23 @@ def test_write_csv_rejects_a_bad_shape_before_writing(header, columns):
     assert buf.getvalue() == ""
 
 
+@PROPERTY
+@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)), elements=FINITE))
+@example(EDGES[3:9].reshape(3, 2))
+def test_samples_round_trip_is_bit_identical(samples):
+    back = ld.read_samples_csv(io.StringIO(written(ld.write_samples_csv, samples)))
+    assert back.shape == samples.shape
+    np.testing.assert_array_equal(bits(back), bits(samples))
+
+
 # Three full blocks and part of a fourth.
 ROUND_TRIP_ROWS = 3 * CSV_BLOCK_ROWS + 123
 # The writer's exact range, away from its ends, where every cell it writes
 # is in the form the reader parses in numpy: "1.2345e-06" to 17-digit integers.
 WRITER_FORM = (2e-6, 9e16)
-RARE = [-0.0, 0.0, 1e-7, -1e-7, 5e-324, -2.2250738585072014e-308, 1e17, -3e300, 2.0**53 + 2]
+# Values at the edges of the parsed form and below it; none has an "e+".
+RARE = [-0.0, 0.0, 1e-7, -1e-7, 1e-6, 1e-5, 5e-324, -2.2250738585072014e-308, 2.0**53 + 2,
+        99999999999999984.0]
 
 
 def writer_form(rng, shape):
@@ -332,36 +343,62 @@ def any_finite(rng, shape):
     return np.where(np.isfinite(v), v, 1.5)
 
 
-@settings(max_examples=4, deadline=None)
-@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)), elements=FINITE),
-       st.integers(0, 2**32 - 1))
-@example(EDGES[3:9].reshape(3, 2), 0)
-def test_samples_round_trip_is_bit_identical(drawn, seed):
-    """Blocks 0 and 2 hold only cells in the parsed form; blocks 1 and 3
-    also hold any finite double, so np.loadtxt reads them. The drawn rows
-    and RARE land at drawn places, and np.loadtxt of the same text is the
-    oracle, for the text written on 1, 2 and 3 writer threads."""
-    rng = np.random.default_rng(seed)
-    samples = writer_form(rng, (ROUND_TRIP_ROWS, 2))
-    for block in (1, 3):
-        rows = samples[block * CSV_BLOCK_ROWS : (block + 1) * CSV_BLOCK_ROWS]
-        rows[::3] = any_finite(rng, rows[::3].shape)
-    samples.flat[rng.choice(samples.size, len(RARE), replace=False)] = RARE
-    at = rng.integers(0, ROUND_TRIP_ROWS - len(drawn) + 1)
-    samples[at : at + len(drawn)] = drawn
-    for workers in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(codec, "_WORKERS", workers)
-            text = written(ld.write_samples_csv, samples)
-        back = ld.read_samples_csv(io.StringIO(text))
-        want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
-        assert back.shape == samples.shape
-        np.testing.assert_array_equal(bits(back), bits(samples))
-        np.testing.assert_array_equal(bits(back), bits(want))
+def tiny(rng, shape):
+    """Doubles of random sign drawn uniformly from the bit patterns below
+    1e-6, subnormals included, which the writer writes "d.ddde-XX"."""
+    top = np.float64(1e-6).view(np.uint64)
+    return rng.integers(0, top, shape, dtype=np.uint64).view(float) * rng.choice([-1.0, 1.0], shape)
 
 
 def no_loadtxt(*args, **kwargs):
     raise AssertionError("np.loadtxt was called")
+
+
+@PROPERTY
+@given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)),
+                  elements=st.floats(*WRITER_FORM) | st.floats(-WRITER_FORM[1], -WRITER_FORM[0])))
+def test_writer_form_round_trip_is_parsed_in_numpy(samples):
+    """Drawn doubles in the writer's exact range read back bit for bit, and
+    np.loadtxt, which a declined block or body would call, is never reached."""
+    text = written(ld.write_samples_csv, samples)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", no_loadtxt)
+        back = ld.read_samples_csv(io.StringIO(text))
+    assert back.shape == samples.shape
+    np.testing.assert_array_equal(bits(back), bits(samples))
+
+
+@pytest.mark.parametrize("off_form, loadtxt_calls", [(tiny, 2), (any_finite, 1)])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_samples_round_trip_over_blocks_is_bit_identical(off_form, loadtxt_calls, seed):
+    """Reader block 1 and the last one, part of a block, hold ``off_form``
+    doubles in a third of their rows, and RARE at drawn places; the other
+    blocks hold only cells in the parsed form, which numpy parses. Tiny
+    doubles send only their own blocks to np.loadtxt; any finite double
+    (1e17 and above are written with an "e+") sends the whole body there
+    from block 1 on. np.loadtxt of the same text is the oracle, for the text
+    written on 1, 2 and 3 writer threads."""
+    rng = np.random.default_rng(seed)
+    samples = writer_form(rng, (ROUND_TRIP_ROWS, 2))
+    size = codec._READ_ROWS
+    for block in (1, ROUND_TRIP_ROWS // size):
+        rows = samples[block * size : (block + 1) * size]
+        rows[::3] = off_form(rng, rows[::3].shape)
+        rows.flat[rng.choice(rows.size, len(RARE), replace=False)] = RARE
+    loadtxt = np.loadtxt
+    for workers in (1, 2, 3):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codec, "_WORKERS", workers)
+            text = written(ld.write_samples_csv, samples)
+            patch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+            back = ld.read_samples_csv(io.StringIO(text))
+        want = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert len(calls) == loadtxt_calls
+        assert back.shape == samples.shape
+        np.testing.assert_array_equal(bits(back), bits(samples))
+        np.testing.assert_array_equal(bits(back), bits(want))
 
 
 def test_writer_form_is_parsed_without_loadtxt(monkeypatch, tmp_path):
@@ -378,6 +415,20 @@ def test_writer_form_is_parsed_without_loadtxt(monkeypatch, tmp_path):
         from_file = ld.read_samples_csv(f)
     for back in (from_file, ld.read_samples_csv(io.StringIO(text))):
         np.testing.assert_array_equal(bits(back), bits(samples))
+
+
+def test_a_body_with_no_room_for_its_values_goes_to_loadtxt(monkeypatch):
+    """The reader reserves address space for the most rows the body's bytes
+    could hold; where that fails, np.loadtxt reads the body instead."""
+    samples = writer_form(np.random.default_rng(3104), (50, 2))
+    text = written(ld.write_samples_csv, samples)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    monkeypatch.setattr(np, "empty", lambda *a, **k: (_ for _ in ()).throw(MemoryError))
+    back = ld.read_samples_csv(io.StringIO(text))
+    assert calls
+    np.testing.assert_array_equal(bits(back), bits(samples))
 
 
 def midpoints(values):
@@ -420,6 +471,48 @@ def test_a_file_in_another_encoding_is_read_as_its_text(tmp_path):
     path.write_bytes("x,y\n".encode("cp037") + b"0.5,1\n")
     with open(path, newline="", encoding="cp037") as f, pytest.raises(ValueError, match="line 2"):
         ld.read_samples_csv(f)
+
+
+def test_an_ascii_file_with_other_bytes_fails_as_its_decoder_fails(tmp_path):
+    """A no-break space, which np.loadtxt takes as whitespace, as UTF-8
+    bytes in a file opened as ASCII: the read raises the decoder's error,
+    as the text of the file cannot be read, and gives no values."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\n" + b"0.5,0.25\n" * 1000 + b"1,2\xc2\xa0\n")  # past the first 8 KB read
+    with open(path, newline="", encoding="ascii") as f, pytest.raises(UnicodeDecodeError):
+        ld.read_samples_csv(f)
+
+
+class Trickle(io.BytesIO):
+    """Bytes that come at most 1,000 to a read."""
+
+    def readinto(self, b):
+        return super().readinto(memoryview(b)[:1000])
+
+
+class Growing(io.BytesIO):
+    """A file that grows by 100 bytes after its end is first sought."""
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        at = super().seek(pos, whence)
+        return at - 100 if whence == io.SEEK_END else at
+
+
+def test_a_file_that_grows_while_read_goes_to_loadtxt():
+    """More rows than the size first taken has room for: np.loadtxt reads
+    the body to its end."""
+    text = "x,y\n" + "1,2\n" * 100
+    f = io.TextIOWrapper(Growing(text.encode()), encoding="utf-8", newline="")
+    np.testing.assert_array_equal(ld.read_samples_csv(f), [[1.0, 2.0]] * 100)
+
+
+def test_short_reads_give_the_same_values():
+    """A window that a short read ends mid-line is declined, and np.loadtxt
+    reads the body to the same values."""
+    samples = writer_form(np.random.default_rng(3105), (2 * codec._READ_ROWS + 5, 2))
+    text = written(ld.write_samples_csv, samples)
+    f = io.TextIOWrapper(Trickle(text.encode()), encoding="utf-8", newline="")
+    np.testing.assert_array_equal(bits(ld.read_samples_csv(f)), bits(samples))
 
 
 def closest_to_midpoints():
@@ -485,6 +578,8 @@ PARITY = {
     "no-final-newline": "x,y\n1,2\n0.5,-3.25",
     "blank-lines": "x,y\n1,2\n\n0.5,-3.25\n\n",
     "whitespace-line": "x,y\n1,2\n   \n0.5,-3.25\n",
+    "lone-cr-body": "x,y\n\r",
+    "cr-at-end": "x,y\n1,2\r",
     "short-forms": "x,y\n+1,1e5\n1E5,.5\n5.,007\n-0,0.0\n",
     "long-significands": ("x,y\n123456789012345678,1.2345678901234567891\n"
                           "1234567890.1234567891,0.5\n"),
@@ -501,9 +596,11 @@ PARITY = {
     "empty-cell": "x,y\n1,\n",
     "pmf": "x,y:0,y:1\n0,0.25,0.25\n1,0.25,0.25\n",
     "pmf-one-column-blank-lines": "x\n\n\n",
+    "one-column-blank-line-inside": "x\n1234\n\n5678\n",
     "pmf-short-row": "x,y:0,y:1\n0,0.25,0.25\n1,0.25\n",
     "short-form-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 100, "1e5"),
     "tiny-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 100, "1.250032328758972e-07"),
+    "huge-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 100, "1.0000000000000001e+17"),
     "bad-cell-in-block-3": three_blocks(2 * CSV_BLOCK_ROWS + 2, "abc"),
 }
 # Cells near the parsed form: misplaced signs, points and exponents.
