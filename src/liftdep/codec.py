@@ -348,7 +348,8 @@ _NINES = _SLOT // 10 * 9
 
 
 def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
-    """The header cells and the body of a CSV of floats as wide as its header.
+    """The header cells and the body of a CSV of floats as wide as its header,
+    the header read without one leading byte-order mark.
 
     :func:`_exact_body` parses the body in numpy by blocks (module
     docstring). Where it declines, ``np.loadtxt`` (numpy's C parser,
@@ -359,7 +360,10 @@ def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
     """
     if not f.seekable():  # a pipe: the scan needs to read the body again
         f = io.StringIO(f.read())
-    header = [c.strip() for c in f.readline().rstrip("\r\n").split(",")]
+    # A UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports begin, is
+    # not part of the first name; str.strip keeps it.
+    line = f.readline().removeprefix("\ufeff")
+    header = [c.strip() for c in line.rstrip("\r\n").split(",")]
     width, start = len(header), f.tell()
     body = _exact_body(f, start, width)
     if body is not None:

@@ -494,6 +494,10 @@ class ContinuousFamily:
         :func:`_cdf_gap`). Otherwise the target is clipped to the box, each
         rate is a strip integral of the joint density over ``(lo, hi)``
         divided by ``rho_X``, and the baseline the integral of ``marginal_y``.
+        The strips of all grid points where ``rho_X > 0`` are the components
+        of one vector-valued heap: they share its cells, each strip is within
+        the heap's tolerance, and a strip that converges in the seed cell
+        gets the bits of a heap of its own.
         """
         lo, hi = _pair(target, "target interval")
         if not lo < hi:
@@ -512,13 +516,15 @@ class ContinuousFamily:
         baseline = _interval_mass(self.marginal_y, lo_c, hi_c)
         if baseline <= 0.0:
             raise TargetHasZeroMass(f"target interval [{lo}, {hi}] carries no mass")
+        rho = self.marginal_x(x_grid)
+        live = rho > 0.0
         rates = np.full(x_grid.shape, -np.inf)
-        for i, x in enumerate(x_grid):
-            rho_x = float(self.marginal_x(x))
-            if rho_x <= 0.0:
-                continue
-            strip = _interval_mass(lambda y: self.joint_density(np.full_like(y, x), y), lo_c, hi_c)
-            rates[i] = strip / rho_x
+        if live.any():
+            x_live = x_grid[live, None]
+            strips = _interval_mass(
+                lambda y: self.joint_density(*np.broadcast_arrays(x_live, y)), lo_c, hi_c
+            )
+            rates[live] = strips / rho[live]
         return x_grid, rates, baseline
 
     def bounded_axis(self, axis: str) -> Interval:
@@ -840,8 +846,11 @@ def _draw_indices(weights, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), cum.size - 1)
 
 
-def _interval_mass(pdf: Evaluator, lo: float, hi: float) -> float:
-    """The integral of ``pdf`` over ``[lo, hi]``, 0 when the interval is empty."""
+def _interval_mass(pdf: Evaluator, lo: float, hi: float):
+    """The integral of ``pdf`` over ``[lo, hi]``, 0 when the interval is empty.
+
+    A ``pdf`` that maps n points to an ``(m, n)`` array gives the ``(m,)``
+    integrals of its rows, from one heap (see ``quadrature._eval_cells``)."""
     if hi <= lo:
         return 0.0
     return adaptive_quad_1d(pdf, lo, hi, tol=1e-10).value

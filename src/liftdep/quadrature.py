@@ -16,7 +16,12 @@ are reduced as one row sum per cell, so a cell gets the same bits whatever
 batch it is evaluated in.
 
 Integrands must be vectorized and elementwise: ``f(x, y)`` (2D) or ``f(x)``
-(1D) with 1-D ndarray arguments returning an ndarray of the same shape.
+(1D) with 1-D ndarray arguments of length n returning an ndarray of the same
+shape, or an ``(m, n)`` array, one row per component of a vector-valued
+integrand. The components share every cell, and a cell's error is its
+largest component error, as DCUHRE refines a vector of integrands (Berntsen,
+Espelid & Genz, ACM TOMS 17 (1991) 437-451); the budget counts nodes and the
+``STEP_NODES`` cap counts values, nodes times components.
 A finite 2D box is seeded with its quartered part inside
 ``[-CORE_HALF, CORE_HALF]^2`` plus up to four tail bands, all with the same
 rule; see :func:`_core_tail_cells`. An infinite end is integrated through the
@@ -84,7 +89,8 @@ SINH_T_MAX = 30.0
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
+    # a float, or an (m,) array for an integrand with m components
+    value: float | np.ndarray
     error: float
     n_evals: int
     # cells in the final partition
@@ -121,21 +127,29 @@ def _eval_cells(f, cells):
     A cell is ``(a, b)`` in 1D and ``(xa, xb, ya, yb)`` in 2D. Every batch,
     one cell or many, takes the same path: the nodes of all cells come from
     one broadcast and are reduced as one row sum per cell, so a cell gets the
-    same bits in any batch. A cell whose integrand is non-finite at a node
-    gets a NaN error, without a warning. Returns
-    ``(fine values, |fine - coarse| errors)``, lists in cell order.
+    same bits in any batch. ``f`` maps n nodes to n values, or to an ``(m,
+    n)`` array, one row per component; each component is reduced as a
+    scalar integrand would be, so it gets a scalar integrand's bits. A cell
+    whose integrand is non-finite at a node gets a NaN error, without a
+    warning. Returns ``(fine values, |fine - coarse| errors)``, lists in cell
+    order: a value is a float, or an ``(m,)`` array whose error is the
+    largest component error.
     """
     dim = len(cells[0]) // 2
     units, weights, k = _rule_tables(dim)
     b = np.array(cells).T
     c, h = 0.5 * (b[0::2] + b[1::2]), 0.5 * (b[1::2] - b[0::2])
     nodes = (c[:, :, None] + h[:, :, None] * units).reshape(dim, -1)
-    block = np.asarray(f(*nodes), dtype=float).reshape(len(cells), -1) * weights
+    out = np.asarray(f(*nodes), dtype=float)
+    block = out.reshape(*out.shape[:-1], len(cells), -1) * weights
     scale = reduce(np.multiply, h)
-    coarse = scale * block[:, :k].sum(axis=1)
-    fine = scale * block[:, k:].sum(axis=1)
+    coarse = scale * block[..., :k].sum(axis=-1)
+    fine = scale * block[..., k:].sum(axis=-1)
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite cell
-        return fine.tolist(), np.abs(fine - coarse).tolist()
+        errors = np.abs(fine - coarse)
+    if fine.ndim == 1:
+        return fine.tolist(), errors.tolist()
+    return list(fine.T), errors.max(axis=0).tolist()
 
 
 def check_quad_args(tol: float, budget: int, rtol: float = 0.0) -> None:
@@ -156,7 +170,11 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) 
     ``seeds`` are cell bounds; ``split(*bounds)`` gives the bounds of a
     cell's children. Each step is one call of ``f``: the seeds first, then
     the children of the cells popped by the batch pop rule (see the module
-    docstring).
+    docstring). For an ``f`` with ``m`` components (see :func:`_eval_cells`)
+    the total is an ``(m,)`` array, a cell's error is its largest component
+    error, so every component ends within the bound, and ``|total|`` is the
+    smallest component's. The budget counts nodes, whatever ``m`` is, and a
+    step's ``STEP_NODES`` counts values, nodes times ``m``.
     """
     check_quad_args(tol, budget, rtol)
     heap: list = []
@@ -164,9 +182,12 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) 
     n_evals = n_steps = 0
     tick = itertools.count()
     cell_nodes = _rule_tables(len(seeds[0]) // 2)[1].size
+    step_nodes = 0
     batch = seeds
     while batch:
         values, errors = _eval_cells(f, batch)
+        if not step_nodes:
+            step_nodes = STEP_NODES // np.size(values[0])
         n_evals += len(batch) * cell_nodes
         n_steps += 1
         for bounds, v, e in zip(batch, values, errors):
@@ -174,13 +195,14 @@ def _adaptive_heap(f, seeds, split, tol: float, budget: int, rtol: float = 0.0) 
             err += e
             heapq.heappush(heap, (-e, next(tick), bounds, v, e))
         # pop until the popped errors reach the excess over the bound
-        bound = max(tol, rtol * abs(total))
+        # relative to the smallest component; .flat also iterates a scalar
+        bound = max(tol, rtol * min(np.abs(total).flat)) if rtol else tol
         batch, excess, popped, nodes = [], err - bound, 0.0, 0
         while heap and popped < excess and n_evals < budget:
             _, _, bounds, v, e = heap[0]
             children = split(*bounds)
             n = len(children) * cell_nodes
-            if batch and (nodes + n > STEP_NODES or n_evals + nodes + n > budget):
+            if batch and (nodes + n > step_nodes or n_evals + nodes + n > budget):
                 break
             heapq.heappop(heap)
             total -= v
@@ -294,8 +316,10 @@ def adaptive_quad_2d(
 
     A finite box is seeded by :func:`_core_tail_cells`. A box with an infinite
     end is integrated over its ``t``-box (see the module docstring), seeded in
-    quarters; ``f`` still receives ``x`` and ``y``. Raises ValueError unless
-    ``x_lo < x_hi`` and ``y_lo < y_hi``, and on a ``tol`` or ``budget`` that
+    quarters; ``f`` still receives ``x`` and ``y``. An ``f`` that returns an
+    ``(m, n)`` array for n nodes gives an ``(m,)`` value, every component
+    within ``tol``. Raises ValueError unless ``x_lo < x_hi`` and
+    ``y_lo < y_hi``, and on a ``tol`` or ``budget`` that
     :func:`check_quad_args` refuses.
     """
     g, t_box, _ = _sinh_map(f, box)
@@ -315,6 +339,9 @@ def adaptive_quad_1d(
     """Adaptive 1D integral of a vectorized integrand over [a, b]; an infinite
     end is integrated through the sinh map of the module docstring. The heap
     stops once its error estimate is at most ``max(tol, rtol * |value|)``.
+    An ``f`` that returns an ``(m, n)`` array for n nodes gives an ``(m,)``
+    value; every component is then within the bound, with ``|value|`` the
+    smallest component's.
 
     The heap is seeded with one cell between each pair of consecutive points
     of ``a``, ``b`` and the ``breaks`` strictly between them, like QUADPACK's

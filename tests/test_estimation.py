@@ -404,22 +404,63 @@ class TestTargeting:
         assert result.x_opt == pytest.approx(best)
         assert result.boosted_rate == pytest.approx(cond_rate(best), abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "target", [(1.0, 2.0), (10.0, 11.0), (-11.0, -10.0), (2.0, math.inf), (-math.inf, -3.0)]
-    )
-    def test_bvn_rates_match_the_mpmath_oracle(self, target):
-        """One vectorized C(hi | x) - C(lo | x), each difference on the side
-        of the median where it does not cancel: (10, 11), outside the [-8, 8]
-        box and a difference of two numbers within 1e-23 of 1, is still 1e-12
-        relative."""
+    BVN_RATE_CASES = [
+        *(
+            pytest.param(0.6, False, target, id=f"target{i}")
+            for i, target in enumerate(
+                [(1.0, 2.0), (10.0, 11.0), (-11.0, -10.0), (2.0, math.inf), (-math.inf, -3.0)]
+            )
+        ),
+        *(
+            pytest.param(r, True, target, id=f"view-{r}-{target}")
+            for r in (0.6, 0.99, 0.999)
+            for target in [(1.0, 2.0), (-2.0, -1.5), (3.0, 7.9)]
+        ),
+    ]
+
+    @pytest.mark.parametrize("r,view,target", BVN_RATE_CASES)
+    def test_bvn_rates_match_the_mpmath_oracle(self, r, view, target):
+        """The law's conditional route: one vectorized C(hi | x) - C(lo | x),
+        each difference on the side of the median where it does not cancel:
+        (10, 11), outside the [-8, 8] box and a difference of two numbers
+        within 1e-23 of 1, is still 1e-12 relative. Its ``as_continuous``
+        view takes the generic route, one heap of strip integrals, and is
+        within 1e-12 absolute for targets inside the box."""
         xs = np.linspace(-3.0, 3.0, 61)
-        profiles, rates, baseline = ld.BivariateNormal(0.6).target_rates(target, xs)
-        np.testing.assert_array_equal(profiles, xs)
-        want = [oracles.bvn_conditional_rate_mp(0.6, x, *target) for x in xs]
-        np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0.0)
-        assert baseline == pytest.approx(
-            oracles.bvn_conditional_rate_mp(0.0, 0.0, *target), rel=1e-12
+        dist = ld.BivariateNormal(r)
+        profiles, rates, baseline = (ld.as_continuous(dist) if view else dist).target_rates(
+            target, xs
         )
+        np.testing.assert_array_equal(profiles, xs)
+        want = [oracles.bvn_conditional_rate_mp(r, x, *target) for x in xs]
+        want_baseline = oracles.bvn_conditional_rate_mp(0.0, 0.0, *target)
+        if view:
+            np.testing.assert_allclose(rates, want, rtol=0.0, atol=1e-12)
+            assert baseline == pytest.approx(want_baseline, rel=0.0, abs=1e-12)
+        else:
+            np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0.0)
+            assert baseline == pytest.approx(want_baseline, rel=1e-12)
+
+    def test_generic_rates_are_one_heap_of_strips(self, monkeypatch):
+        """A law without a conditional CDF integrates the strips of all 201
+        default grid points in one vector-valued heap: two 1D quadratures,
+        the baseline and the strips, not one per grid point."""
+        from liftdep import distributions as dm
+
+        calls, quad_1d = [], dm.adaptive_quad_1d
+
+        def counted(*args, **kwargs):
+            calls.append(quad_1d(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(dm, "adaptive_quad_1d", counted)
+        profiles, rates, _ = ld.as_continuous(ld.BivariateNormal(0.9)).target_rates(
+            (1.0, 2.0), None
+        )
+        assert profiles.size == 201
+        assert len(calls) == 2
+        assert np.shape(calls[1].value) == (201,) and calls[1].converged
+        np.testing.assert_array_equal(rates, calls[1].value / dm.standard_normal_pdf(profiles))
 
     def test_circular_cauchy_half_line_target(self):
         # P(Y >= 1) = 1/4 and P(Y >= 1 | X = x) = (1 - 1/sqrt(2 + x^2)) / 2,

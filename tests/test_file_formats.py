@@ -584,7 +584,6 @@ PARITY = {
     "long-significands": ("x,y\n123456789012345678,1.2345678901234567891\n"
                           "1234567890.1234567891,0.5\n"),
     "spaces": "x,y\n 0.5 ,1\n",
-    "bom": "\ufeffx,y\n1,2\n",
     "non-ascii": "x,y\n1,2\u00e9\n",
     "arabic-digit": "x,y\n1,\u0663\n",
     "pipe": "x,y\n1|2\n",
@@ -622,6 +621,44 @@ def test_reader_keeps_the_loadtxt_rules(case, how, tmp_path):
     assert got == want
     if case == "bad-cell-in-block-3":
         assert want == ("error", "sample csv line 32770: not a number: 'abc'")
+
+
+BOM_CASES = {
+    "short-forms": "x,y\n+1,1e5\n1E5,.5\n",
+    "writer-form": written(
+        ld.write_samples_csv, np.random.default_rng(32).normal(size=(CSV_BLOCK_ROWS + 7, 2))
+    ),
+    "pmf": "x,y:0,y:1\n0,0.25,0.25\n1,0.25,0.25\n",
+}
+
+
+@pytest.mark.parametrize("case", list(BOM_CASES))
+def test_a_byte_order_mark_is_not_part_of_the_header(case, tmp_path, capsys):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet "CSV
+    UTF-8" exports do, reads as the same file without it: the same header
+    and body bits from a stream, a file opened as the CLI opens it and one
+    that translates newlines, and the same ``liftdep scaling`` output."""
+    from liftdep.cli import main
+
+    text = BOM_CASES[case]
+    what = "pmf" if case == "pmf" else "sample"
+    results = []
+    for prefix in ("", "\ufeff"):
+        path = tmp_path / f"bom{len(prefix)}.csv"
+        path.write_bytes((prefix + text).encode())
+        for newline in ("", None):
+            with open(path, newline=newline, encoding="utf-8") as f:
+                header, body = codec._read_csv(f, what)
+            results.append((header, bits(body).tobytes()))
+        header, body = codec._read_csv(io.StringIO(prefix + text), what)
+        results.append((header, bits(body).tobytes()))
+        if case == "writer-form":
+            argv = ["scaling", "--samples-file", str(path), "--center-x", "0", "--center-y",
+                    "0", "--eps-max", "1", "--eps-min", "0.5", "--k", "4"]
+            assert main(argv) == 0
+            results.append(capsys.readouterr().out)
+    assert results[0][0][0] == "x"
+    assert results == results[: len(results) // 2] * 2
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """The adaptive nested-rule quadrature engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from liftdep.quadrature import (
     GAUSS_LEGENDRE,
     RULE_1D,
     RULE_2D,
+    STEP_NODES,
     QuadResult,
     _core_tail_cells,
     _eval_cells,
@@ -424,3 +426,113 @@ def test_bad_infinite_ends_raise():
             adaptive_quad_1d(np.ones_like, lo, hi)
         with pytest.raises(ValueError, match="positive extent"):
             adaptive_quad_2d(lambda x, y: np.ones_like(x), (0.0, 1.0, lo, hi))
+
+
+# Vector-valued integrands: one row per component, every component on the
+# cells of one heap, each cell refined by its largest component error.
+
+
+def _stacked(*fs):
+    return lambda *xs: np.stack([f(*xs) for f in fs])
+
+
+def _nan_where_positive(*xs):
+    return np.where(xs[0] > 0.0, np.nan, 1.0)
+
+
+@PROPERTY
+@given(
+    dim=st.sampled_from([1, 2]),
+    names=st.lists(st.sampled_from([*sorted(INTEGRANDS_2D), "log-abs"]), min_size=1, max_size=3),
+    cells=st.lists(st.tuples(SPANS, SPANS), min_size=1, max_size=50),
+)
+def test_a_stacked_cell_is_each_component_as_a_scalar_cell(dim, names, cells):
+    """Each component of a stacked integrand gets the value bits its scalar
+    integrand gets, and a cell's error is the largest component error (NaN
+    when one component's is NaN), without a warning."""
+    table = INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D
+    fs = [_log_abs if name == "log-abs" else table[name] for name in names]
+    batch = [(x, x + w, y, y + h)[: 2 * dim] for (x, w), (y, h) in cells]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = _eval_cells(_stacked(*fs), batch)
+    alone = [_eval_cells(f, batch) for f in fs]
+    assert np.array(values).tobytes() == np.array([v for v, _ in alone]).T.tobytes()
+    want = np.max([e for _, e in alone], axis=0)
+    assert np.array(errors).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_nan_component_gives_a_nan_error_without_a_warning(dim):
+    f = (INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D)["gaussian"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if dim == 1:
+            res = adaptive_quad_1d(_stacked(f, _nan_where_positive), -1.0, 1.0)
+        else:
+            res = adaptive_quad_2d(_stacked(f, _nan_where_positive), (-1.0, 1.0, -1.0, 1.0))
+    assert math.isnan(res.error)
+    assert not res.converged and not res.budget_exhausted
+    assert res.value.shape == (2,) and math.isnan(res.value[1])
+
+
+def _heaps(dim, fs, box, tol):
+    """The stacked heap and one scalar heap per component."""
+    if dim == 1:
+        return [adaptive_quad_1d(g, *box, tol=tol) for g in [_stacked(*fs), *fs]]
+    return [adaptive_quad_2d(g, box, tol=tol) for g in [_stacked(*fs), *fs]]
+
+
+VECTOR_CASES = {
+    # both components converge in the seed step
+    "seed-1d": (1, ["polynomial", "gaussian"], (0.0, 1.0), 1e-10),
+    "seed-2d": (2, ["gaussian", "cauchy"], (0.0, 1.0, 0.0, 1.0), 1e-6),
+    # the components refine on different cells
+    "refined-1d": (1, ["cauchy", "gaussian", "abs-sin"], (-2.0, 3.0), 1e-10),
+    "refined-2d": (2, ["gaussian", "cauchy"], (-8.0, 8.0, -8.0, 8.0), 1e-9),
+    "mapped-1d": (1, ["cauchy", "gaussian"], (-math.inf, 0.5), 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", list(VECTOR_CASES))
+def test_a_stacked_heap_keeps_each_component_within_tol(case):
+    """A component that converges in the seed step gets the bits of its own
+    heap; otherwise it is within ``tol`` of it, with every component inside
+    the budget of nodes that a scalar heap gets."""
+    dim, names, box, tol = VECTOR_CASES[case]
+    fs = [(INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D)[name] for name in names]
+    res, *alone = _heaps(dim, fs, box, tol)
+    assert res.converged and res.error <= tol
+    assert res.value.shape == (len(fs),)
+    for v, single in zip(res.value, alone):
+        if res.n_steps == 1:
+            assert np.float64(v).tobytes() == np.float64(single.value).tobytes()
+            assert single.n_steps == 1
+        assert abs(v - single.value) <= tol
+    assert res.n_evals >= max(single.n_evals for single in alone)
+    assert (res.n_steps == 1) == case.startswith("seed")
+
+
+@pytest.mark.parametrize("dim,m", [(1, 201), (2, 50)])
+def test_a_stacked_step_stays_within_step_nodes_values(dim, m):
+    """A step's block counts nodes times components, so a step of a stacked
+    integrand is never larger than a scalar one; the budget counts nodes."""
+    f = (INTEGRANDS_1D if dim == 1 else INTEGRANDS_2D)["abs-sin"]
+    scales = np.linspace(1.0, 2.0, m)[:, None]
+    sizes = []
+
+    def g(*xs):
+        out = scales * f(*xs)
+        sizes.append(out.size)
+        return out
+
+    if dim == 1:
+        res = adaptive_quad_1d(g, -8.0, 8.0, tol=1e-9, budget=40_000)
+    else:
+        res = adaptive_quad_2d(g, (-8.0, 8.0, -8.0, 8.0), tol=1e-9, budget=40_000)
+    assert res.n_evals * m == sum(sizes)
+    assert res.budget_exhausted
+    assert max(sizes) <= STEP_NODES
+    # the cap binds: a step holds as many popped cells as fit
+    cell_values = (2 * sum(RULE_1D) if dim == 1 else 4 * sum(n * n for n in RULE_2D)) * m
+    assert max(sizes) > STEP_NODES - cell_values
