@@ -584,6 +584,7 @@ PARITY = {
     "long-significands": ("x,y\n123456789012345678,1.2345678901234567891\n"
                           "1234567890.1234567891,0.5\n"),
     "spaces": "x,y\n 0.5 ,1\n",
+    "bom": "\ufeffx,y\n1,2\n",
     "non-ascii": "x,y\n1,2\u00e9\n",
     "arabic-digit": "x,y\n1,\u0663\n",
     "pipe": "x,y\n1|2\n",
@@ -618,6 +619,8 @@ def test_reader_keeps_the_loadtxt_rules(case, how, tmp_path):
     text = PARITY[case]
     what = "pmf" if case.startswith("pmf") else "sample"
     got, want = read_both(text, how, what, tmp_path)
+    if case == "bom":  # unlike loadtxt, the reader drops one leading byte-order mark
+        want = read_both(text.removeprefix("\ufeff"), how, what, tmp_path)[1]
     assert got == want
     if case == "bad-cell-in-block-3":
         assert want == ("error", "sample csv line 32770: not a number: 'abc'")
