@@ -15,6 +15,7 @@ import contextlib
 import itertools
 import math
 import os
+import re
 import stat
 import sys
 
@@ -328,14 +329,20 @@ def _add_grid_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A token that starts "-" and a digit, ".5" or "inf" (any case) is a
+    # value, as _float reads it, not an option: argparse's own rule takes
+    # only "-1" and "-1.5", so "--xmin -1e3" would lack its argument.
+    negative = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
     parser = argparse.ArgumentParser(
         prog="liftdep",
         description="Local lift dependence analysis toolkit",
     )
+    parser._negative_number_matcher = negative
     sub = parser.add_subparsers(dest="command", required=True)
 
     def new(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = negative
         p.set_defaults(fn=fn, parser=p)  # a handler's usage errors print its own usage
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         return p
@@ -431,8 +438,10 @@ def main(argv=None) -> int:
             args.fn(args, f, args.parser)
     except SystemExit as exc:  # --help, or parser.error while parsing or in a subcommand
         return int(exc.code) if exc.code is not None else 0
-    except (LiftDepError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (LiftDepError, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; name the builtin
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -48,6 +48,7 @@ every line-numbered error stays the same.
 from __future__ import annotations
 
 import codecs
+import collections
 import contextlib
 import contextvars
 import io
@@ -126,15 +127,20 @@ def _block_text(columns: list[np.ndarray], start: int) -> str:
 def _in_order(fn, items):
     """Yield ``fn(item)`` for each item of the sequence ``items``, in order.
 
-    The results are computed on up to ``_WORKERS`` threads, and at most
-    ``2 * _WORKERS`` items are in flight (taken by a thread and not yet
+    The results are computed on up to ``_WORKERS`` threads, which take tasks
+    from one FIFO queue: a task is an item and the queue its result is put
+    on, so an idle thread takes the first item not yet taken. The caller
+    keeps ``2 * _WORKERS`` tasks submitted, takes each result from its
+    item's own queue in item order, and then submits the next item, so at
+    most ``2 * _WORKERS`` items are in flight (taken by a thread and not yet
     yielded). numpy releases the GIL inside its ufuncs and matmul, so the
     threads overlap there; the caller combines the results in item order,
     so every float operation and summation order is that of a plain loop.
     With fewer than two items or one worker it is ``map``, and no thread
     starts. An exception ``fn`` raises is raised to the caller at its item.
     Closing the generator, as ``contextlib.closing`` does when the loop body
-    raises, stops the threads after their current items and joins them.
+    raises, drops the tasks no thread has taken, lets the threads finish
+    their current items and joins them.
 
     ``fn`` runs in a copy of the caller's context, so an ``np.errstate`` the
     caller set holds in it. It must not use ``warnings.catch_warnings``,
@@ -144,48 +150,41 @@ def _in_order(fn, items):
     if workers < 2:
         yield from map(fn, items)
         return
-    cond = threading.Condition()
-    done = {}  # item index -> (result, None), or (None, the exception fn raised)
-    taken = wanted = 0  # the next item for a thread, and the next to yield
-    stop = False
+    import queue  # here, so that a command that starts no thread does not load it
+
+    tasks = queue.SimpleQueue()  # (item, the queue of its result); None stops a thread
 
     def work(context):
-        nonlocal taken
-        while True:
-            with cond:
-                while not stop and taken < len(items) and taken >= wanted + 2 * workers:
-                    cond.wait()
-                if stop or taken == len(items):
-                    return
-                k = taken
-                taken += 1
+        for item, result in iter(tasks.get, None):
             try:
-                result = context.run(fn, items[k]), None
+                result.put((context.run(fn, item), None))
             except BaseException as exc:  # raised again in the caller's thread
-                result = None, exc
-            with cond:
-                done[k] = result
-                cond.notify_all()
+                result.put((None, exc))
+
+    def submit(item):
+        tasks.put((item, result := queue.SimpleQueue()))
+        return result
 
     threads = [threading.Thread(target=work, args=(contextvars.copy_context(),), daemon=True)
                for _ in range(workers)]
     for t in threads:
         t.start()
+    ahead = 2 * workers
+    pending = collections.deque(map(submit, items[:ahead]))
     try:
         for k in range(len(items)):
-            with cond:
-                while k not in done:
-                    cond.wait()
-                result, exc = done.pop(k)
-                wanted = k + 1
-                cond.notify_all()
+            value, exc = pending.popleft().get()
+            if k + ahead < len(items):
+                pending.append(submit(items[k + ahead]))
             if exc is not None:
                 raise exc
-            yield result
+            yield value
     finally:
-        with cond:
-            stop = True
-            cond.notify_all()
+        with contextlib.suppress(queue.Empty):
+            while True:  # drop the tasks no thread has taken
+                tasks.get_nowait()
+        for _ in threads:
+            tasks.put(None)
         for t in threads:
             t.join()
 
@@ -369,14 +368,9 @@ def _read_csv(f: io.TextIOBase, what: str) -> tuple[list[str], np.ndarray]:
     if body is not None:
         return header, body
     f.seek(start)
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-        if body.size == 0 or (body.shape[1] == width and np.isfinite(body).all()):
-            return header, body.reshape(-1, width)
-    except ValueError:
-        pass
+    body = _loadtxt(f, width)
+    if body is not None:
+        return header, body
     f.seek(start)
     for line_no, line in enumerate(f, start=2):
         cells = line.rstrip("\r\n").split(",")
@@ -428,7 +422,8 @@ def _exact_body(f: io.TextIOBase, start: int, width: int) -> np.ndarray | None:
             return None
         values = _block_values(buf, cells, starts, ends)
         if values is None:
-            values = _loadtxt_block(buf[_PAD : ends[-1] + 1].tobytes())
+            text = buf[_PAD : ends[-1] + 1].tobytes()
+            values = _loadtxt(io.StringIO(text.decode()), width) if text.isascii() else None
             if values is None:
                 return None
         out[n : n + rows] = values.reshape(-1, width)
@@ -522,15 +517,15 @@ def _block_values(buf: np.ndarray, cells: np.ndarray, starts: np.ndarray,
     return np.copysign(c, 0.5 - neg)
 
 
-def _loadtxt_block(text: bytes) -> np.ndarray | None:
-    """A block's lines as ``np.loadtxt`` reads them in the whole body, or
-    None unless they are ASCII and every value is finite."""
-    if not text.isascii():
-        return None
-    with contextlib.suppress(ValueError):
-        values = np.loadtxt(io.StringIO(text.decode()), delimiter=",", comments=None, ndmin=2)
-        if np.isfinite(values).all():
-            return values
+def _loadtxt(f: io.TextIOBase, width: int) -> np.ndarray | None:
+    """The lines of ``f`` as ``np.loadtxt`` reads comma-separated floats, an
+    (n, width) array, or None unless it reads them, each as ``width`` values,
+    and every value is finite. No lines at all give a (0, width) array."""
+    with contextlib.suppress(ValueError), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        body = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+        if body.size == 0 or (body.shape[1] == width and np.isfinite(body).all()):
+            return body.reshape(-1, width)
     return None
 
 

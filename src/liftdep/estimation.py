@@ -68,11 +68,17 @@ class ContingencyTable:
 
 
 def empirical_pmf(table: ContingencyTable, smoothing: float = 0.0) -> dm.DiscreteJoint:
-    """Relative frequencies of the table, optionally additively smoothed."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
-    smoothed = table.counts.astype(float) + smoothing
-    return dm.DiscreteJoint(table.x_labels, table.y_labels, smoothed / smoothed.sum())
+    """Relative frequencies of the table, optionally additively smoothed.
+
+    ValueError unless ``smoothing`` is nonnegative and finite and the
+    smoothed counts have a finite total.
+    """
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        smoothed = table.counts.astype(float) + smoothing
+        total = smoothed.sum()
+    if not (0 <= smoothing < math.inf and math.isfinite(total)):
+        raise ValueError(f"smoothing must be nonnegative and finite, got {smoothing!r}")
+    return dm.DiscreteJoint(table.x_labels, table.y_labels, smoothed / total)
 
 
 def empirical_discrete_lift(table: ContingencyTable, smoothing: float = 0.5) -> LiftField:
@@ -130,18 +136,19 @@ def _kernel_rows(grid: np.ndarray, data: np.ndarray, h: float) -> np.ndarray:
     ``exp`` is exactly 0. A value still below 2^-1022 is set to 0 last.
     """
     z = grid[:, None] - data
-    z /= h
-    e = -0.5 * z
-    e *= z  # standard_normal_pdf's -0.5 * z * z, in its order
-    keep = e >= math.log(_TINY) + math.log(_SQRT_2PI) + math.log(h) - 2.0
-    # Masks zero the bits: an integer product by 0 or 1 gives +0.0 from any
-    # double, where a float product gives NaN from an overflowed z's -inf
-    # exponent, or from the inf that exp(0) / h is for a subnormal h.
-    bits = e.view(np.int64)
-    bits *= keep
-    k = np.exp(e, out=e)
-    k /= _SQRT_2PI
-    k /= h
+    with np.errstate(over="ignore"):  # the overflows that the masks below handle
+        z /= h
+        e = -0.5 * z
+        e *= z  # standard_normal_pdf's -0.5 * z * z, in its order
+        keep = e >= math.log(_TINY) + math.log(_SQRT_2PI) + math.log(h) - 2.0
+        # Masks zero the bits: an integer product by 0 or 1 gives +0.0 from any
+        # double, where a float product gives NaN from an overflowed z's -inf
+        # exponent, or from the inf that exp(0) / h is for a subnormal h.
+        bits = e.view(np.int64)
+        bits *= keep
+        k = np.exp(e, out=e)
+        k /= _SQRT_2PI
+        k /= h
     keep &= k >= _TINY
     bits *= keep
     return k

@@ -189,6 +189,32 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert err.endswith(message)
 
+    @pytest.mark.parametrize("argv,same", [
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "3", "--xmin", "-1e3"],
+         ["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "3", "--xmin=-1e3"]),
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "3", "--ymin", "-.5E1"],
+         ["lift-grid", "--dist", "bvn", "--r", "0.6", "--nx", "3", "--ny", "3", "--ymin=-.5E1"]),
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--xmin", "-Infinity"],
+         ["lift-grid", "--dist", "bvn", "--r", "0.6", "--xmin=-Infinity"]),
+        (["mi", "--dist", "bvn", "--r", "-5e-1"], ["mi", "--dist", "bvn", "--r=-5e-1"]),
+        # --point takes two values, so its reference gives the same value in a
+        # token that argparse reads as a value at any rule
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-1e-3", "0"],
+         ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-0.001", "0"]),
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-inf", "0"],
+         ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", " -inf", "0"]),
+        (["counterexample", "--r-schedule", "-0.5,0.5"],
+         ["counterexample", "--r-schedule=-0.5,0.5"]),
+    ], ids=["xmin-exponent", "ymin-point-exponent", "xmin-infinity", "r-exponent",
+            "point-exponent", "point-inf", "r-schedule-list"])
+    def test_a_negative_float_value_is_not_an_option(self, capsys, argv, same):
+        """argparse takes a token that starts with "-" for an option unless it
+        is "-1" or "-1.5"; a float flag's value may be any number that
+        _float reads."""
+        got = run(capsys, *argv)
+        assert got == run(capsys, *same)
+        assert "expected" not in got[2]
+
     USAGE_ERRORS = {
         "mi-budget": "mi --pmf-file pmf.csv --budget 5",
         "mi-method": "mi --pmf-file pmf.csv --method quadrature",
@@ -638,6 +664,25 @@ class TestFailurePath:
         assert err.startswith("usage: liftdep mi ")
         assert err.endswith("\nliftdep mi: error: the message\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["weierstrass", "--n-points", str(10**15)],
+        ["sample", "--dist", "bvn", "--r", "0.6", "--n", str(10**15)],
+    ], ids=["weierstrass", "sample"])
+    def test_an_array_past_the_address_space_is_one_memory_error_line(
+        self, capsys, tmp_path, argv
+    ):
+        """10**15 doubles are more than the 2**47-byte user address space,
+        so numpy refuses them at once and allocates nothing. It raises a
+        private subclass of MemoryError; the line names the builtin, and
+        the --out file is left as it was."""
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"keep\n")
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: MemoryError: Unable to allocate ") and err.count("\n") == 1
+        assert out.read_bytes() == b"keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
 
 class TestOutFile:
     """``--out PATH`` replaces the file only when the command succeeds."""
@@ -771,7 +816,7 @@ class TestImport:
 
     def test_the_block_threads_load_no_executor_or_logging(self, tmp_path):
         """`sample` writes three blocks and `estimate-lift` sums two kernel
-        chunks on two threads, built on `threading` alone."""
+        chunks on two threads, built on `threading` and `queue` alone."""
         src = str(Path(liftdep.__file__).resolve().parents[1])
         argvs = [
             ["sample", "--dist", "bvn", "--r", "0.6", "--n", str(2 * CSV_BLOCK_ROWS + 1),

@@ -61,6 +61,17 @@ class TestContingencyTable:
         with pytest.raises(ValueError, match="smoothing must be nonnegative"):
             ld.empirical_discrete_lift(table([[3, 1], [1, 3]]), smoothing=-0.5)
 
+    @pytest.mark.parametrize("smoothing", [math.inf, math.nan, 1e308])
+    def test_smoothing_must_be_finite_with_a_finite_total(self, smoothing):
+        """inf and nan are refused by name, and 1e308 because the four
+        smoothed cells add up past the largest double, all before any
+        division, so no warning is raised first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for estimate in (ld.empirical_pmf, ld.empirical_mi, ld.empirical_discrete_lift):
+                with pytest.raises(ValueError, match="smoothing must be nonnegative and finite"):
+                    estimate(table([[3, 1], [1, 3]]), smoothing=smoothing)
+
 
 class TestEmpiricalDiscreteLift:
     def test_diagonal_counts_no_smoothing(self):
@@ -129,6 +140,24 @@ class TestKernelLift:
             np.testing.assert_array_equal(field.values.view(np.uint64),
                                           fields[0].values.view(np.uint64))
             assert (field.labels == fields[0].labels).all()
+
+    @pytest.mark.parametrize("h", [1e-300, 5e-324])
+    def test_bandwidths_whose_kernel_rows_overflow_raise_no_warning(self, monkeypatch, h):
+        """z / h overflows for these bandwidths, and exp(0) / h too at
+        5e-324; _kernel_rows handles both, in the pool's threads as well.
+        No grid point is a sample, so every kernel value is flushed to 0
+        and every cell is Undefined, as the unsilenced code gave."""
+        monkeypatch.setattr(codec, "_WORKERS", 2)
+        pts = ld.sample(ld.BivariateNormal(0.6), 2 * KDE_CHUNK + 5, seed=7)
+        grid = np.linspace(-4.0, 4.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = ld.kernel_lift(pts, grid, grid, bandwidth_rule=(h, h)).field
+        with np.errstate(all="ignore"):
+            want = ld.kernel_lift(pts, grid, grid, bandwidth_rule=(h, h)).field
+        np.testing.assert_array_equal(field.values.view(np.uint64), want.values.view(np.uint64))
+        assert (field.labels == want.labels).all()
+        assert np.isnan(field.values).all() and (field.labels == RegionLabel.UNDEFINED).all()
 
     def test_silverman_bandwidths(self):
         rng = np.random.default_rng(2)

@@ -257,6 +257,30 @@ def test_a_failed_write_leaves_one_block_and_joins_the_threads(monkeypatch):
     assert f.getvalue() == "".join(lines[: 1 + CSV_BLOCK_ROWS])
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_closing_in_order_early_starts_no_more_items_and_joins_the_threads(
+    monkeypatch, workers, k
+):
+    """The caller takes k of 100 results and closes the generator: it got
+    the first k in order, fn started on at most k + 2 * _WORKERS items (the
+    ones in flight), and every thread is joined."""
+    monkeypatch.setattr(codec, "_WORKERS", workers)
+    before = threading.active_count()
+    started = []
+
+    def fn(item):
+        started.append(item)
+        return item * item
+
+    results = codec._in_order(fn, range(100))
+    got = [next(results) for _ in range(k)]
+    results.close()
+    assert got == [item * item for item in range(k)]
+    assert len(started) <= k + 2 * workers
+    assert threading.active_count() == before
+
+
 def test_in_order_under_fast_thread_switching():
     """More workers than cores and a 1 us switch interval, in a fresh
     process so that a deadlock fails the test within its timeout: the items
