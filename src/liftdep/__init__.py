@@ -82,7 +82,6 @@ _EXPORTS = {
         "LiftField",
         "RegionLabel",
         "RegionSummary",
-        "discrete_lift",
         "lift_at",
         "lift_grid",
         "region_summary",
@@ -93,7 +92,6 @@ _EXPORTS = {
         "BallDensityProfile",
         "ScalingEstimate",
         "WeierstrassCurve",
-        "ball_density",
         "ball_density_profile",
         "scaling_exponent",
         "weierstrass_eval",

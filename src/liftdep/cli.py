@@ -290,24 +290,22 @@ def _cmd_sample(args, f, parser):
 # ---------------------------------------------------------------------------
 
 
-def _float(text: str) -> float:
-    """The type of every float flag: a number read as a CSV cell is
-    (``codec._csv_float``: ASCII, no underscores), with argparse's wording."""
-    from . import codec
+def _number(kind):
+    """The argparse type of every ``kind`` flag: ``kind`` read as a CSV cell
+    is (``codec._csv_float``: ASCII, no underscores), with argparse's wording."""
 
-    try:
-        return codec._csv_float(text, "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    def parse(text: str):
+        from . import codec
+
+        try:
+            return codec._csv_float(text, "", kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+    return parse
 
 
-def _int(text: str) -> int:
-    """The type of every int flag: ``int`` on ASCII text without underscores,
-    the syntax of a float flag, with argparse's wording."""
-    if text.isascii() and "_" not in text:
-        with contextlib.suppress(ValueError):
-            return int(text)
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+_float, _int = _number(float), _number(int)
 
 
 def _floats(text: str) -> list[float]:
@@ -329,10 +327,10 @@ def _add_grid_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # A token that starts "-" and a digit, ".5" or "inf" (any case) is a
-    # value, as _float reads it, not an option: argparse's own rule takes
+    # A token that starts "-" and a digit, ".5", "inf" or "nan" (any case) is
+    # a value, as _float reads it, not an option: argparse's own rule takes
     # only "-1" and "-1.5", so "--xmin -1e3" would lack its argument.
-    negative = re.compile(r"^-(\d|\.\d|inf)", re.IGNORECASE)
+    negative = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     parser = argparse.ArgumentParser(
         prog="liftdep",
         description="Local lift dependence analysis toolkit",

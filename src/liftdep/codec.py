@@ -322,11 +322,11 @@ def write_json(f: io.TextIOBase, obj) -> None:
     f.write("\n")
 
 
-def _csv_float(cell: str, where: str) -> float:
-    """``float(cell)`` under the rules of numpy's parser: ASCII, no underscores."""
+def _csv_float(cell: str, where: str, kind=float):
+    """``kind(cell)`` under the rules of numpy's parser: ASCII, no underscores."""
     if cell.isascii() and "_" not in cell:
         with contextlib.suppress(ValueError):
-            return float(cell)
+            return kind(cell)
     raise ValueError(f"{where}: not a number: {cell.strip()!r}")
 
 
@@ -561,7 +561,9 @@ def _count(value, name: str, least: int) -> int:
 
 
 def write_samples_csv(f: io.TextIOBase, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=float)
+    """Write ``x,y`` rows; ValueError, writing nothing, unless ``samples``
+    is what :func:`read_samples_csv` gives: (n, 2) and finite."""
+    samples = _sample_pairs(samples, "samples")
     write_csv(f, ("x", "y"), samples[:, 0], samples[:, 1])
 
 

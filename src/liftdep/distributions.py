@@ -424,14 +424,15 @@ class ContinuousFamily:
         Otherwise it integrates the joint density by adaptive quadrature over
         the box below and left of the point (infinite ends through the sinh
         map); these are the CDFs of the law truncated to the box. ``F`` is 0,
-        not integrated, where ``G`` or ``H`` is below DENSITY_FLOOR: the
-        quadrant may then have zero width.
+        not integrated, where ``G`` or ``H`` is below DENSITY_FLOOR or ``G H``
+        below ``sys.float_info.min``, as on the route above: the quadrant may
+        then have zero width.
         """
         if self.conditional_cdf_y is None:
             x_lo, x_hi, y_lo, y_hi = self.integration_box
             g = _interval_mass(self.marginal_x, x_lo, min(x, x_hi))
             h = _interval_mass(self.marginal_y, y_lo, min(y, y_hi))
-            if g < DENSITY_FLOOR or h < DENSITY_FLOOR:
+            if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
                 return 0.0, g, h
             quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
             return adaptive_quad_2d(self.joint_density, quadrant, tol=1e-8).value, g, h

@@ -25,7 +25,7 @@ from . import codec
 from . import distributions as dm
 from .errors import DegenerateSample, MinSampleSize, TargetHasZeroMass
 from .information import MiReport, mi_discrete
-from .lift import ESTIMATED_TOL, LiftField, check_grids, classify_values, discrete_lift
+from .lift import ESTIMATED_TOL, LiftField, check_grids, classify_values, lift_grid
 
 MIN_KERNEL_SAMPLE = 20
 KDE_CHUNK = 4096
@@ -83,7 +83,8 @@ def empirical_pmf(table: ContingencyTable, smoothing: float = 0.0) -> dm.Discret
 
 def empirical_discrete_lift(table: ContingencyTable, smoothing: float = 0.5) -> LiftField:
     """Plug-in lift table on (smoothed) relative frequencies."""
-    return discrete_lift(empirical_pmf(table, smoothing), tol=ESTIMATED_TOL)
+    pmf = empirical_pmf(table, smoothing)
+    return lift_grid(pmf, pmf.x_support, pmf.y_support, ESTIMATED_TOL)
 
 
 def empirical_mi(table: ContingencyTable, smoothing: float = 0.0) -> MiReport:

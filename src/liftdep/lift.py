@@ -14,9 +14,9 @@ owns its rule as an elementwise ``lift(x, y)`` (:mod:`liftdep.distributions`):
 
 :func:`lift_grid` is the one evaluation path, one ``dist.lift`` call with the
 x grid as a column and the y grid as a row (the rules broadcast, so no dense
-mesh is built): :func:`discrete_lift` is the grid of the support, and the
+mesh is built): a discrete lift table is the grid of the support, and the
 pointwise lift a one-point grid that raises UndefinedAtPoint where its cell is
-undefined.
+undefined. A field holds copies of its grids, never a caller's arrays.
 
 Grid cells where the value is undefined (a vanishing marginal, an off-support
 discrete label) carry the ``Undefined`` label rather than a sentinel value so
@@ -105,15 +105,6 @@ def classify_values(values: np.ndarray, tol: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def discrete_lift(dist: dm.DiscreteJoint, tol: float = ANALYTIC_TOL) -> LiftField:
-    """Lift table ``p / (p_X p_Y)`` over the full discrete support.
-
-    Cells whose product marginal vanishes (necessarily zero-probability
-    cells) are labeled Undefined.
-    """
-    return lift_grid(dist, dist.x_support.copy(), dist.y_support.copy(), tol)
-
-
 def lift_at(dist, point) -> float:
     """Pointwise lift: a one-point :func:`lift_grid`.
 
@@ -166,10 +157,11 @@ def sibuya_omega_at(dist, point) -> float:
 
 
 def check_grids(grid_x, grid_y) -> tuple[np.ndarray, np.ndarray]:
-    """The two axes of a lift grid as float arrays. Raises ValueError unless
-    each is 1D, nonempty, free of NaN and strictly increasing."""
-    grid_x = np.asarray(grid_x, dtype=float)
-    grid_y = np.asarray(grid_y, dtype=float)
+    """The two axes of a lift grid as new float arrays, so a field owns its
+    grids. Raises ValueError unless each is 1D, nonempty, free of NaN and
+    strictly increasing."""
+    grid_x = np.array(grid_x, dtype=float)
+    grid_y = np.array(grid_y, dtype=float)
     if grid_x.ndim != 1 or grid_y.ndim != 1:
         raise ValueError(f"grids must be 1D, got grid_x {grid_x.shape} and grid_y {grid_y.shape}")
     if grid_x.size < 1 or grid_y.size < 1:

@@ -38,14 +38,6 @@ WEIERSTRASS_DIMENSION = 2.0 - math.log(2.0) / math.log(3.0)
 # ---------------------------------------------------------------------------
 
 
-def ball_density(points, center, eps: float) -> float:
-    """Empirical ball-mass density: fraction of points within eps of the
-    center, divided by the ball area ``pi * eps^2``; the one-radius
-    :func:`ball_density_profile`.
-    """
-    return float(ball_density_profile(points, center, [eps]).densities[0])
-
-
 def ball_mass_counts(points, center, radii) -> np.ndarray:
     """Exact in-ball counts for many radii via one sorted-distance pass over
     an (n, 2) array; ValueError unless ``center`` is a pair of finite numbers."""
@@ -177,6 +169,8 @@ class WeierstrassCurve:
 
 def weierstrass_eval(curve: WeierstrassCurve, x) -> float | np.ndarray:
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite: a value is NaN or infinite")
     n = np.arange(1, curve.n_terms + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = 2.0 * math.pi * np.multiply.outer(x, 3.0**n)

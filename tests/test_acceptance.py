@@ -199,7 +199,7 @@ def test_c07_property_suite(dep_pmf, indep_pmf):
         if isinstance(fix, ld.DiscreteJoint):
             # outer products of random floats carry ulp-level rounding in
             # the marginal sums; the analytic Neutral tolerance governs
-            values = ld.discrete_lift(fix).values
+            values = ld.lift_grid(fix, fix.x_support, fix.y_support).values
             if not np.all(np.abs(values - 1.0) <= 1e-9):
                 failures.append(f"independent fixture {k} not all ones")
         else:
@@ -218,7 +218,7 @@ def test_c07_property_suite(dep_pmf, indep_pmf):
     ]
     for k, fix in enumerate(dep_fixtures):
         if isinstance(fix, ld.DiscreteJoint):
-            values = ld.discrete_lift(fix).values
+            values = ld.lift_grid(fix, fix.x_support, fix.y_support).values
         else:
             values = ld.lift_grid(fix, grid, grid).values
         defined = values[~np.isnan(values)]
@@ -342,7 +342,7 @@ def test_c10_discrete_oracles():
         ny = int(rng.integers(1, 7))
         pmf = oracles.random_pmf(rng, nx, ny, zero_fraction=float(rng.random() * 0.4))
         dist = ld.DiscreteJoint(np.arange(nx, dtype=float), np.arange(ny, dtype=float), pmf)
-        field = ld.discrete_lift(dist)
+        field = ld.lift_grid(dist, dist.x_support, dist.y_support)
         expected = oracles.brute_lift_table(pmf)
         for i in range(nx):
             for j in range(ny):
@@ -378,7 +378,7 @@ def test_c11_estimator_consistency():
         np.max(
             np.abs(
                 ld.empirical_discrete_lift(tab, smoothing=0.0).values
-                - ld.discrete_lift(dist).values
+                - ld.lift_grid(dist, dist.x_support, dist.y_support).values
             )
         )
     )

@@ -203,10 +203,14 @@ class TestExitCodes:
          ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-0.001", "0"]),
         (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-inf", "0"],
          ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", " -inf", "0"]),
+        (["sibuya", "--dist", "bvn", "--r", "0.6", "--point", "-nan", "0"],
+         ["sibuya", "--dist", "bvn", "--r", "0.6", "--point", " -nan", "0"]),
+        (["lift-grid", "--dist", "bvn", "--r", "0.6", "--xmin", "-NaN"],
+         ["lift-grid", "--dist", "bvn", "--r", "0.6", "--xmin=-NaN"]),
         (["counterexample", "--r-schedule", "-0.5,0.5"],
          ["counterexample", "--r-schedule=-0.5,0.5"]),
     ], ids=["xmin-exponent", "ymin-point-exponent", "xmin-infinity", "r-exponent",
-            "point-exponent", "point-inf", "r-schedule-list"])
+            "point-exponent", "point-inf", "point-nan", "xmin-nan", "r-schedule-list"])
     def test_a_negative_float_value_is_not_an_option(self, capsys, argv, same):
         """argparse takes a token that starts with "-" for an option unless it
         is "-1" or "-1.5"; a float flag's value may be any number that
@@ -785,8 +789,11 @@ class TestImport:
             ["codec", "distributions", "lift", "quadrature"],
         ("sibuya", "--dist", "bvn", "--r", "0.6", "--point", "0", "0"):
             ["codec", "distributions", "lift", "quadrature"],
+        # `information` comes only with `estimation`, for `empirical_mi`, and the
+        # bench tracer indexes sys.modules for it: ROADMAP item 12
         ("target", "--dist", "bvn", "--r", "0.6", "--target-lo", "1", "--target-hi", "2"):
             ["codec", "distributions", "estimation", "information", "lift", "quadrature"],
+        # `information` only through `estimation`'s import, as for `target`
         ("estimate-lift", "--samples-file", "line.csv", "--nx", "3", "--ny", "3"):
             ["codec", "distributions", "estimation", "information", "lift", "quadrature"],
     }

@@ -94,6 +94,14 @@ class TestEmpiricalDiscreteLift:
         field = ld.empirical_discrete_lift(table([[5, 5], [5, 5]]))
         assert field.tol == ld.ESTIMATED_TOL
 
+    def test_the_field_owns_its_grids(self):
+        counts = table([[5, 5], [5, 5]])
+        labels = counts.x_labels.copy(), counts.y_labels.copy()
+        field = ld.empirical_discrete_lift(counts)
+        field.grid_x[:] = field.grid_y[:] = 7.0
+        np.testing.assert_array_equal(counts.x_labels, labels[0])
+        np.testing.assert_array_equal(counts.y_labels, labels[1])
+
 
 class TestEmpiricalMi:
     def test_diagonal(self):
@@ -372,7 +380,7 @@ class TestEstimatorConsistency:
         pts = ld.sample(dist, 10**5, seed=42)
         t = ld.ContingencyTable.from_samples(pts)
         field_hat = ld.empirical_discrete_lift(t, smoothing=0.0)
-        field = ld.discrete_lift(dist)
+        field = ld.lift_grid(dist, dist.x_support, dist.y_support)
         assert np.max(np.abs(field_hat.values - field.values)) < 0.05
         mi_hat = ld.empirical_mi(t).value
         assert abs(mi_hat - ld.mi_discrete(dist).value) < 0.01

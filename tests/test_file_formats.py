@@ -120,7 +120,24 @@ def test_lift_field_csv_across_a_block_boundary():
 @given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.just(2)), elements=ANY_FLOAT))
 @example(EDGES.reshape(5, 2))
 def test_samples_csv_matches_oracle(samples):
-    assert written(ld.write_samples_csv, samples) == oracles.samples_csv(samples)
+    # NaN and inf reach the `%` formatter through write_csv: the samples writer refuses them
+    text = written(codec.write_csv, ("x", "y"), samples[:, 0], samples[:, 1])
+    assert text == oracles.samples_csv(samples)
+
+
+@pytest.mark.parametrize("samples,message", [
+    (np.zeros(4), r"samples must have shape \(n, 2\)"),
+    (np.zeros((3, 3)), r"samples must have shape \(n, 2\)"),
+    ([[0.0, np.nan]], "samples must be finite"),
+    ([[np.inf, 0.0]], "samples must be finite"),
+], ids=["1d", "three-columns", "nan", "inf"])
+def test_the_samples_writer_refuses_what_the_reader_refuses(samples, message):
+    # a 1-D array raised IndexError, a third column was dropped, and NaN and
+    # inf were written as cells that read_samples_csv refuses
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        ld.write_samples_csv(buf, samples)
+    assert buf.getvalue() == ""
 
 
 # The vectorized formatter's exact range, both signs. ANY_FLOAT mostly lands
@@ -166,7 +183,8 @@ def test_samples_csv_edge_values_match_oracle():
     )
     values = np.concatenate([values, -values])
     samples = np.resize(values, (values.size // 2 + VECTOR_ROWS, 2))
-    assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+    text = written(codec.write_csv, ("x", "y"), samples[:, 0], samples[:, 1])
+    assert_same_text(text, oracles.samples_csv(samples))
 
 
 def test_samples_csv_across_a_block_boundary():
@@ -176,7 +194,8 @@ def test_samples_csv_across_a_block_boundary():
     samples[CSV_BLOCK_ROWS - 2 : CSV_BLOCK_ROWS + 2] = [
         [0.0, -0.0], [np.nan, 1e-300], [-np.inf, 2e17], [5e-324, -1.7976931348623157e308]
     ]
-    assert_same_text(written(ld.write_samples_csv, samples), oracles.samples_csv(samples))
+    text = written(codec.write_csv, ("x", "y"), samples[:, 0], samples[:, 1])
+    assert_same_text(text, oracles.samples_csv(samples))
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS + 1, 5 * CSV_BLOCK_ROWS + 7])

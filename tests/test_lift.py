@@ -19,24 +19,25 @@ import oracles
 
 class TestDiscreteLift:
     def test_independent_outer_product(self, indep_pmf):
-        field = ld.discrete_lift(indep_pmf)
+        field = ld.lift_grid(indep_pmf, indep_pmf.x_support, indep_pmf.y_support)
         np.testing.assert_allclose(field.values, 1.0)
         assert all(lab == RegionLabel.NEUTRAL for lab in field.labels.ravel())
 
     def test_dependent_fixture(self, dep_pmf):
-        field = ld.discrete_lift(dep_pmf)
+        field = ld.lift_grid(dep_pmf, dep_pmf.x_support, dep_pmf.y_support)
         expected = oracles.brute_lift_table(dep_pmf.pmf)
         np.testing.assert_allclose(field.values, expected)
         np.testing.assert_allclose(field.values, [[1.6, 0.4], [0.4, 1.6]])
 
     def test_degenerate_single_cell(self):
-        field = ld.discrete_lift(ld.DiscreteJoint([0.0], [0.0], [[1.0]]))
+        dist = ld.DiscreteJoint([0.0], [0.0], [[1.0]])
+        field = ld.lift_grid(dist, dist.x_support, dist.y_support)
         assert field.values[0, 0] == 1.0
         assert field.labels[0, 0] == RegionLabel.NEUTRAL
 
     def test_zero_marginal_is_undefined(self):
         dist = ld.DiscreteJoint([0.0, 1.0], [0.0, 1.0], [[0.5, 0.5], [0.0, 0.0]])
-        field = ld.discrete_lift(dist)
+        field = ld.lift_grid(dist, dist.x_support, dist.y_support)
         assert field.labels[1, 0] == RegionLabel.UNDEFINED
         assert field.labels[1, 1] == RegionLabel.UNDEFINED
         assert np.isnan(field.values[1, 0])
@@ -376,6 +377,24 @@ class TestSibuyaOmega:
             assert (f_joint, g, h) == pytest.approx((x / 2, x, 0.5), rel=1e-12)
             assert ld.sibuya_omega_at(dist, (x, 1.5)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_generic_route_exits_before_its_integral_where_g_h_underflows(self, monkeypatch):
+        """On [-40, 40]^2, G = H ~ 3.7e-198 at (-30, -30) are above
+        DENSITY_FLOOR, but G * H underflows: the box route refuses the point
+        without its 2D integral, as the conditional route does."""
+        calls = []
+        quad = distributions.adaptive_quad_2d
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return quad(*args, **kw)
+
+        monkeypatch.setattr(distributions, "adaptive_quad_2d", counted)
+        dist = ld.IndependentProduct(ld.standard_normal_pdf, ld.standard_normal_pdf,
+                                     (-40.0, 40.0), (-40.0, 40.0))
+        with pytest.raises(ld.UndefinedAtPoint, match=r"G\(x\) H\(y\) vanishes"):
+            ld.sibuya_omega_at(dist, (-30.0, -30.0))
+        assert calls == []
+
     def test_underflowing_marginal_product_is_undefined(self):
         """G = H = 1e-200 at (0, 0) are positive, but G * H underflows to 0."""
         dist = ld.DiscreteJoint([0.0, 1.0], [0.0, 1.0], [[1e-200, 0.0], [0.0, 1.0]])
@@ -429,6 +448,17 @@ class TestLiftGrid:
         off = field.values[~np.eye(11, dtype=bool)]
         assert np.all(off == 0.0)
         assert field.labels[0, 5] == RegionLabel.ZERO
+
+    def test_a_field_owns_its_grids(self, dep_pmf):
+        # the field held the caller's arrays, so writing to the field of the
+        # support grid rewrote the law's support
+        gx = np.linspace(-1.0, 1.0, 5)
+        assert ld.lift_grid(ld.BivariateNormal(0.6), gx, gx).grid_x is not gx
+        support = dep_pmf.x_support.copy(), dep_pmf.y_support.copy()
+        field = ld.lift_grid(dep_pmf, dep_pmf.x_support, dep_pmf.y_support)
+        field.grid_x[:] = field.grid_y[:] = 7.0
+        np.testing.assert_array_equal(dep_pmf.x_support, support[0])
+        np.testing.assert_array_equal(dep_pmf.y_support, support[1])
 
     def test_grid_must_increase(self, dep_pmf):
         with pytest.raises(ValueError):
@@ -504,7 +534,7 @@ class TestPropertySuite:
         for _ in range(20):
             pmf = oracles.random_pmf(rng, 4, 5, zero_fraction=0.2)
             dist = ld.DiscreteJoint(np.arange(4.0), np.arange(5.0), pmf)
-            field = ld.discrete_lift(dist)
+            field = ld.lift_grid(dist, dist.x_support, dist.y_support)
             weights = np.outer(dist.p_x, dist.p_y)
             defined = ~np.isnan(field.values)
             total = float((field.values[defined] * weights[defined]).sum())
@@ -536,7 +566,7 @@ class TestPropertySuite:
         assert val == pytest.approx(expected, abs=1e-4)
 
     def test_independence_iff_unit_lift_forward(self, indep_pmf):
-        field = ld.discrete_lift(indep_pmf)
+        field = ld.lift_grid(indep_pmf, indep_pmf.x_support, indep_pmf.y_support)
         np.testing.assert_array_equal(field.values, np.ones((2, 2)))
 
     def test_independence_iff_unit_lift_converse(self):
@@ -544,7 +574,7 @@ class TestPropertySuite:
         px = oracles.random_pmf(rng, 3, 1).ravel()
         py = oracles.random_pmf(rng, 4, 1).ravel()
         dist = ld.DiscreteJoint(np.arange(3.0), np.arange(4.0), np.outer(px, py))
-        field = ld.discrete_lift(dist)
+        field = ld.lift_grid(dist, dist.x_support, dist.y_support)
         assert all(lab == RegionLabel.NEUTRAL for lab in field.labels.ravel())
         # all-neutral exact field implies product structure on rectangles
         for a, b in [((0, 1), (0, 2)), ((1, 2), (1, 3)), ((0, 2), (2, 3))]:
@@ -699,7 +729,7 @@ def test_discrete_members_match_brute_force(seed, nx, ny, zero_fraction, data):
 
 class TestLiftFieldCsv:
     def test_format(self, dep_pmf):
-        field = ld.discrete_lift(dep_pmf)
+        field = ld.lift_grid(dep_pmf, dep_pmf.x_support, dep_pmf.y_support)
         buf = io.StringIO()
         field.to_csv(buf)
         lines = buf.getvalue().splitlines()

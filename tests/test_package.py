@@ -27,8 +27,8 @@ PUBLIC_NAMES = [
     "NonMonotonePiece", "NotSampleable", "OutOfSupport", "QuadratureNotConverged",
     "RegionLabel", "RegionSummary", "ScalingEstimate", "TargetHasZeroMass", "TargetingResult",
     "UndefinedAtPoint", "WEIERSTRASS_DIMENSION", "WeierstrassCurve", "as_continuous",
-    "ball_density", "ball_density_profile", "convergence_counterexample", "discrete_lift",
-    "empirical_discrete_lift", "empirical_mi", "empirical_pmf", "kernel_lift", "lift_at", "lift_grid", "mi_bvn_closed_form",
+    "ball_density_profile", "convergence_counterexample", "empirical_discrete_lift",
+    "empirical_mi", "empirical_pmf", "kernel_lift", "lift_at", "lift_grid", "mi_bvn_closed_form",
     "mi_continuous", "mi_curve", "mi_discrete", "pushforward_density_fn", "read_pmf_csv",
     "read_samples_csv", "region_summary", "sample", "scaling_exponent", "sibuya_omega_at",
     "silverman_bandwidth", "standard_normal_cdf", "standard_normal_pdf",
@@ -91,8 +91,9 @@ def test_star_import_binds_every_name():
 
 
 # The aliases and pointwise duplicates the API no longer has.
-REMOVED_NAMES = ["NamedFamily", "bvn_density", "circular_cauchy_density", "continuous_lift_at",
-                 "curve_lift_at", "density_at", "derive_pushforward_density"]
+REMOVED_NAMES = ["NamedFamily", "ball_density", "bvn_density", "circular_cauchy_density",
+                 "continuous_lift_at", "curve_lift_at", "density_at", "derive_pushforward_density",
+                 "discrete_lift"]
 
 
 def test_every_function_and_class_is_exported_under_its_own_name():

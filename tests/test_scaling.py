@@ -16,27 +16,18 @@ from liftdep.scaling import ball_mass_counts, geometric_radii
 
 class TestBallDensity:
     def test_single_point_at_center(self):
-        assert ld.ball_density([[0.0, 0.0]], (0.0, 0.0), 1.0) == pytest.approx(
-            1 / math.pi, abs=1e-15
-        )
+        density = ld.ball_density_profile([[0.0, 0.0]], (0.0, 0.0), [1.0]).densities[0]
+        assert density == pytest.approx(1 / math.pi, abs=1e-15)
 
     def test_empty_ball(self):
         pts = [[2.0, 0.0], [0.0, 2.0], [-2.0, 0.0], [0.0, -2.0]]
-        assert ld.ball_density(pts, (0.0, 0.0), 1.0) == 0.0
+        assert ld.ball_density_profile(pts, (0.0, 0.0), [1.0]).densities[0] == 0.0
 
     def test_uniform_square_interior(self):
         rng = np.random.default_rng(42)
         pts = rng.random((10**6, 2))
-        val = ld.ball_density(pts, (0.5, 0.5), 0.1)
+        val = ld.ball_density_profile(pts, (0.5, 0.5), [0.1]).densities[0]
         assert val == pytest.approx(1.0, abs=0.02)
-
-    def test_is_the_one_radius_profile_bit_for_bit(self):
-        # it computed (pi eps) eps where the profile computes pi r^2: one ulp apart here
-        pts = np.random.default_rng(7).random((100_000, 2))
-        want = ld.ball_density_profile(pts, (0.5, 0.5), [1e-3]).densities[0]
-        got = ld.ball_density(pts, (0.5, 0.5), 1e-3)
-        assert type(got) is float
-        assert np.float64(got).view(np.int64) == want.view(np.int64)
 
     @pytest.mark.parametrize(
         "points,message",
@@ -56,17 +47,17 @@ class TestBallDensity:
         with pytest.raises(ValueError, match=message):
             ld.ball_density_profile(points, (0.0, 0.0), [1.0, 0.5])
         with pytest.raises(ValueError, match=message):
-            ld.ball_density(points, (0.0, 0.0), 1.0)
+            ld.ball_density_profile(points, (0.0, 0.0), [1.0]).densities[0]
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            ld.ball_density([[0.0, 0.0]], (0.0, 0.0), 0.0)
+            ld.ball_density_profile([[0.0, 0.0]], (0.0, 0.0), [0.0]).densities[0]
         with pytest.raises(ValueError):
-            ld.ball_density(np.empty((0, 2)), (0.0, 0.0), 1.0)
+            ld.ball_density_profile(np.empty((0, 2)), (0.0, 0.0), [1.0]).densities[0]
         # a NaN eps gave a NaN density, a non-finite center coordinate 0.0
         for center, eps in [((0, 0), math.nan), ((math.nan, 0), 1.0), ((0, math.inf), 1.0)]:
             with pytest.raises(ValueError):
-                ld.ball_density([[0.0, 0.0]], center, eps)
+                ld.ball_density_profile([[0.0, 0.0]], center, [eps]).densities[0]
 
 
 class TestBallMassCounts:
@@ -116,7 +107,7 @@ class TestBallMassCounts:
         # a third coordinate was dropped (density 0.985), one raised IndexError
         pts = np.random.default_rng(7).random((1000, 2))
         with pytest.raises(ValueError, match="center must be a pair of numbers"):
-            ld.ball_density(pts, center, 0.2)
+            ld.ball_density_profile(pts, center, [0.2]).densities[0]
         with pytest.raises(ValueError, match="center must be a pair of numbers"):
             ld.scaling_exponent(pts, center, eps_max=0.5, eps_min=0.1, k=6)
 
@@ -228,7 +219,7 @@ class TestLemmaConsistency:
         pts = ld.sample(dist, 10**6, seed=42)
         x0 = 0.3
         eps = 0.02
-        rho_eps = ld.ball_density(pts, (x0, 2 * x0), eps)
+        rho_eps = ld.ball_density_profile(pts, (x0, 2 * x0), [eps]).densities[0]
         estimate = eps * rho_eps * math.pi * math.sqrt(5.0) / 2.0
         assert estimate == pytest.approx(1.0, rel=0.10)
 
@@ -286,6 +277,13 @@ class TestWeierstrass:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_terms=700"):
                 ld.weierstrass_eval(ld.WeierstrassCurve(n_terms=700), np.array([0.0, 0.5]))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.25, math.nan]],
+                             ids=["nan", "inf", "-inf", "array"])
+    def test_a_non_finite_x_is_named(self, x):
+        # the phase check blamed n_terms: "n_terms=30: the phase ... is not finite"
+        with pytest.raises(ValueError, match="x must be finite"):
+            ld.weierstrass_eval(ld.WeierstrassCurve(), x)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
