@@ -256,9 +256,10 @@ class DiscreteJoint:
     pmf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_support", np.asarray(self.x_support, dtype=float))
-        object.__setattr__(self, "y_support", np.asarray(self.y_support, dtype=float))
-        object.__setattr__(self, "pmf", np.asarray(self.pmf, dtype=float))
+        for name in ("x_support", "y_support", "pmf"):  # read-only copies the law owns
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.pmf.shape != (self.x_support.size, self.y_support.size):
             raise ValueError("pmf shape must be (len(x_support), len(y_support))")
         if not all(np.all(np.isfinite(a)) for a in (self.x_support, self.y_support, self.pmf)):
@@ -432,12 +433,12 @@ class ContinuousFamily:
             x_lo, x_hi, y_lo, y_hi = self.integration_box
             g = _interval_mass(self.marginal_x, x_lo, min(x, x_hi))
             h = _interval_mass(self.marginal_y, y_lo, min(y, y_hi))
-            if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
+            if _sibuya_vanishes(g, h):
                 return 0.0, g, h
             quadrant = (x_lo, min(x, x_hi), y_lo, min(y, y_hi))
             return adaptive_quad_2d(self.joint_density, quadrant, tol=1e-8).value, g, h
         g, h = float(self.cdf_x(x)), float(self.cdf_y(y))
-        if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
+        if _sibuya_vanishes(g, h):
             return 0.0, g, h
         if x == math.inf or y == math.inf:
             return min(g, h), g, h
@@ -709,9 +710,8 @@ class CurveBranch:
     """One smooth branch ``y = phi(x)`` on a domain interval.
 
     ``dphi`` must be the derivative of ``phi``. ``breakpoints``, when given,
-    declare the boundaries of strictly monotone pieces of ``phi`` inside the
-    domain; otherwise pieces are detected from sign changes of ``dphi`` on a
-    1024-point probe grid.
+    declare the bounds of the strictly monotone pieces of ``phi`` inside the
+    domain; otherwise :func:`monotone_pieces` cuts where ``dphi`` changes sign.
     """
 
     phi: Evaluator
@@ -847,6 +847,11 @@ def _draw_indices(weights, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, rng.random(n), side="right"), cum.size - 1)
 
 
+def _sibuya_vanishes(g: float, h: float) -> bool:
+    """``G`` or ``H`` below DENSITY_FLOOR, or ``G H`` below ``sys.float_info.min``."""
+    return g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min
+
+
 def _interval_mass(pdf: Evaluator, lo: float, hi: float):
     """The integral of ``pdf`` over ``[lo, hi]``, 0 when the interval is empty.
 
@@ -932,42 +937,36 @@ def bisect_roots(g: Evaluator, y, lo, hi) -> np.ndarray:
 
 
 def monotone_pieces(branch: CurveBranch) -> list[tuple[float, float, int]]:
-    """Strictly monotone pieces ``(lo, hi, sign)`` of a branch.
+    """Strictly monotone pieces ``(lo, hi, sign)`` of a branch, from one scan.
 
-    Uses declared breakpoints when present (validating that ``dphi`` keeps
-    its sign inside every declared piece), otherwise detects sign changes
-    of ``dphi`` on a probe grid of ``PROBE_GRID_SIZE`` points and refines
-    each boundary by bisection on ``dphi``. Two turning points closer
-    together than one probe step, (hi - lo) / (PROBE_GRID_SIZE - 1), can
-    fall between the same two probes; ``dphi`` then has one sign at every
-    probe and both go unseen. Declare breakpoints for such branches.
+    Each piece between consecutive ``sorted({lo, hi, *breakpoints})`` is
+    probed at ``PROBE_GRID_SIZE`` points, its ends included. A probe with
+    ``|dphi| < DERIVATIVE_FLOOR`` reads as 0 and takes the sign before it, at
+    the start of a piece the first nonzero one (+1 if none). A sign change
+    raises NonMonotonePiece inside a declared piece (so ``dphi`` must read 0
+    at a declared kink) and is cut by bisection on ``dphi`` inside an
+    undeclared domain (at the probe before it if bisection finds no root).
+    Two turning points within one probe step, (hi - lo) / (PROBE_GRID_SIZE -
+    1), can both go unseen; declare breakpoints for such branches.
     """
     lo, hi = branch.domain
-    if branch.breakpoints:
-        bounds = sorted({lo, hi, *branch.breakpoints})
-        pieces = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            probes = np.linspace(a, b, 257)[1:-1]
-            signs = np.sign(branch.dphi(probes))
-            nonzero = signs[signs != 0]
-            if nonzero.size and np.any(nonzero != nonzero[0]):
-                raise NonMonotonePiece(
-                    f"dphi changes sign inside declared piece [{a}, {b}]"
-                )
-            pieces.append((a, b, int(nonzero[0]) if nonzero.size else 1))
-        return pieces
-
-    grid = np.linspace(lo, hi, PROBE_GRID_SIZE)
-    signs = np.sign(branch.dphi(grid))
-    # Carry the last nonzero sign across zeros of dphi; leading zeros count
-    # as increasing.
-    last = np.maximum.accumulate(np.where(signs != 0, np.arange(signs.size), 0))
-    carried = np.where(signs[last] != 0, signs[last], 1.0)
-    turns = np.flatnonzero(carried[1:] != carried[:-1])
-    cuts = bisect_roots(branch.dphi, 0.0, grid[turns], grid[turns + 1])
-    bounds = [lo, *map(float, cuts), hi]
-    piece_signs = carried[np.concatenate([[0], turns + 1])]
-    return [(a, b, int(s)) for a, b, s in zip(bounds[:-1], bounds[1:], piece_signs)]
+    bounds = sorted({lo, hi, *branch.breakpoints})
+    pieces = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        grid = np.linspace(a, b, PROBE_GRID_SIZE)
+        slope = np.asarray(branch.dphi(grid), dtype=float)
+        signs = np.where(np.abs(slope) < DERIVATIVE_FLOOR, 0.0, np.sign(slope))
+        nonzero = signs != 0
+        last = np.maximum.accumulate(np.where(nonzero, np.arange(signs.size), np.argmax(nonzero)))
+        carried = np.where(signs[last] != 0, signs[last], 1.0)
+        turns = np.flatnonzero(carried[1:] != carried[:-1])
+        if turns.size and branch.breakpoints:
+            raise NonMonotonePiece(f"dphi changes sign inside declared piece [{a}, {b}]")
+        cuts = bisect_roots(branch.dphi, 0.0, grid[turns], grid[turns + 1])
+        ends = [a, *map(float, np.where(np.isnan(cuts), grid[turns], cuts)), b]
+        piece_signs = carried[np.concatenate([[0], turns + 1])]
+        pieces += [(p, q, int(s)) for p, q, s in zip(ends[:-1], ends[1:], piece_signs)]
+    return pieces
 
 
 def _preimage_sum(dist: CurveSingularJoint, y: np.ndarray, own=None) -> np.ndarray:

@@ -42,9 +42,10 @@ class ContingencyTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x_labels", np.asarray(self.x_labels, dtype=float))
-        object.__setattr__(self, "y_labels", np.asarray(self.y_labels, dtype=float))
-        object.__setattr__(self, "counts", np.asarray(self.counts))
+        for name, dtype in (("x_labels", float), ("y_labels", float), ("counts", None)):
+            array = np.array(getattr(self, name), dtype=dtype)  # a read-only copy
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.counts.shape != (self.x_labels.size, self.y_labels.size):
             raise ValueError("counts shape must match the label vectors")
         if np.any(self.counts < 0) or not np.issubdtype(self.counts.dtype, np.integer):

@@ -32,14 +32,12 @@ from __future__ import annotations
 import enum
 import io
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import codec
 from . import distributions as dm
-from .distributions import DENSITY_FLOOR
 from .errors import UndefinedAtPoint
 
 ANALYTIC_TOL = 1e-9
@@ -146,7 +144,7 @@ def sibuya_omega_at(dist, point) -> float:
     if math.isnan(x) or math.isnan(y):
         raise ValueError(f"Sibuya ratio needs a point without NaN, got ({x}, {y})")
     f_joint, g, h = dist.sibuya_parts(x, y)
-    if g < DENSITY_FLOOR or h < DENSITY_FLOOR or g * h < sys.float_info.min:
+    if dm._sibuya_vanishes(g, h):
         raise UndefinedAtPoint(f"G(x) H(y) vanishes at ({x:.6g}, {y:.6g})")
     return f_joint / (g * h)
 

@@ -94,7 +94,7 @@ def geometric_radii(eps_max: float, eps_min: float, k: int) -> np.ndarray:
 def ball_density_profile(points, center, radii) -> BallDensityProfile:
     """Exact ball counts of ``points``, a nonempty (n, 2) array of finite
     values, at each radius; ValueError for other points, centers or radii."""
-    radii = np.asarray(radii, dtype=float)
+    radii = np.array(radii, dtype=float)  # the profile owns its radii
     if not (np.all(radii > 0) and np.all(np.diff(radii) < 0)):
         raise ValueError("radii must be positive and strictly decreasing")
     pts = codec._sample_pairs(points, "points")

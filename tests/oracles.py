@@ -99,6 +99,21 @@ def mi_scaled_parabola(a):
             - 0.5 * (math.log1p(4.0 * a * a) - 2.0 + math.atan(2.0 * a) / a))
 
 
+def mi_uniform_cos():
+    """MI of ``Y = cos X`` with X ~ U(0, 1), by mpmath quadrature.
+
+    ``cos`` decreases on (0, 1), so ``rho_Y(cos x) = 1 / sin x`` on the curve
+    and the MI is ``int_0^1 log(2 sin x / (pi sqrt(1 + sin^2 x))) dx``, whose
+    log singularity at 0 the tanh-sinh rule takes at its end.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        def log_lift(t):
+            s = mpmath.sin(t)
+            return mpmath.log(2 * s / (mpmath.pi * mpmath.sqrt(1 + s * s)))
+
+        return float(mpmath.quad(log_lift, [0, 1]))
+
+
 def cauchy_cdf(x):
     return 0.5 + math.atan(x) / math.pi
 

@@ -737,6 +737,17 @@ class TestOutFile:
         assert main(["mi", "--dist", "bvn", "--r", "0.3", "--out", str(out)]) == 0
         assert out.stat().st_mode & 0o7777 == plain.stat().st_mode & 0o7777
 
+    def test_a_taken_temporary_name_is_skipped(self, capsys, tmp_path):
+        # another writer's temporary sibling holds the first name
+        stale = tmp_path / f".mi.json.{os.getpid()}.0.tmp"
+        stale.write_bytes(b"stale\n")
+        _, stdout, _ = run(capsys, "mi", "--dist", "bvn", "--r", "0.3")
+        out = tmp_path / "mi.json"
+        assert main(["mi", "--dist", "bvn", "--r", "0.3", "--out", str(out)]) == 0
+        assert out.read_text() == stdout
+        assert stale.read_bytes() == b"stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "mi.json"]
+
     def test_a_device_is_written_directly(self, capsys, tmp_path):
         # not a regular file, so it is opened as it is, with no temporary sibling
         code, out, err = run(capsys, "mi", "--dist", "bvn", "--r", "0.3", "--out", os.devnull)

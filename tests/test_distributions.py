@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 import liftdep as ld
 from liftdep.cli import CURVE_SPECS
-from liftdep.distributions import PROBE_GRID_SIZE, monotone_pieces, named_curve
+from liftdep.distributions import PROBE_GRID_SIZE, bisect_roots, monotone_pieces, named_curve
 from liftdep.quadrature import adaptive_quad_2d
 
 import oracles
@@ -191,6 +191,34 @@ class TestPushforwardDensity:
             breakpoints=(0.5,),
         )
         assert monotone_pieces(branch) == [(0.0, 0.5, 1), (0.5, 1.0, -1)]
+
+    @pytest.mark.parametrize("phi,dphi", [
+        (lambda x: 1.0 - np.asarray(x, dtype=float) ** 2,
+         lambda x: -2.0 * np.asarray(x, dtype=float)),
+        (np.cos, lambda x: -np.sin(x)),
+    ], ids=["one-minus-square", "cos"])
+    def test_a_zero_slope_at_the_start_takes_the_first_sign(self, phi, dphi):
+        # dphi(0) = 0 read as increasing gave a zero-width piece (0.0, 0.0, 1)
+        branch = ld.CurveBranch(phi=phi, dphi=dphi, domain=(0.0, 1.0))
+        assert monotone_pieces(branch) == [(0.0, 1.0, -1)]
+
+    def test_a_slope_under_the_floor_at_a_declared_breakpoint_is_no_turn(self):
+        # cos is 6.1e-17 > 0 at the double nearest pi/2, the first probe of
+        # the decreasing piece
+        assert math.cos(math.pi / 2) > 0
+        branch = ld.CurveBranch(phi=np.sin, dphi=np.cos, domain=(0.0, 3.0),
+                                breakpoints=(math.pi / 2,))
+        assert monotone_pieces(branch) == [(0.0, math.pi / 2, 1), (math.pi / 2, 3.0, -1)]
+
+    def test_a_turn_after_a_probe_under_the_floor_is_cut_at_that_probe(self):
+        # dphi = x - c is 1e-13 > 0 at the probe g just past c, so the turn
+        # reads between g and the next probe, where dphi keeps its sign
+        g = float(np.linspace(0.0, 1.0, PROBE_GRID_SIZE)[500])
+        c = g - 1e-13
+        branch = ld.CurveBranch(phi=lambda x: (np.asarray(x, dtype=float) - c) ** 2 / 2,
+                                dphi=lambda x: np.asarray(x, dtype=float) - c,
+                                domain=(0.0, 1.0))
+        assert monotone_pieces(branch) == [(0.0, g, -1), (g, 1.0, 1)]
 
     def test_derivative_vanishes_at_fold(self):
         branch = ld.CurveBranch(
@@ -419,6 +447,9 @@ class TestInfiniteCurveEnds:
         )
         assert done.returncode == 1
         assert done.stderr.rstrip().endswith("ValueError: bisect_roots needs finite bracket ends")
+        # the fresh process returned, so this one may make the same call
+        with pytest.raises(ValueError, match="bisect_roots needs finite bracket ends"):
+            bisect_roots(lambda x: x, 0.5, lo, hi)
 
 
 class TestConditionalLaw:
@@ -520,6 +551,20 @@ class TestClassInvariants:
             (-1.0, 1.0, -np.inf, np.inf),
         )
         assert float(strip.quantile_x([0.5])[0]) == pytest.approx(0.0, abs=1e-3)
+
+    def test_a_law_owns_read_only_copies_of_its_arrays(self):
+        # writing to the caller's arrays left a decreasing support and a pmf
+        # summing to 5.6 inside a validated law
+        x, p = np.array([0.0, 1.0]), np.array([[0.4, 0.1], [0.1, 0.4]])
+        dist = ld.DiscreteJoint(x, x.copy(), p)
+        x[:] = [1.0, 0.0]
+        p[0, 0] = 5.0
+        assert dist.x_support.tolist() == [0.0, 1.0]
+        assert dist.pmf.tolist() == [[0.4, 0.1], [0.1, 0.4]]
+        assert ld.lift_at(dist, (1.0, 0.0)) == pytest.approx(0.4, rel=1e-15)
+        for array in (dist.x_support, dist.y_support, dist.pmf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
 
     def test_pmf_shape_must_match_the_supports(self):
         with pytest.raises(ValueError, match="pmf shape must be"):

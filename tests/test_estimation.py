@@ -53,6 +53,18 @@ class TestContingencyTable:
         with pytest.raises(ValueError):
             ld.ContingencyTable([0.0], [0.0], np.array([[1.5]]))
 
+    def test_a_table_owns_read_only_copies_of_its_arrays(self):
+        # a count set to -7 after construction gave n == -2
+        labels, counts = np.array([0.0, 1.0]), np.array([[1, 2], [3, 4]])
+        t = ld.ContingencyTable(labels, labels, counts)
+        labels[:] = [5.0, 3.0]
+        counts[0, 0] = -7
+        assert t.n == 10
+        assert t.x_labels.tolist() == t.y_labels.tolist() == [0.0, 1.0]
+        for array in (t.x_labels, t.y_labels, t.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+
     def test_counts_must_match_the_labels(self):
         with pytest.raises(ValueError, match="counts shape must match the label vectors"):
             ld.ContingencyTable([0.0, 1.0], [0.0], np.array([[1, 2]]))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import liftdep as ld
 from liftdep import information
+from liftdep.cli import CURVE_SPECS
 from liftdep.codec import write_json
 from liftdep.distributions import named_curve
 from liftdep.information import (
@@ -517,6 +518,44 @@ def _declaring(reflections, box, r=0.0):
     cls = type("Declaring", (ld.ContinuousJoint,), {"reflections": reflections})
     return cls(ld.BivariateNormal(r).joint_density, ld.standard_normal_pdf,
                ld.standard_normal_pdf, box)
+
+
+def mirrored(dist, c):
+    """The law of ``(X, c - phi(X))`` for a one-branch curve law, built from
+    the public API."""
+    (branch,) = dist.branches
+    mirror = ld.CurveBranch(phi=lambda x: c - branch.phi(x), dphi=lambda x: -branch.dphi(x),
+                            domain=branch.domain)
+    return ld.CurveSingularJoint(dist.marginal_x, dist.support_x, (mirror,))
+
+
+class TestMirrorLaw:
+    """MI does not change under the monotone map ``y -> c - y`` (Kraskov,
+    Stoegbauer and Grassberger, PRE 69 (2004) 066138), nor does the lift at
+    the mirrored point. At ``1 - X^2`` the slope is 0 at the start of the
+    piece, which once gave a zero-width piece and a DerivativeVanishes."""
+
+    @pytest.mark.parametrize("spec", CURVE_SPECS)
+    def test_mi_is_the_specs(self, spec):
+        dist = named_curve(spec)
+        want = ld.mi_curve(dist).value
+        assert ld.mi_curve(mirrored(dist, 1.0)).value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", CURVE_SPECS)
+    def test_lift_at_mirrored_points(self, spec):
+        dist = named_curve(spec)
+        mirror = mirrored(dist, 1.0)
+        lo, hi = dist.support_x
+        x = np.linspace(lo, hi, 1001)[1:-1]
+        want = dist.lift(x, dist.branches[0].phi(x))
+        got = mirror.lift(x, mirror.branches[0].phi(x))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_cos_on_the_unit_interval(self):
+        branch = ld.CurveBranch(phi=np.cos, dphi=lambda x: -np.sin(x), domain=(0.0, 1.0))
+        dist = ld.CurveSingularJoint(ld.uniform_pdf(0.0, 1.0), (0.0, 1.0), (branch,))
+        assert ld.mi_curve(dist).value == pytest.approx(oracles.mi_uniform_cos(), abs=1e-8)
 
 
 class TestFold:

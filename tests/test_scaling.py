@@ -49,6 +49,13 @@ class TestBallDensity:
         with pytest.raises(ValueError, match=message):
             ld.ball_density_profile(points, (0.0, 0.0), [1.0]).densities[0]
 
+    def test_the_profile_owns_its_radii(self):
+        radii = np.array([1.0, 0.5])
+        profile = ld.ball_density_profile([[0.0, 0.0], [0.7, 0.0]], (0.0, 0.0), radii)
+        radii[:] = [9.0, 8.0]
+        assert profile.radii.tolist() == [1.0, 0.5]
+        assert profile.densities == pytest.approx([1.0 / math.pi, 2.0 / math.pi], rel=1e-15)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             ld.ball_density_profile([[0.0, 0.0]], (0.0, 0.0), [0.0]).densities[0]
